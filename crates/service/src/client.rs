@@ -1,12 +1,11 @@
 //! A minimal blocking client for the aggregation service — what
 //! `rawt aggregate --remote` and the service tests speak.
 //!
-//! Sized exchanges (submit, status, PATCH, …) reuse one pooled
-//! keep-alive connection: the first exchange dials, later ones ride the
-//! same socket, and a stale pooled connection (server restarted, idle
-//! timeout) is transparently redialed once. Streaming endpoints
-//! (`…/events`) still open their own `Connection: close` socket — a
-//! chunked stream is its connection's last response. The client never
+//! Every exchange, event streams included, rides a pooled keep-alive
+//! connection: the first exchange dials, later ones reuse the socket, and
+//! a stale pooled connection (server restarted or draining, idle timeout)
+//! is transparently redialed once. An event stream puts its socket back
+//! only after reading the stream's terminator. The client never
 //! interprets reports beyond parsing them as [`Json`]; rendering stays
 //! with the caller so the CLI can reuse its local formatting.
 //!
@@ -43,6 +42,24 @@ use std::time::Duration;
 /// router's per-worker clients) — four sockets absorb that burstiness
 /// without hoarding server-side connection threads.
 const POOL_CAP: usize = 4;
+
+/// Idle kept-alive connections, at most [`POOL_CAP`]; checkin drops the
+/// socket when the pool is full.
+#[derive(Debug, Default)]
+struct Pool(Mutex<Vec<BufReader<TcpStream>>>);
+
+impl Pool {
+    fn checkout(&self) -> Option<BufReader<TcpStream>> {
+        self.0.lock().expect("client pool poisoned").pop()
+    }
+
+    fn checkin(&self, reader: BufReader<TcpStream>) {
+        let mut pool = self.0.lock().expect("client pool poisoned");
+        if pool.len() < POOL_CAP {
+            pool.push(reader);
+        }
+    }
+}
 
 /// A client-side failure.
 #[derive(Debug)]
@@ -256,10 +273,8 @@ pub struct Client {
     /// Bearer token sent as `Authorization: Bearer <token>` on every
     /// request when the server was started with `--token`.
     token: Option<Arc<str>>,
-    /// Idle kept-alive connections, at most [`POOL_CAP`]. Checkout pops
-    /// one (dialing fresh when empty); checkin pushes it back unless the
-    /// pool is full, in which case the socket is simply dropped.
-    pool: Arc<Mutex<Vec<BufReader<TcpStream>>>>,
+    /// Idle kept-alive connections, shared by clones.
+    pool: Arc<Pool>,
 }
 
 impl Client {
@@ -274,7 +289,7 @@ impl Client {
         Client {
             addr,
             token: None,
-            pool: Arc::new(Mutex::new(Vec::new())),
+            pool: Arc::default(),
         }
     }
 
@@ -285,20 +300,6 @@ impl Client {
         let mut client = Client::new(addr);
         client.token = Some(Arc::from(token));
         client
-    }
-
-    /// Check an idle pooled connection out, if any.
-    fn checkout(&self) -> Option<BufReader<TcpStream>> {
-        self.pool.lock().expect("client pool poisoned").pop()
-    }
-
-    /// Return a still-alive connection to the pool; drop it silently when
-    /// the pool is already at capacity.
-    fn checkin(&self, reader: BufReader<TcpStream>) {
-        let mut pool = self.pool.lock().expect("client pool poisoned");
-        if pool.len() < POOL_CAP {
-            pool.push(reader);
-        }
     }
 
     /// The `Authorization` header to attach, when a token is configured.
@@ -325,17 +326,18 @@ impl Client {
         Ok(stream)
     }
 
-    /// One sized exchange over a pooled connection. A failure on a
-    /// *reused* socket (the server restarted, closed an idle connection,
-    /// or shed it) is retried once on a fresh dial before surfacing —
-    /// a stale pooled connection must never look like a dead server.
+    /// One exchange over a pooled connection, body unread. A failure on a
+    /// *reused* socket (the server restarted, is draining, closed an idle
+    /// connection, or shed it) is retried once on a fresh dial before
+    /// surfacing — a stale pooled connection must never look like a dead
+    /// server.
     fn exchange_keep_alive(
         &self,
         method: &str,
         path: &str,
-        body: Option<&str>,
+        body: Option<&[u8]>,
     ) -> Result<ClientResponse, ClientError> {
-        let pooled = self.checkout();
+        let pooled = self.pool.checkout();
         let had_pooled = pooled.is_some();
         let headers = self.auth_headers();
         let attempt =
@@ -350,7 +352,7 @@ impl Client {
                     path,
                     &self.addr,
                     &headers,
-                    body.map(|b| ("application/json", b.as_bytes())),
+                    body.map(|b| ("application/json", b)),
                     true,
                 )?;
                 Ok(ClientResponse::read_from(reader)?)
@@ -362,21 +364,40 @@ impl Client {
         }
     }
 
-    /// One streaming exchange on its own `Connection: close` socket (a
-    /// chunked response consumes the connection, so pooling it is
-    /// pointless).
-    fn exchange_streaming(&self, path: &str) -> Result<ClientResponse, ClientError> {
-        let mut stream = self.connect()?;
-        http::write_request_with_headers(
-            &mut stream,
-            "GET",
-            path,
-            &self.addr,
-            &self.auth_headers(),
-            None,
-            false,
-        )?;
-        Ok(ClientResponse::read(stream)?)
+    /// One sized exchange, whatever its status: `(status, Retry-After,
+    /// body)`; only transport failures are errors. The router forwards
+    /// through this, passing non-2xx answers through verbatim.
+    pub(crate) fn raw_exchange(
+        &self,
+        method: &str,
+        path: &str,
+        body: Option<&[u8]>,
+    ) -> Result<(u16, Option<String>, String), ClientError> {
+        let response = self.exchange_keep_alive(method, path, body)?;
+        let status = response.status;
+        let retry_after = response.header("retry-after").map(str::to_owned);
+        let (text, reusable) = response.into_body_and_reader()?;
+        if let Some(reader) = reusable {
+            self.pool.checkin(reader);
+        }
+        Ok((status, retry_after, text))
+    }
+
+    /// Open an NDJSON stream on a pooled connection, which returns to the
+    /// pool once the stream's terminator has been read.
+    pub(crate) fn stream_lines(&self, path: &str) -> Result<NdjsonLines, ClientError> {
+        let response = self.exchange_keep_alive("GET", path, None)?;
+        if response.status != 200 {
+            let status = response.status;
+            let body = response.body_string()?;
+            return Err(ClientError::Status {
+                status,
+                body,
+                retry_after_secs: None,
+            });
+        }
+        let pool = Arc::clone(&self.pool);
+        Ok(response.lines(move |reader| pool.checkin(reader)))
     }
 
     /// One non-streaming exchange, JSON in / JSON out; non-2xx statuses
@@ -400,18 +421,13 @@ impl Client {
         path: &str,
         body: Option<&str>,
     ) -> Result<String, ClientError> {
-        let response = self.exchange_keep_alive(method, path, body)?;
-        let status = response.status;
-        let retry_after_secs = response.header("retry-after").and_then(|v| v.parse().ok());
-        let (text, reusable) = response.into_body_and_reader()?;
-        if let Some(reader) = reusable {
-            self.checkin(reader);
-        }
+        let (status, retry_after, text) =
+            self.raw_exchange(method, path, body.map(str::as_bytes))?;
         if !(200..300).contains(&status) {
             return Err(ClientError::Status {
                 status,
                 body: text,
-                retry_after_secs,
+                retry_after_secs: retry_after.and_then(|v| v.parse().ok()),
             });
         }
         Ok(text)
@@ -420,20 +436,15 @@ impl Client {
     /// `POST /v1/jobs`.
     pub fn submit(&self, submission: &JobSubmission) -> Result<Submitted, ClientError> {
         let doc = self.json_exchange("POST", "/v1/jobs", Some(&submission.to_json()))?;
-        let field = |key: &str| {
-            doc.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| ClientError::Malformed(format!("missing {key:?} in {doc}")))
-        };
         Ok(Submitted {
-            id: field("id")?,
+            id: u64_field(&doc, "id")?,
             spec: doc
                 .get("spec")
                 .and_then(Json::as_str)
                 .unwrap_or_default()
                 .to_owned(),
-            n: field("n")? as usize,
-            m: field("m")? as usize,
+            n: u64_field(&doc, "n")? as usize,
+            m: u64_field(&doc, "m")? as usize,
             deduplicated: doc
                 .get("deduplicated")
                 .and_then(Json::as_bool)
@@ -488,11 +499,6 @@ impl Client {
         submission: &BatchSubmission,
     ) -> Result<SubmittedBatch, ClientError> {
         let doc = self.json_exchange("POST", "/v1/batches", Some(&submission.to_json()))?;
-        let field = |key: &str| {
-            doc.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| ClientError::Malformed(format!("missing {key:?} in {doc}")))
-        };
         let jobs =
             doc.get("jobs")
                 .and_then(Json::as_array)
@@ -511,9 +517,9 @@ impl Client {
                 })
                 .collect::<Result<Vec<_>, ClientError>>()?;
         Ok(SubmittedBatch {
-            id: field("id")?,
-            n: field("n")? as usize,
-            m: field("m")? as usize,
+            id: u64_field(&doc, "id")?,
+            n: u64_field(&doc, "n")? as usize,
+            m: u64_field(&doc, "m")? as usize,
             jobs,
             deduplicated: doc
                 .get("deduplicated")
@@ -531,18 +537,8 @@ impl Client {
     /// `GET /v1/batches/{id}/events`: the merged NDJSON stream over all
     /// sub-jobs, each line tagged with its `"spec"` and `"job"` id.
     pub fn batch_events(&self, id: u64) -> Result<EventStream, ClientError> {
-        let response = self.exchange_streaming(&format!("/v1/batches/{id}/events"))?;
-        if response.status != 200 {
-            let status = response.status;
-            let body = response.body_string()?;
-            return Err(ClientError::Status {
-                status,
-                body,
-                retry_after_secs: None,
-            });
-        }
         Ok(EventStream {
-            lines: response.lines(),
+            lines: self.stream_lines(&format!("/v1/batches/{id}/events"))?,
         })
     }
 
@@ -550,34 +546,19 @@ impl Client {
     /// batch status document (streams the merged events to completion,
     /// then fetches the final status).
     pub fn wait_batch(&self, id: u64) -> Result<Json, ClientError> {
-        for event in self.batch_events(id)? {
-            let _ = event?;
-        }
-        let status = self.batch_status(id)?;
-        if status.get("state").and_then(Json::as_str) == Some("done") {
-            Ok(status)
-        } else {
-            Err(ClientError::Malformed(format!(
-                "batch event stream ended but batch {id} is not done: {status}"
-            )))
-        }
+        wait_done(
+            self.batch_events(id)?,
+            || self.batch_status(id),
+            "batch",
+            id,
+        )
     }
 
     /// `GET /v1/jobs/{id}/events`: the streamed NDJSON lines, parsed,
     /// in emission order, live until the job finishes.
     pub fn events(&self, id: u64) -> Result<EventStream, ClientError> {
-        let response = self.exchange_streaming(&format!("/v1/jobs/{id}/events"))?;
-        if response.status != 200 {
-            let status = response.status;
-            let body = response.body_string()?;
-            return Err(ClientError::Status {
-                status,
-                body,
-                retry_after_secs: None,
-            });
-        }
         Ok(EventStream {
-            lines: response.lines(),
+            lines: self.stream_lines(&format!("/v1/jobs/{id}/events"))?,
         })
     }
 
@@ -673,17 +654,35 @@ impl Client {
     /// event-follow free: this just streams events to completion, then
     /// fetches the final status).
     pub fn wait(&self, id: u64) -> Result<Json, ClientError> {
-        for event in self.events(id)? {
-            let _ = event?;
-        }
-        let status = self.status(id)?;
-        if status.get("state").and_then(Json::as_str) == Some("done") {
-            Ok(status)
-        } else {
-            Err(ClientError::Malformed(format!(
-                "event stream ended but job {id} is not done: {status}"
-            )))
-        }
+        wait_done(self.events(id)?, || self.status(id), "job", id)
+    }
+}
+
+/// `doc[key]` as an integer, or a `Malformed` error naming the key.
+fn u64_field(doc: &Json, key: &str) -> Result<u64, ClientError> {
+    doc.get(key)
+        .and_then(Json::as_u64)
+        .ok_or_else(|| ClientError::Malformed(format!("missing {key:?} in {doc}")))
+}
+
+/// Read `events` to the end of the stream, then fetch the status document
+/// and require it `done`.
+fn wait_done(
+    events: EventStream,
+    status: impl FnOnce() -> Result<Json, ClientError>,
+    what: &str,
+    id: u64,
+) -> Result<Json, ClientError> {
+    for event in events {
+        event?;
+    }
+    let status = status()?;
+    if status.get("state").and_then(Json::as_str) == Some("done") {
+        Ok(status)
+    } else {
+        Err(ClientError::Malformed(format!(
+            "event stream ended but {what} {id} is not done: {status}"
+        )))
     }
 }
 
@@ -793,6 +792,10 @@ impl<F: FnMut(&RetryNotice)> Iterator for FollowedEvents<F> {
                     self.attempts = 0;
                     if kind == "finished" || kind == "failed" {
                         self.finished = true;
+                        // Read on to the terminator: the socket is reused.
+                        if let Some(rest) = self.stream.take() {
+                            rest.for_each(drop);
+                        }
                     }
                     return Some(Ok(event));
                 }

@@ -4,16 +4,19 @@
 //! No crates.io access means no hyper/axum (the `crates/shims` offline
 //! discipline); the service speaks just enough HTTP/1.1 for its own
 //! protocol, strictly: `GET`/`POST`/`DELETE`, `Content-Length` bodies
-//! with a hard size cap, persistent connections for sized exchanges
-//! (HTTP/1.1 keep-alive; `Connection: close` on request), and chunked
-//! responses for event streams (always close — a stream is the
-//! connection's last exchange). Anything outside that — oversized bodies,
-//! truncated requests, unknown methods — maps to a typed [`HttpError`]
-//! the server turns into a 4xx, never a panic.
+//! with a hard size cap, persistent connections (HTTP/1.1 keep-alive;
+//! `Connection: close` on request) for sized and chunked responses alike
+//! — a chunked event stream is just a long exchange, and one that ends
+//! without its terminator is an error. Anything outside that — oversized
+//! bodies, truncated requests, unknown methods — maps to a typed
+//! [`HttpError`] the server turns into a 4xx, never a panic.
 
+use crate::proto::error_json;
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Duration;
 
 /// Largest accepted request body (1 MiB — datasets at the service's
 /// target sizes are a few hundred KiB of text at most).
@@ -51,6 +54,15 @@ impl From<io::Error> for HttpError {
     fn from(e: io::Error) -> Self {
         HttpError::Io(e)
     }
+}
+
+/// What a handled request means for its connection.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Served {
+    /// The exchange completed; the connection can serve the next one.
+    KeepAlive,
+    /// The connection is spent.
+    Close,
 }
 
 /// One parsed request.
@@ -168,6 +180,68 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, HttpEr
     })
 }
 
+/// The keep-alive request loop both tiers run on each accepted
+/// connection: read a request, hand it to `handle`, repeat while both
+/// sides keep the connection. Unreadable requests are answered 413/400
+/// and closed. While `draining`, a connection that sat idle when the
+/// drain began is closed unanswered at its next request, as a dead
+/// process would, so a pooled client redials and meets the closed
+/// listener; one busy when it began may still ask for its work's outcome.
+pub(crate) fn serve_connection(
+    mut stream: TcpStream,
+    draining: &AtomicBool,
+    mut handle: impl FnMut(&mut TcpStream, &Request, bool) -> Served,
+) {
+    // A stuck or silent client may hold the socket, but not forever —
+    // the same timeout also bounds how long an idle keep-alive
+    // connection occupies its thread.
+    let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
+    // Responses and streamed events are small writes on a long-lived
+    // socket: without TCP_NODELAY, Nagle holds the second write of a
+    // response until the client's delayed ACK (~40 ms per keep-alive
+    // round trip on loopback).
+    let _ = stream.set_nodelay(true);
+    let Ok(clone) = stream.try_clone() else {
+        return;
+    };
+    let mut reader = BufReader::new(clone);
+    // After each exchange: whether the drain had begun by then.
+    let mut drained_by_last: Option<bool> = None;
+    loop {
+        let request = match read_request(&mut reader) {
+            Ok(request) => request,
+            Err(HttpError::BodyTooLarge(_)) => {
+                return reject(&mut stream, 413, "request body too large");
+            }
+            // Framing is no longer trustworthy: answer and close.
+            Err(HttpError::Malformed(message)) => return reject(&mut stream, 400, &message),
+            // A clean EOF between requests is how keep-alive ends.
+            Err(HttpError::Io(_)) => return,
+        };
+        if drained_by_last == Some(false) && draining.load(Ordering::SeqCst) {
+            return;
+        }
+        let keep = request.keep_alive();
+        match handle(&mut stream, &request, keep) {
+            Served::KeepAlive if keep => drained_by_last = Some(draining.load(Ordering::SeqCst)),
+            _ => return,
+        }
+    }
+}
+
+/// Answer an unreadable request with an error document, closing.
+fn reject(stream: &mut TcpStream, status: u16, message: &str) {
+    let body = error_json(message, None);
+    let _ = write_response(
+        stream,
+        status,
+        "application/json",
+        &[],
+        body.as_bytes(),
+        false,
+    );
+}
+
 /// Standard reason phrase for the status codes the protocol uses.
 fn reason(status: u16) -> &'static str {
     match status {
@@ -220,17 +294,23 @@ pub fn write_response(
 
 /// A chunked-transfer response writer for NDJSON event streams: one
 /// chunk per line, flushed immediately so subscribers see incumbents as
-/// they land, closed with the zero-length terminator.
+/// they land, ended with the zero-length terminator.
 pub struct ChunkedWriter<'a> {
     stream: &'a mut TcpStream,
 }
 
 impl<'a> ChunkedWriter<'a> {
     /// Write the response head (status 200, `Transfer-Encoding: chunked`)
-    /// and return the chunk writer.
-    pub fn begin(stream: &'a mut TcpStream, content_type: &str) -> io::Result<Self> {
+    /// and return the chunk writer. `keep_alive` chooses the `Connection`
+    /// header, as in [`write_response`].
+    pub fn begin(
+        stream: &'a mut TcpStream,
+        content_type: &str,
+        keep_alive: bool,
+    ) -> io::Result<Self> {
+        let connection = if keep_alive { "keep-alive" } else { "close" };
         let head = format!(
-            "HTTP/1.1 200 OK\r\nContent-Type: {content_type}\r\nTransfer-Encoding: chunked\r\nConnection: close\r\nCache-Control: no-store\r\n\r\n"
+            "HTTP/1.1 200 OK\r\nContent-Type: {content_type}\r\nTransfer-Encoding: chunked\r\nConnection: {connection}\r\nCache-Control: no-store\r\n\r\n"
         );
         stream.write_all(head.as_bytes())?;
         stream.flush()?;
@@ -239,24 +319,31 @@ impl<'a> ChunkedWriter<'a> {
 
     /// Write one NDJSON line (the newline is appended here) as a chunk.
     pub fn write_line(&mut self, line: &str) -> io::Result<()> {
-        let payload_len = line.len() + 1;
-        write!(self.stream, "{payload_len:x}\r\n{line}\n\r\n")?;
+        // One write per chunk: under TCP_NODELAY each write is a segment.
+        let frame = format!("{:x}\r\n{line}\n\r\n", line.len() + 1);
+        self.stream.write_all(frame.as_bytes())?;
         self.stream.flush()
     }
 
-    /// Terminate the chunk stream.
-    pub fn finish(self) -> io::Result<()> {
-        self.stream.write_all(b"0\r\n\r\n")?;
-        self.stream.flush()
+    /// Terminate the chunk stream. The connection is usable again only
+    /// if the whole stream reached the peer.
+    pub fn finish(self) -> Served {
+        match self
+            .stream
+            .write_all(b"0\r\n\r\n")
+            .and_then(|()| self.stream.flush())
+        {
+            Ok(()) => Served::KeepAlive,
+            Err(_) => Served::Close,
+        }
     }
 }
 
 /// Client side: write one request (used by the CLI's `--remote` path and
 /// the tests). `body` is sent with a `Content-Length`; `None` sends none.
 /// `keep_alive` asks the server to hold the connection open for the next
-/// exchange (the pooled client sends it for every sized exchange;
-/// streaming requests send `close`, since a chunked stream is always the
-/// connection's last response).
+/// exchange (the pooled client sends it on every request, streams
+/// included).
 pub fn write_request(
     stream: &mut TcpStream,
     method: &str,
@@ -269,8 +356,7 @@ pub fn write_request(
 }
 
 /// [`write_request`] with extra request headers emitted verbatim — the
-/// authenticated client sends `("Authorization", "Bearer …")` here, and
-/// the router forwards a worker-bound request's credentials the same way.
+/// authenticated client sends `("Authorization", "Bearer …")` here.
 pub fn write_request_with_headers(
     stream: &mut TcpStream,
     method: &str,
@@ -296,10 +382,12 @@ pub fn write_request_with_headers(
         ));
     }
     head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
+    // Head and body in one write, as in `write_response`.
+    let mut frame = head.into_bytes();
     if let Some((_, payload)) = body {
-        stream.write_all(payload)?;
+        frame.extend_from_slice(payload);
     }
+    stream.write_all(&frame)?;
     stream.flush()
 }
 
@@ -390,17 +478,23 @@ impl ClientResponse {
         Ok(self.into_body_and_reader()?.0)
     }
 
+    /// Whether the server did not answer `Connection: close`.
+    fn keeps_alive(&self) -> bool {
+        !self
+            .header("connection")
+            .is_some_and(|v| v.eq_ignore_ascii_case("close"))
+    }
+
     /// Read the entire body as text and return the connection's reader
-    /// when it is reusable: the body was sized (`Content-Length`) and the
-    /// server did not answer `Connection: close`. `None` means the
-    /// connection is spent (chunked or read-to-end bodies consume it; a
-    /// `close` response will be shut by the server). This is what the
-    /// pooled client uses to put a keep-alive connection back.
+    /// when it is reusable: the body was framed (sized, or chunked and
+    /// read through its terminator) and the server did not answer
+    /// `Connection: close`. This is what the pooled client uses to put a
+    /// keep-alive connection back.
     pub fn into_body_and_reader(
         mut self,
     ) -> Result<(String, Option<BufReader<TcpStream>>), HttpError> {
         let mut bytes = Vec::new();
-        let mut reusable = false;
+        let mut reusable = self.keeps_alive();
         if self.chunked {
             while let Some(chunk) = read_chunk(&mut self.reader)? {
                 bytes.extend_from_slice(&chunk);
@@ -408,12 +502,9 @@ impl ClientResponse {
         } else if let Some(n) = self.content_length {
             bytes.resize(n, 0);
             self.reader.read_exact(&mut bytes)?;
-            reusable = !self
-                .headers
-                .iter()
-                .any(|(k, v)| k == "connection" && v.eq_ignore_ascii_case("close"));
         } else {
             self.reader.read_to_end(&mut bytes)?;
+            reusable = false;
         }
         let text = String::from_utf8(bytes)
             .map_err(|_| HttpError::Malformed("body is not UTF-8".into()))?;
@@ -421,29 +512,35 @@ impl ClientResponse {
     }
 
     /// Iterate the NDJSON lines of a chunked body as they arrive. Ends on
-    /// the chunk terminator (or connection close).
-    pub fn lines(self) -> NdjsonLines {
+    /// the chunk terminator. Only after reading the terminator of a
+    /// kept-alive response is the connection handed to `reuse`; a stream
+    /// dropped mid-way, cut short, or answered `close` drops its socket.
+    pub fn lines(self, reuse: impl FnOnce(BufReader<TcpStream>) + Send + 'static) -> NdjsonLines {
+        let reusable = self.keeps_alive();
         NdjsonLines {
-            reader: self.reader,
-            chunked: self.chunked,
+            reader: Some(self.reader),
             buffer: Vec::new(),
-            done: false,
+            reuse: reusable.then(|| Box::new(reuse) as Box<dyn FnOnce(_) + Send>),
         }
     }
 }
 
-/// Read one chunk; `Ok(None)` on the zero-length terminator.
+/// Read one chunk; `Ok(None)` on the zero-length terminator. A connection
+/// that closes before it is an `UnexpectedEof` error, never a clean end.
 fn read_chunk(reader: &mut BufReader<TcpStream>) -> Result<Option<Vec<u8>>, HttpError> {
     let mut size_line = String::new();
     if reader.read_line(&mut size_line)? == 0 {
-        return Ok(None); // connection closed: treat as end of stream
+        return Err(HttpError::Io(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "connection closed before the end of the chunked stream",
+        )));
     }
     let size = usize::from_str_radix(size_line.trim(), 16)
         .map_err(|_| HttpError::Malformed(format!("bad chunk size {size_line:?}")))?;
     if size == 0 {
-        // Consume the trailing CRLF after the terminator, if present.
+        // The CRLF that ends the terminator (no trailers are sent).
         let mut crlf = String::new();
-        let _ = reader.read_line(&mut crlf);
+        reader.read_line(&mut crlf)?;
         return Ok(None);
     }
     let mut chunk = vec![0u8; size];
@@ -455,10 +552,11 @@ fn read_chunk(reader: &mut BufReader<TcpStream>) -> Result<Option<Vec<u8>>, Http
 
 /// Streaming line iterator over a chunked NDJSON body.
 pub struct NdjsonLines {
-    reader: BufReader<TcpStream>,
-    chunked: bool,
+    /// `None` once the stream has ended.
+    reader: Option<BufReader<TcpStream>>,
     buffer: Vec<u8>,
-    done: bool,
+    /// Where a cleanly terminated keep-alive connection goes.
+    reuse: Option<Box<dyn FnOnce(BufReader<TcpStream>) + Send>>,
 }
 
 impl Iterator for NdjsonLines {
@@ -475,36 +573,23 @@ impl Iterator for NdjsonLines {
                 }
                 return Some(Ok(text));
             }
-            if self.done {
+            let Some(reader) = self.reader.as_mut() else {
                 // Flush a trailing unterminated line, if any.
-                if self.buffer.is_empty() {
-                    return None;
-                }
                 let text = String::from_utf8_lossy(&self.buffer).trim_end().to_owned();
                 self.buffer.clear();
-                if text.is_empty() {
-                    return None;
-                }
-                return Some(Ok(text));
-            }
-            if self.chunked {
-                match read_chunk(&mut self.reader) {
-                    Ok(Some(chunk)) => self.buffer.extend_from_slice(&chunk),
-                    Ok(None) => self.done = true,
-                    Err(e) => {
-                        self.done = true;
-                        return Some(Err(e));
+                return (!text.is_empty()).then_some(Ok(text));
+            };
+            match read_chunk(reader) {
+                Ok(Some(chunk)) => self.buffer.extend_from_slice(&chunk),
+                Ok(None) => {
+                    if let (Some(reader), Some(reuse)) = (self.reader.take(), self.reuse.take()) {
+                        reuse(reader);
                     }
                 }
-            } else {
-                let mut byte_buf = [0u8; 4096];
-                match self.reader.read(&mut byte_buf) {
-                    Ok(0) => self.done = true,
-                    Ok(n) => self.buffer.extend_from_slice(&byte_buf[..n]),
-                    Err(e) => {
-                        self.done = true;
-                        return Some(Err(e.into()));
-                    }
+                Err(e) => {
+                    self.reader = None;
+                    self.buffer.clear();
+                    return Some(Err(e));
                 }
             }
         }

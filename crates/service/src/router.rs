@@ -18,7 +18,11 @@
 //! byte-identically). Event streams are re-chunked line by line,
 //! heartbeats included.
 //!
-//! Failure model: a worker that cannot be dialed is skipped — new
+//! The router forwards every exchange, streams included, through one
+//! pooled keep-alive [`Client`] per worker, so steady traffic opens no
+//! TCP connections on either hop (DESIGN.md §14.5).
+//!
+//! Failure model: a worker that cannot be reached is skipped — new
 //! submissions fall through to the next worker in rendezvous order
 //! (idempotency keys make a retried submission safe wherever it lands),
 //! while requests about state the dead worker held (its in-flight jobs,
@@ -26,19 +30,19 @@
 //! state is not portable. `GET /healthz` aggregates every worker's
 //! health and reports `ok` / `degraded` / `down`.
 
-use crate::http::{self, ChunkedWriter, ClientResponse, HttpError, Request};
+use crate::client::{Client, ClientError};
+use crate::http::{self, ChunkedWriter, Request, Served};
 use crate::json::{escape, Json};
 use crate::proto;
 use rank_core::telemetry::{
     add_label, merge_families, parse_exposition, render_families, MetricsRegistry,
 };
 use std::collections::HashMap;
-use std::io::BufReader;
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// How the router asks clients to wait when the worker holding their
 /// state is unreachable: long enough for a supervisor restart, short
@@ -91,6 +95,8 @@ struct BatchRoutes {
 
 struct RouterState {
     workers: Vec<String>,
+    /// One pooled client per worker (same order), carrying the token.
+    clients: Vec<Client>,
     token: Option<String>,
     shutting_down: AtomicBool,
     /// Router-side ids; jobs and batches share the counter so a router
@@ -107,13 +113,6 @@ struct RouterState {
 }
 
 impl RouterState {
-    fn auth_headers(&self) -> Vec<(&'static str, String)> {
-        match &self.token {
-            Some(token) => vec![("Authorization", format!("Bearer {token}"))],
-            None => Vec::new(),
-        }
-    }
-
     fn fresh_id(&self) -> u64 {
         self.next_id.fetch_add(1, Ordering::SeqCst)
     }
@@ -177,20 +176,19 @@ impl Router {
             ));
         }
         let listener = TcpListener::bind(addr)?;
-        let workers = config
+        let clients: Vec<Client> = config
             .workers
             .iter()
-            .map(|w| {
-                w.trim()
-                    .trim_start_matches("http://")
-                    .trim_end_matches('/')
-                    .to_owned()
+            .map(|w| match &config.token {
+                Some(token) => Client::with_token(w, token),
+                None => Client::new(w),
             })
             .collect();
         Ok(Router {
             listener,
             state: Arc::new(RouterState {
-                workers,
+                workers: clients.iter().map(|c| c.addr().to_owned()).collect(),
+                clients,
                 token: config.token,
                 shutting_down: AtomicBool::new(false),
                 next_id: AtomicU64::new(1),
@@ -218,11 +216,17 @@ impl Router {
     /// Accept loop: thread per connection, keep-alive inside, exactly
     /// like the worker server's.
     pub fn serve(self) -> std::io::Result<()> {
+        let connections = self.state.metrics.counter(
+            "rawt_http_connections_total",
+            "TCP connections accepted.",
+            &[],
+        );
         for connection in self.listener.incoming() {
             if self.state.shutting_down.load(Ordering::SeqCst) {
                 break;
             }
             let Ok(stream) = connection else { continue };
+            connections.inc();
             let state = Arc::clone(&self.state);
             let _ = std::thread::Builder::new()
                 .name("rank-route".to_owned())
@@ -285,70 +289,26 @@ fn routing_key(body: &[u8]) -> String {
     format!("tx:{:016x}", fnv1a64(body))
 }
 
-/// Dial a worker. Short-ish read timeout is deliberate: the router only
-/// does sized exchanges and line-buffered streams, and a worker that
-/// stops answering should surface as unreachable, not hang the client.
-fn dial(addr: &str) -> std::io::Result<TcpStream> {
-    let stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(600)))?;
-    stream.set_nodelay(true)?;
-    Ok(stream)
-}
-
-/// One sized exchange with a worker on a fresh `Connection: close`
-/// socket. Returns `(status, retry_after, body)`.
+/// One sized exchange with a worker over its pooled connection. Returns
+/// `(status, retry_after, body)`; only an unreachable worker is an error.
 fn forward_sized(
     state: &RouterState,
     worker: usize,
     method: &str,
     path: &str,
     body: Option<&[u8]>,
-) -> Result<(u16, Option<String>, String), HttpError> {
-    let addr = &state.workers[worker];
+) -> Result<(u16, Option<String>, String), ClientError> {
     let proxy_start = Instant::now();
-    let mut stream = dial(addr)?;
-    http::write_request_with_headers(
-        &mut stream,
-        method,
-        path,
-        addr,
-        &state.auth_headers(),
-        body.map(|b| ("application/json", b)),
-        false,
-    )?;
-    let response = ClientResponse::read(stream)?;
-    let status = response.status;
-    let retry_after = response.header("retry-after").map(str::to_owned);
-    let text = response.body_string()?;
+    let answer = state.clients[worker].raw_exchange(method, path, body)?;
     state
         .metrics
         .histogram(
             "rawt_router_proxy_seconds",
             "Full sized-exchange latency of one proxied worker request.",
-            &[("worker", addr)],
+            &[("worker", &state.workers[worker])],
         )
         .record(proxy_start.elapsed());
-    Ok((status, retry_after, text))
-}
-
-/// Open a streaming exchange with a worker (the caller consumes lines).
-fn forward_streaming(
-    state: &RouterState,
-    worker: usize,
-    path: &str,
-) -> Result<ClientResponse, HttpError> {
-    let addr = &state.workers[worker];
-    let mut stream = dial(addr)?;
-    http::write_request_with_headers(
-        &mut stream,
-        "GET",
-        path,
-        addr,
-        &state.auth_headers(),
-        None,
-        false,
-    )?;
-    ClientResponse::read(stream)
+    Ok(answer)
 }
 
 /// Splice worker-side ids to router-side ids in a response body. The
@@ -399,15 +359,11 @@ fn respond_error(
     keep: bool,
 ) {
     let body = proto::error_json(message, None);
-    let headers: Vec<(&str, String)> = retry_after
-        .map(|secs| vec![("Retry-After", secs.to_string())])
-        .unwrap_or_default();
-    let _ = http::write_response(
+    respond_passthrough(
         stream,
         status,
-        "application/json",
-        &headers,
-        body.as_bytes(),
+        retry_after.map(|secs| secs.to_string()),
+        &body,
         keep,
     );
 }
@@ -448,32 +404,10 @@ fn unreachable_worker(stream: &mut TcpStream, state: &RouterState, worker: usize
     );
 }
 
-fn handle_connection(mut stream: TcpStream, state: &Arc<RouterState>) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-    let _ = stream.set_nodelay(true);
-    let mut reader = match stream.try_clone() {
-        Ok(clone) => BufReader::new(clone),
-        Err(_) => return,
-    };
-    loop {
-        let request = match http::read_request(&mut reader) {
-            Ok(request) => request,
-            Err(HttpError::BodyTooLarge(_)) => {
-                respond_error(&mut stream, 413, "request body too large", None, false);
-                return;
-            }
-            Err(HttpError::Malformed(message)) => {
-                respond_error(&mut stream, 400, &message, None, false);
-                return;
-            }
-            Err(HttpError::Io(_)) => return,
-        };
-        let keep = request.keep_alive();
-        route(&mut stream, &request, state, keep);
-        if !keep {
-            return;
-        }
-    }
+fn handle_connection(stream: TcpStream, state: &Arc<RouterState>) {
+    http::serve_connection(stream, &state.shutting_down, |stream, request, keep| {
+        route(stream, request, state, keep)
+    });
 }
 
 /// Same bearer rule as the worker: `GET /healthz` and `GET /metrics`
@@ -492,7 +426,12 @@ fn authorized(request: &Request, state: &RouterState, path: &str) -> bool {
         .is_some_and(|presented| presented.trim() == token)
 }
 
-fn route(stream: &mut TcpStream, request: &Request, state: &Arc<RouterState>, keep: bool) {
+fn route(
+    stream: &mut TcpStream,
+    request: &Request,
+    state: &Arc<RouterState>,
+    keep: bool,
+) -> Served {
     let path = request.path.trim_end_matches('/');
     if !authorized(request, state, path) {
         respond_error(
@@ -502,7 +441,7 @@ fn route(stream: &mut TcpStream, request: &Request, state: &Arc<RouterState>, ke
             None,
             keep,
         );
-        return;
+        return Served::KeepAlive;
     }
     match (request.method.as_str(), path) {
         ("GET", "/healthz") => healthz(stream, state, keep),
@@ -511,16 +450,17 @@ fn route(stream: &mut TcpStream, request: &Request, state: &Arc<RouterState>, ke
         ("POST", "/v1/jobs") => submit_job(stream, request, state, keep),
         ("POST", "/v1/batches") => submit_batch(stream, request, state, keep),
         (_, p) if p.starts_with("/v1/jobs/") => {
-            job_route(stream, request, state, &p["/v1/jobs/".len()..], keep)
+            return job_route(stream, request, state, &p["/v1/jobs/".len()..], keep);
         }
         (_, p) if p.starts_with("/v1/batches/") => {
-            batch_route(stream, request, state, &p["/v1/batches/".len()..], keep)
+            return batch_route(stream, request, state, &p["/v1/batches/".len()..], keep);
         }
         (_, p) if p.starts_with("/v1/datasets/") => {
             dataset_route(stream, request, state, &p["/v1/datasets/".len()..], keep)
         }
         _ => respond_error(stream, 404, &format!("no route for {path:?}"), None, keep),
     }
+    Served::KeepAlive
 }
 
 /// Aggregate `/healthz` across every worker. Always 200 — the router
@@ -633,56 +573,32 @@ fn submission_targets(state: &RouterState, body: &[u8]) -> (Vec<usize>, bool) {
     (rendezvous_order(&state.workers, &key), false)
 }
 
-fn submit_job(stream: &mut TcpStream, request: &Request, state: &Arc<RouterState>, keep: bool) {
+/// Forward a submission down its target order, skipping dead workers
+/// unless it is sticky. Returns the first 2xx answer and its worker;
+/// anything else has already been answered.
+fn forward_submission(
+    stream: &mut TcpStream,
+    request: &Request,
+    state: &RouterState,
+    path: &str,
+    keep: bool,
+) -> Option<(usize, u16, Option<String>, String)> {
     let (targets, sticky) = submission_targets(state, &request.body);
     for &worker in &targets {
-        let (status, retry_after, body) =
-            match forward_sized(state, worker, "POST", "/v1/jobs", Some(&request.body)) {
-                Ok(answer) => answer,
-                Err(_) if !sticky => {
-                    state.count_failover(worker);
-                    continue;
-                }
-                Err(_) => {
-                    unreachable_worker(stream, state, worker, keep);
-                    return;
-                }
-            };
-        if !(200..300).contains(&status) {
-            respond_passthrough(stream, status, retry_after, &body, keep);
-            return;
-        }
-        let Some(worker_id) = Json::parse(&body)
-            .ok()
-            .and_then(|doc| doc.get("id").and_then(Json::as_u64))
-        else {
-            respond_error(
-                stream,
-                502,
-                "worker returned an unparseable job id",
-                None,
-                keep,
-            );
-            return;
-        };
-        let router_id = {
-            let mut jobs = state.jobs.lock().expect("job routes poisoned");
-            match jobs.by_worker.get(&(worker, worker_id)) {
-                Some(&existing) => existing,
-                None => {
-                    let fresh = state.fresh_id();
-                    jobs.by_worker.insert((worker, worker_id), fresh);
-                    jobs.by_router
-                        .insert(fresh, RoutedJob { worker, worker_id });
-                    fresh
-                }
+        match forward_sized(state, worker, "POST", path, Some(&request.body)) {
+            Ok((status, retry_after, body)) if (200..300).contains(&status) => {
+                return Some((worker, status, retry_after, body));
             }
-        };
-        let rewritten = splice_ids(&body, |token, value| {
-            (token != "/v1/batches/" && value == worker_id).then_some(router_id)
-        });
-        respond_passthrough(stream, status, retry_after, &rewritten, keep);
-        return;
+            Ok((status, retry_after, body)) => {
+                respond_passthrough(stream, status, retry_after, &body, keep);
+                return None;
+            }
+            Err(_) if !sticky => state.count_failover(worker),
+            Err(_) => {
+                unreachable_worker(stream, state, worker, keep);
+                return None;
+            }
+        }
     }
     respond_error(
         stream,
@@ -691,109 +607,126 @@ fn submit_job(stream: &mut TcpStream, request: &Request, state: &Arc<RouterState
         Some(UNREACHABLE_RETRY_AFTER_SECS),
         keep,
     );
+    None
+}
+
+fn submit_job(stream: &mut TcpStream, request: &Request, state: &Arc<RouterState>, keep: bool) {
+    let Some((worker, status, retry_after, body)) =
+        forward_submission(stream, request, state, "/v1/jobs", keep)
+    else {
+        return;
+    };
+    let Some(worker_id) = Json::parse(&body)
+        .ok()
+        .and_then(|doc| doc.get("id").and_then(Json::as_u64))
+    else {
+        respond_error(
+            stream,
+            502,
+            "worker returned an unparseable job id",
+            None,
+            keep,
+        );
+        return;
+    };
+    let router_id = {
+        let mut jobs = state.jobs.lock().expect("job routes poisoned");
+        match jobs.by_worker.get(&(worker, worker_id)) {
+            Some(&existing) => existing,
+            None => {
+                let fresh = state.fresh_id();
+                jobs.by_worker.insert((worker, worker_id), fresh);
+                jobs.by_router
+                    .insert(fresh, RoutedJob { worker, worker_id });
+                fresh
+            }
+        }
+    };
+    let rewritten = splice_ids(&body, |token, value| {
+        (token != "/v1/batches/" && value == worker_id).then_some(router_id)
+    });
+    respond_passthrough(stream, status, retry_after, &rewritten, keep);
 }
 
 fn submit_batch(stream: &mut TcpStream, request: &Request, state: &Arc<RouterState>, keep: bool) {
-    let (targets, sticky) = submission_targets(state, &request.body);
-    for &worker in &targets {
-        let (status, retry_after, body) =
-            match forward_sized(state, worker, "POST", "/v1/batches", Some(&request.body)) {
-                Ok(answer) => answer,
-                Err(_) if !sticky => {
-                    state.count_failover(worker);
-                    continue;
-                }
-                Err(_) => {
-                    unreachable_worker(stream, state, worker, keep);
-                    return;
-                }
-            };
-        if !(200..300).contains(&status) {
-            respond_passthrough(stream, status, retry_after, &body, keep);
-            return;
-        }
-        let parsed = Json::parse(&body).ok();
-        let batch_wid = parsed
-            .as_ref()
-            .and_then(|doc| doc.get("id").and_then(Json::as_u64));
-        let sub_wids: Option<Vec<u64>> = parsed.as_ref().and_then(|doc| {
-            doc.get("jobs").and_then(Json::as_array).map(|jobs| {
-                jobs.iter()
-                    .filter_map(|job| job.get("id").and_then(Json::as_u64))
-                    .collect()
-            })
-        });
-        let (Some(batch_wid), Some(sub_wids)) = (batch_wid, sub_wids) else {
-            respond_error(
-                stream,
-                502,
-                "worker returned an unparseable batch",
-                None,
-                keep,
-            );
-            return;
-        };
-        // Register (or re-find, for an idempotent dedup) the batch and
-        // every sub-job; sub-jobs go in the job table too, so
-        // `/v1/jobs/{id}` works on them through the router.
-        let (batch_rid, job_pairs) = {
-            let mut batches = state.batches.lock().expect("batch routes poisoned");
-            match batches.by_worker.get(&(worker, batch_wid)) {
-                Some(&existing) => {
-                    let pairs = batches.by_router[&existing].jobs.clone();
-                    (existing, pairs)
-                }
-                None => {
-                    let mut jobs = state.jobs.lock().expect("job routes poisoned");
-                    let pairs: Vec<(u64, u64)> = sub_wids
-                        .iter()
-                        .map(|&wid| {
-                            let rid = state.fresh_id();
-                            jobs.by_worker.insert((worker, wid), rid);
-                            jobs.by_router.insert(
-                                rid,
-                                RoutedJob {
-                                    worker,
-                                    worker_id: wid,
-                                },
-                            );
-                            (wid, rid)
-                        })
-                        .collect();
-                    let rid = state.fresh_id();
-                    batches.by_worker.insert((worker, batch_wid), rid);
-                    batches.by_router.insert(
-                        rid,
-                        RoutedBatch {
-                            worker,
-                            worker_id: batch_wid,
-                            jobs: pairs.clone(),
-                        },
-                    );
-                    (rid, pairs)
-                }
-            }
-        };
-        let job_map: HashMap<u64, u64> = job_pairs.iter().copied().collect();
-        let mut first_id = true;
-        let rewritten = splice_ids(&body, |token, value| match token {
-            "/v1/batches/" => (value == batch_wid).then_some(batch_rid),
-            "\"id\":" if first_id => {
-                first_id = false;
-                (value == batch_wid).then_some(batch_rid)
-            }
-            _ => job_map.get(&value).copied(),
-        });
-        respond_passthrough(stream, status, retry_after, &rewritten, keep);
+    let Some((worker, status, retry_after, body)) =
+        forward_submission(stream, request, state, "/v1/batches", keep)
+    else {
         return;
-    }
-    respond_error(
-        stream,
-        503,
-        "no reachable worker for this submission",
-        Some(UNREACHABLE_RETRY_AFTER_SECS),
-        keep,
-    );
+    };
+    let parsed = Json::parse(&body).ok();
+    let batch_wid = parsed
+        .as_ref()
+        .and_then(|doc| doc.get("id").and_then(Json::as_u64));
+    let sub_wids: Option<Vec<u64>> = parsed.as_ref().and_then(|doc| {
+        doc.get("jobs").and_then(Json::as_array).map(|jobs| {
+            jobs.iter()
+                .filter_map(|job| job.get("id").and_then(Json::as_u64))
+                .collect()
+        })
+    });
+    let (Some(batch_wid), Some(sub_wids)) = (batch_wid, sub_wids) else {
+        respond_error(
+            stream,
+            502,
+            "worker returned an unparseable batch",
+            None,
+            keep,
+        );
+        return;
+    };
+    // Register (or re-find, for an idempotent dedup) the batch and
+    // every sub-job; sub-jobs go in the job table too, so
+    // `/v1/jobs/{id}` works on them through the router.
+    let (batch_rid, job_pairs) = {
+        let mut batches = state.batches.lock().expect("batch routes poisoned");
+        match batches.by_worker.get(&(worker, batch_wid)) {
+            Some(&existing) => {
+                let pairs = batches.by_router[&existing].jobs.clone();
+                (existing, pairs)
+            }
+            None => {
+                let mut jobs = state.jobs.lock().expect("job routes poisoned");
+                let pairs: Vec<(u64, u64)> = sub_wids
+                    .iter()
+                    .map(|&wid| {
+                        let rid = state.fresh_id();
+                        jobs.by_worker.insert((worker, wid), rid);
+                        jobs.by_router.insert(
+                            rid,
+                            RoutedJob {
+                                worker,
+                                worker_id: wid,
+                            },
+                        );
+                        (wid, rid)
+                    })
+                    .collect();
+                let rid = state.fresh_id();
+                batches.by_worker.insert((worker, batch_wid), rid);
+                batches.by_router.insert(
+                    rid,
+                    RoutedBatch {
+                        worker,
+                        worker_id: batch_wid,
+                        jobs: pairs.clone(),
+                    },
+                );
+                (rid, pairs)
+            }
+        }
+    };
+    let job_map: HashMap<u64, u64> = job_pairs.iter().copied().collect();
+    let mut first_id = true;
+    let rewritten = splice_ids(&body, |token, value| match token {
+        "/v1/batches/" => (value == batch_wid).then_some(batch_rid),
+        "\"id\":" if first_id => {
+            first_id = false;
+            (value == batch_wid).then_some(batch_rid)
+        }
+        _ => job_map.get(&value).copied(),
+    });
+    respond_passthrough(stream, status, retry_after, &rewritten, keep);
 }
 
 /// `/v1/jobs/{id}` and `/v1/jobs/{id}/events` through the id map.
@@ -803,14 +736,13 @@ fn job_route(
     state: &Arc<RouterState>,
     rest: &str,
     keep: bool,
-) {
-    let (id_part, tail) = match rest.split_once('/') {
-        Some((id, tail)) => (id, Some(tail)),
-        None => (rest, None),
-    };
+) -> Served {
+    let (id_part, tail) = rest
+        .split_once('/')
+        .map_or((rest, None), |(id, t)| (id, Some(t)));
     let Ok(router_id) = id_part.parse::<u64>() else {
         respond_error(stream, 400, "job id must be an integer", None, keep);
-        return;
+        return Served::KeepAlive;
     };
     let Some(routed) = state
         .jobs
@@ -821,20 +753,20 @@ fn job_route(
         .copied()
     else {
         respond_error(stream, 404, &format!("no job {router_id}"), None, keep);
-        return;
+        return Served::KeepAlive;
     };
     let worker_path = match (request.method.as_str(), tail) {
         ("GET", None) | ("DELETE", None) => format!("/v1/jobs/{}", routed.worker_id),
         ("GET", Some("events")) => {
-            proxy_stream(
+            return proxy_stream(
                 stream,
                 state,
                 routed.worker,
                 &format!("/v1/jobs/{}/events", routed.worker_id),
+                keep,
                 // Plain job event lines carry no ids; pass them raw.
                 |line| line.to_owned(),
             );
-            return;
         }
         _ => {
             respond_error(
@@ -844,7 +776,7 @@ fn job_route(
                 None,
                 keep,
             );
-            return;
+            return Served::KeepAlive;
         }
     };
     match forward_sized(state, routed.worker, &request.method, &worker_path, None) {
@@ -856,6 +788,7 @@ fn job_route(
         }
         Err(_) => unreachable_worker(stream, state, routed.worker, keep),
     }
+    Served::KeepAlive
 }
 
 /// `/v1/batches/{id}` and `/v1/batches/{id}/events` through the id map.
@@ -865,14 +798,13 @@ fn batch_route(
     state: &Arc<RouterState>,
     rest: &str,
     keep: bool,
-) {
-    let (id_part, tail) = match rest.split_once('/') {
-        Some((id, tail)) => (id, Some(tail)),
-        None => (rest, None),
-    };
+) -> Served {
+    let (id_part, tail) = rest
+        .split_once('/')
+        .map_or((rest, None), |(id, t)| (id, Some(t)));
     let Ok(router_id) = id_part.parse::<u64>() else {
         respond_error(stream, 400, "batch id must be an integer", None, keep);
-        return;
+        return Served::KeepAlive;
     };
     let Some(routed) = state
         .batches
@@ -883,7 +815,7 @@ fn batch_route(
         .cloned()
     else {
         respond_error(stream, 404, &format!("no batch {router_id}"), None, keep);
-        return;
+        return Served::KeepAlive;
     };
     let job_map: HashMap<u64, u64> = routed.jobs.iter().copied().collect();
     match (request.method.as_str(), tail) {
@@ -911,11 +843,12 @@ fn batch_route(
             }
         }
         ("GET", Some("events")) => {
-            proxy_stream(
+            return proxy_stream(
                 stream,
                 state,
                 routed.worker,
                 &format!("/v1/batches/{}/events", routed.worker_id),
+                keep,
                 // Merged batch lines are tagged `"job":<worker id>` —
                 // splice those to router ids; everything else passes raw.
                 move |line| {
@@ -935,42 +868,45 @@ fn batch_route(
             keep,
         ),
     }
+    Served::KeepAlive
 }
 
-/// Proxy a worker's NDJSON stream line by line through a fresh chunked
+/// Proxy a worker's NDJSON stream line by line through a chunked
 /// response, mapping each line through `rewrite` (heartbeats included —
-/// they pass through, keeping the client's liveness view honest). A
-/// stream is its connection's last response on both sides.
+/// they pass through, keeping the client's liveness view honest). A worker
+/// stream cut short closes the client connection unterminated, so the
+/// client sees the truncation too.
 fn proxy_stream(
     stream: &mut TcpStream,
     state: &Arc<RouterState>,
     worker: usize,
     path: &str,
+    keep: bool,
     rewrite: impl Fn(&str) -> String,
-) {
-    let response = match forward_streaming(state, worker, path) {
-        Ok(response) => response,
+) -> Served {
+    let lines = match state.clients[worker].stream_lines(path) {
+        Ok(lines) => lines,
+        Err(ClientError::Status { status, body, .. }) => {
+            respond_passthrough(stream, status, None, &body, keep);
+            return Served::KeepAlive;
+        }
         Err(_) => {
-            unreachable_worker(stream, state, worker, false);
-            return;
+            unreachable_worker(stream, state, worker, keep);
+            return Served::KeepAlive;
         }
     };
-    if response.status != 200 {
-        let status = response.status;
-        let body = response.body_string().unwrap_or_default();
-        respond_passthrough(stream, status, None, &body, false);
-        return;
-    }
-    let Ok(mut writer) = ChunkedWriter::begin(stream, "application/x-ndjson") else {
-        return;
+    let Ok(mut writer) = ChunkedWriter::begin(stream, "application/x-ndjson", keep) else {
+        return Served::Close;
     };
-    for line in response.lines() {
-        let Ok(line) = line else { break };
+    for line in lines {
+        let Ok(line) = line else {
+            return Served::Close;
+        };
         if writer.write_line(&rewrite(&line)).is_err() {
-            return;
+            return Served::Close;
         }
     }
-    let _ = writer.finish();
+    writer.finish()
 }
 
 /// `/v1/datasets/{id}`: transparent proxy with sticky placement. The

@@ -34,12 +34,12 @@
 //! deleted.
 //!
 //! Connection handling is thread-per-connection with HTTP/1.1
-//! keep-alive: sized exchanges loop on one connection (a 30 s read
-//! timeout bounds idle ones); event streams are their connection's last
-//! response (`Connection: close`).
+//! keep-alive: every exchange, event streams included, loops on one
+//! connection (`http::serve_connection`, shared with the router, also
+//! holds the 30 s idle timeout and the rule for draining).
 
 use crate::fault::FaultPlan;
-use crate::http::{self, ChunkedWriter, HttpError, Request};
+use crate::http::{self, ChunkedWriter, Request, Served};
 use crate::journal::{FsyncPolicy, Journal, JournalWriter, RecoveredDataset};
 use crate::json::Json;
 use crate::proto::{self, BatchSubmission, JobSubmission, SubmissionError};
@@ -54,7 +54,6 @@ use rank_core::session::DatasetSession;
 use rank_core::telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
 use rank_core::{CostMatrix, Dataset, Element, Universe};
 use std::collections::HashMap;
-use std::io::BufReader;
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -113,6 +112,8 @@ impl Default for ServerConfig {
 /// the engine's registry (DESIGN.md §15) — request paths pay relaxed
 /// atomic ops, not a registry lock.
 struct ServerMetrics {
+    /// TCP connections accepted.
+    connections: Arc<Counter>,
     /// Jobs accepted into the table: fresh submits, batch sub-jobs, and
     /// journal re-admissions (`/healthz` reads this back as
     /// `jobs_accepted`, so healthz and /metrics cannot drift).
@@ -128,6 +129,11 @@ struct ServerMetrics {
 impl ServerMetrics {
     fn resolve(registry: &MetricsRegistry) -> ServerMetrics {
         ServerMetrics {
+            connections: registry.counter(
+                "rawt_http_connections_total",
+                "TCP connections accepted.",
+                &[],
+            ),
             jobs_accepted: registry.counter(
                 "rawt_jobs_accepted_total",
                 "Jobs accepted into the job table (submits, batch sub-jobs, recoveries).",
@@ -440,6 +446,7 @@ impl Server {
                 Ok(stream) => stream,
                 Err(_) => continue,
             };
+            self.state.metrics.connections.inc();
             if self.state.config.faults.should_drop_accept() {
                 // Fault hook: simulate flaky networking by closing the
                 // connection unanswered (drives the client's retry and
@@ -461,53 +468,14 @@ impl Server {
     }
 }
 
-/// What a handled request means for the connection: loop for another
-/// request, or close (event streams end their connection by design).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Served {
-    KeepAlive,
-    Close,
-}
-
-fn handle_connection(mut stream: TcpStream, state: &Arc<ServerState>) {
-    // A stuck or silent client may hold the socket, but not forever —
-    // the same timeout also bounds how long an idle keep-alive
-    // connection occupies its thread.
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-    // Responses and streamed events are small writes on a long-lived
-    // socket: without TCP_NODELAY, Nagle holds the second write of a
-    // response until the client's delayed ACK (~40 ms per keep-alive
-    // round trip on loopback).
-    let _ = stream.set_nodelay(true);
-    let mut reader = match stream.try_clone() {
-        Ok(clone) => BufReader::new(clone),
-        Err(_) => return,
-    };
-    loop {
-        let request = match http::read_request(&mut reader) {
-            Ok(request) => request,
-            Err(HttpError::BodyTooLarge(_)) => {
-                respond_error(&mut stream, 413, "request body too large", None, false);
-                return;
-            }
-            Err(HttpError::Malformed(message)) => {
-                // Framing is no longer trustworthy: answer and close.
-                respond_error(&mut stream, 400, &message, None, false);
-                return;
-            }
-            // A clean EOF between requests is how keep-alive ends.
-            Err(HttpError::Io(_)) => return,
-        };
-        let keep = request.keep_alive();
+fn handle_connection(stream: TcpStream, state: &Arc<ServerState>) {
+    http::serve_connection(stream, &state.shutting_down, |stream, request, keep| {
         let endpoint = endpoint_label(&request.method, request.path.trim_end_matches('/'));
         let handle_start = Instant::now();
-        let served = route(&mut stream, &request, state, keep);
+        let served = route(stream, request, state, keep);
         observe_request(state, endpoint, handle_start.elapsed());
-        match served {
-            Served::KeepAlive if keep => continue,
-            _ => return,
-        }
-    }
+        served
+    });
 }
 
 /// The stable per-endpoint label for the HTTP request metrics — path
@@ -639,10 +607,9 @@ fn route(
         }
         (method, path) if path.starts_with("/v1/batches/") => {
             let rest = &path["/v1/batches/".len()..];
-            let (id_text, tail) = match rest.split_once('/') {
-                None => (rest, None),
-                Some((id, tail)) => (id, Some(tail)),
-            };
+            let (id_text, tail) = rest
+                .split_once('/')
+                .map_or((rest, None), |(id, t)| (id, Some(t)));
             let Ok(id) = id_text.parse::<u64>() else {
                 return respond_error(
                     stream,
@@ -664,7 +631,7 @@ fn route(
             };
             match (method, tail) {
                 ("GET", None) => batch_status(stream, &batch, keep),
-                ("GET", Some("events")) => stream_batch_events(stream, state, &batch),
+                ("GET", Some("events")) => stream_batch_events(stream, state, &batch, keep),
                 _ => respond_error(stream, 405, "unsupported method for this path", None, keep),
             }
         }
@@ -689,10 +656,9 @@ fn route(
         }
         (method, path) if path.starts_with("/v1/jobs/") => {
             let rest = &path["/v1/jobs/".len()..];
-            let (id_text, tail) = match rest.split_once('/') {
-                None => (rest, None),
-                Some((id, tail)) => (id, Some(tail)),
-            };
+            let (id_text, tail) = rest
+                .split_once('/')
+                .map_or((rest, None), |(id, t)| (id, Some(t)));
             let Ok(id) = id_text.parse::<u64>() else {
                 return respond_error(stream, 400, &format!("bad job id {id_text:?}"), None, keep);
             };
@@ -726,7 +692,7 @@ fn route(
                         keep,
                     )
                 }
-                ("GET", Some("events")) => stream_events(stream, state, &record),
+                ("GET", Some("events")) => stream_events(stream, state, &record, keep),
                 _ => respond_error(stream, 405, "unsupported method for this path", None, keep),
             }
         }
@@ -1826,10 +1792,10 @@ fn stream_batch_events(
     stream: &mut TcpStream,
     state: &Arc<ServerState>,
     batch: &Arc<BatchRecord>,
+    keep: bool,
 ) -> Served {
-    let mut writer = match ChunkedWriter::begin(stream, "application/x-ndjson") {
-        Ok(writer) => writer,
-        Err(_) => return Served::Close,
+    let Ok(mut writer) = ChunkedWriter::begin(stream, "application/x-ndjson", keep) else {
+        return Served::Close;
     };
     let _subscriber = GaugeGuard::enter(&state.metrics.stream_subscribers);
     let specs: Vec<String> = batch.jobs.iter().map(|j| j.spec.to_string()).collect();
@@ -1856,8 +1822,7 @@ fn stream_batch_events(
             wrote |= !batch_lines.is_empty();
         }
         if all_done {
-            let _ = writer.finish();
-            return Served::Close;
+            return writer.finish();
         }
         if wrote {
             quiet = Duration::ZERO;
@@ -2267,15 +2232,24 @@ fn evict_done(table: &mut JobTable, retain_done: usize, journal: Option<&Journal
 /// Drain one job's event stream into its replay log (and journal), then
 /// collect and serialize the final report (closing the journal segment
 /// with a terminal record).
+///
+/// The `finished` line is journaled in stream order but published to the
+/// replay log with the report and `done`, under one lock, so a subscriber
+/// that has read `finished` always finds the job done.
 fn collect(
     record: &Arc<JobRecord>,
     handle: rank_core::engine::JobHandle,
     mut writer: Option<JournalWriter>,
 ) {
+    let mut terminal = None;
     for event in handle.events() {
         let line = proto::event_json(&event);
         if let Some(writer) = writer.as_mut() {
             writer.append_event(&line);
+        }
+        if matches!(event, Event::Finished { .. }) {
+            terminal = Some(line);
+            continue;
         }
         let mut progress = record.state.lock().expect("job state poisoned");
         if matches!(event, Event::Started { .. }) {
@@ -2307,6 +2281,7 @@ fn collect(
                 writer.finish(&outcome, Some(&report_json));
             }
             let mut progress = record.state.lock().expect("job state poisoned");
+            progress.events.extend(terminal);
             progress.outcome = Some(outcome);
             progress.report_json = Some(report_json);
             progress.done = true;
@@ -2319,6 +2294,7 @@ fn collect(
             }
             let mut progress = record.state.lock().expect("job state poisoned");
             progress.outcome = Some("failed".to_owned());
+            progress.events.extend(terminal);
             progress.events.push(line);
             progress.done = true;
         }
@@ -2383,15 +2359,16 @@ fn job_status(stream: &mut TcpStream, record: &Arc<JobRecord>, keep: bool) -> Se
 /// live until the job is done — chunked NDJSON, one event per line.
 /// Quiet stretches are bridged with `{"event":"heartbeat"}` lines
 /// (streamed only, never recorded in the replay log) every
-/// [`ServerConfig::heartbeat_secs`] seconds of silence.
+/// [`ServerConfig::heartbeat_secs`] seconds of silence. A completed
+/// stream honours the request's keep-alive.
 fn stream_events(
     stream: &mut TcpStream,
     state: &Arc<ServerState>,
     record: &Arc<JobRecord>,
+    keep: bool,
 ) -> Served {
-    let mut writer = match ChunkedWriter::begin(stream, "application/x-ndjson") {
-        Ok(writer) => writer,
-        Err(_) => return Served::Close,
+    let Ok(mut writer) = ChunkedWriter::begin(stream, "application/x-ndjson", keep) else {
+        return Served::Close;
     };
     let _subscriber = GaugeGuard::enter(&state.metrics.stream_subscribers);
     let heartbeat_secs = state.config.heartbeat_secs;
@@ -2428,10 +2405,9 @@ fn stream_events(
         }
         cursor += batch.len();
         if done {
-            // Nothing is appended after `done` is set (the collector's
-            // final line lands before it), so the batch was complete.
-            let _ = writer.finish();
-            return Served::Close;
+            // Nothing is appended after `done` is set (the terminal line
+            // is published with it), so the batch was complete.
+            return writer.finish();
         }
     }
 }

@@ -14,8 +14,13 @@ fn rawt(args: &[&str]) -> (String, String, bool) {
     )
 }
 
+/// Write the paper's example to a temp file of its own: tests run in
+/// parallel, so every call gets a fresh path (a shared one could be
+/// rewritten by one test while another reads it).
 fn write_paper_example() -> std::path::PathBuf {
-    let path = std::env::temp_dir().join(format!("rawt-test-{}.txt", std::process::id()));
+    static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let path = std::env::temp_dir().join(format!("rawt-test-{}-{call}.txt", std::process::id()));
     std::fs::write(
         &path,
         "# the paper's 2.2 example\n[{A},{D},{B,C}]\n[{A},{B,C},{D}]\n[{D},{A,C},{B}]\n",
@@ -97,7 +102,7 @@ fn distance_matches_the_paper() {
 fn generate_roundtrips_through_aggregate() {
     let (stdout, _, ok) = rawt(&["generate", "uniform", "--n", "8", "--m", "4", "--seed", "9"]);
     assert!(ok);
-    let path = std::env::temp_dir().join("rawt-gen-test.txt");
+    let path = std::env::temp_dir().join(format!("rawt-gen-test-{}.txt", std::process::id()));
     std::fs::write(&path, &stdout).unwrap();
     let (stdout2, _, ok2) = rawt(&["aggregate", path.to_str().unwrap(), "--algo", "BordaCount"]);
     assert!(ok2, "{stdout2}");

@@ -4,11 +4,13 @@
 //! across PATCHes, inline submissions fail over around a dead worker,
 //! sticky state on a dead worker answers 503 + `Retry-After`, a fleet
 //! with no reachable worker answers 503, idempotent resubmission through
-//! the router reuses router-side ids, and the bearer token guards the
-//! router exactly as it guards a worker.
+//! the router reuses router-side ids, the bearer token guards the
+//! router exactly as it guards a worker, and steady routed traffic opens
+//! no TCP connections on either hop.
 
 use rank_aggregation_with_ties::prelude::*;
 use rank_aggregation_with_ties::rank_core::parse::parse_dataset_lines;
+use rank_aggregation_with_ties::rank_core::telemetry::parse_exposition;
 use rank_aggregation_with_ties::rank_core::Universe;
 use service::client::{Client, ClientError};
 use service::json::Json;
@@ -376,6 +378,91 @@ fn router_token_guards_everything_but_healthz() {
             .and_then(Json::as_u64),
         Some(5)
     );
+    down_router.shutdown();
+    down_a.shutdown();
+    down_b.shutdown();
+}
+
+/// Every tier's `rawt_http_connections_total`, as the router's merged
+/// `/metrics` shows it: the router's own (no `worker` label), then each
+/// worker's.
+fn connection_counts(client: &Client) -> Vec<(Option<String>, u64)> {
+    let mut counts: Vec<(Option<String>, u64)> =
+        parse_exposition(&client.metrics_text().expect("router /metrics"))
+            .into_iter()
+            .filter(|f| f.name == "rawt_http_connections_total")
+            .flat_map(|f| f.samples)
+            .map(|s| (s.label("worker").map(str::to_owned), s.value as u64))
+            .collect();
+    counts.sort();
+    counts
+}
+
+/// The serving path's steady state opens no TCP connections: the client
+/// pools its router connection, the router pools one per worker, and
+/// event streams hand their sockets back after the terminator. A stream
+/// dropped mid-way is the exception — its socket dies with it, and the
+/// next exchange dials a fresh one.
+#[test]
+fn steady_routed_traffic_opens_no_connections() {
+    let (worker_a, down_a) = start_worker(ServerConfig::default());
+    let (worker_b, down_b) = start_worker(ServerConfig::default());
+    let (client, down_router, _) = start_router(vec![worker_a, worker_b], None);
+    // Distinct texts route by content hash, so the ops spread over both
+    // workers.
+    let op = |i: u64| {
+        let job = client
+            .submit(&JobSubmission {
+                algo: Some("Borda".to_owned()),
+                seed: i,
+                ..JobSubmission::new(format!("# variant {}\n{PAPER_EXAMPLE}", i % 4))
+            })
+            .expect("submit via router");
+        let status = client.wait(job.id).expect("events to the end, then status");
+        assert_eq!(status.get("state").and_then(Json::as_str), Some("done"));
+    };
+    op(0);
+    let before = connection_counts(&client);
+    assert_eq!(before.len(), 3, "router + two workers: {before:?}");
+    for i in 0..50 {
+        op(i);
+    }
+    assert_eq!(
+        connection_counts(&client),
+        before,
+        "50 routed ops must open no TCP connections"
+    );
+
+    // A follow job's stream, dropped mid-way: the client must not reuse
+    // that socket, and its next exchange still succeeds.
+    client
+        .create_dataset("live", PAPER_EXAMPLE)
+        .expect("PUT via router");
+    let job = client
+        .submit(&JobSubmission {
+            algo: Some("BioConsert".to_owned()),
+            follow: true,
+            ..JobSubmission::for_dataset("live")
+        })
+        .expect("submit follow job");
+    let opened = connection_counts(&client);
+    for event in client.events(job.id).expect("event stream") {
+        let event = event.expect("event line");
+        if event.get("event").and_then(Json::as_str) == Some("resolved") {
+            break;
+        }
+    }
+    client
+        .cancel(job.id)
+        .expect("next exchange after a dropped stream");
+    let router_opens = |counts: &[(Option<String>, u64)]| counts[0].1;
+    assert_eq!(
+        router_opens(&connection_counts(&client)),
+        router_opens(&opened) + 1,
+        "the dropped stream's socket must be replaced by exactly one fresh dial"
+    );
+    client.wait(job.id).expect("cancelled follow job settles");
+
     down_router.shutdown();
     down_a.shutdown();
     down_b.shutdown();

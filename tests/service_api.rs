@@ -1,7 +1,9 @@
 //! End-to-end tests of the network aggregation service (DESIGN.md §10):
 //! wire-level parity with the in-process engine, streamed incumbent
-//! ordering, cancellation over the wire, load shedding, and the
-//! malformed-input paths that must 400 instead of panicking a thread.
+//! ordering, cancellation over the wire, load shedding, the
+//! malformed-input paths that must 400 instead of panicking a thread, and
+//! keep-alive event streams (a `finished` line implies a done status, a
+//! truncated stream is an error, a drain spares a live stream).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -540,4 +542,143 @@ fn healthz_reports_scheduler_shape() {
         Some(17)
     );
     shutdown.shutdown();
+}
+
+// ------------------------------------------------------------ keep-alive streams
+
+/// The terminal `finished` line is published together with the report:
+/// a subscriber that has read `finished` and hung up finds the job done
+/// on its very next status read, every time.
+#[test]
+fn status_after_finished_event_is_always_done() {
+    let (client, shutdown, _) = default_server();
+    for seed in 0..200 {
+        let job = client
+            .submit(&JobSubmission {
+                algo: Some("Borda".to_owned()),
+                seed,
+                ..JobSubmission::new(PAPER_EXAMPLE)
+            })
+            .expect("submit");
+        for event in client.events(job.id).expect("event stream") {
+            let event = event.expect("event line");
+            if event.get("event").and_then(Json::as_str) == Some("finished") {
+                break; // drop the stream before its terminator
+            }
+        }
+        let status = client.status(job.id).expect("status");
+        assert_eq!(
+            status.get("state").and_then(Json::as_str),
+            Some("done"),
+            "job {} read `finished` but its status is {status}",
+            job.id
+        );
+    }
+    shutdown.shutdown();
+}
+
+/// A stream whose connection closes before the chunked terminator is an
+/// error, not a clean end, and its socket never returns to the pool. The
+/// fake server below writes half a keep-alive stream, stops writing, and
+/// keeps listening on that connection: a request arriving there would
+/// mean the client reused the truncated socket.
+#[test]
+fn truncated_event_stream_is_an_error_and_never_reused() {
+    use service::http::{read_request, write_response, HttpError};
+    use std::io::{BufReader, Read, Write};
+    use std::net::{Shutdown, TcpListener};
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake server");
+    let addr = listener.local_addr().expect("fake addr").to_string();
+    let fake = std::thread::spawn(move || {
+        let (mut first, _) = listener.accept().expect("stream connection");
+        let mut first_reader = BufReader::new(first.try_clone().expect("clone"));
+        read_request(&mut first_reader).expect("events request");
+        let line = "{\"event\":\"started\",\"spec\":\"Borda\",\"seed\":0}\n";
+        write!(
+            first,
+            "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nTransfer-Encoding: chunked\r\nConnection: keep-alive\r\n\r\n{:x}\r\n{line}\r\n",
+            line.len()
+        )
+        .expect("half a stream");
+        first
+            .shutdown(Shutdown::Write)
+            .expect("end the stream early");
+
+        let (mut second, _) = listener.accept().expect("fresh connection");
+        let mut second_reader = BufReader::new(second.try_clone().expect("clone"));
+        read_request(&mut second_reader).expect("healthz request");
+        write_response(
+            &mut second,
+            200,
+            "application/json",
+            &[],
+            b"{\"status\":\"ok\"}",
+            false,
+        )
+        .expect("healthz answer");
+
+        first
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .expect("timeout");
+        let mut byte = [0u8; 1];
+        matches!(first_reader.read(&mut byte), Ok(n) if n > 0)
+    });
+
+    let client = Client::new(&addr);
+    let mut events = client.events(0).expect("stream head");
+    let started = events.next().expect("first line").expect("parses");
+    assert_eq!(started.get("event").and_then(Json::as_str), Some("started"));
+    match events.next() {
+        Some(Err(ClientError::Transport(HttpError::Io(e))))
+            if e.kind() == std::io::ErrorKind::UnexpectedEof => {}
+        other => panic!("a truncated stream must end in UnexpectedEof, got {other:?}"),
+    }
+    assert!(events.next().is_none(), "nothing follows the error");
+    drop(events);
+    let health = client.healthz().expect("next exchange dials fresh");
+    assert_eq!(health.get("status").and_then(Json::as_str), Some("ok"));
+    assert!(
+        !fake.join().expect("fake server"),
+        "the truncated stream's socket was reused"
+    );
+}
+
+/// A drain closes the connections that sat idle when it began, but a
+/// subscriber whose stream was live then still reads its job's final
+/// status over that same connection — the cancelled best-so-far is not
+/// lost to the shutdown.
+#[test]
+fn stream_live_at_drain_still_reads_its_final_status() {
+    let (client, shutdown, _) = default_server();
+    let job = client
+        .submit(&JobSubmission {
+            algo: Some("BioConsert".to_owned()),
+            ..JobSubmission::new(big_dataset_text(200, 20, 9))
+        })
+        .expect("submit");
+    let (mut draining, mut outcome) = (false, None);
+    for event in client.events(job.id).expect("stream") {
+        let event = event.expect("well-formed event");
+        match event.get("event").and_then(Json::as_str) {
+            Some("incumbent") if !draining => {
+                shutdown.shutdown(); // drain while the stream is live
+                draining = true;
+            }
+            Some("finished") => {
+                outcome = event
+                    .get("outcome")
+                    .and_then(Json::as_str)
+                    .map(str::to_owned);
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(outcome.as_deref(), Some("cancelled"));
+    let status = client.status(job.id).expect("status after the drain");
+    assert_eq!(status.get("state").and_then(Json::as_str), Some("done"));
+    assert_eq!(
+        status.get("outcome").and_then(Json::as_str),
+        Some("cancelled")
+    );
 }

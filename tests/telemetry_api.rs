@@ -7,10 +7,7 @@
 //! never re-counted.
 
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use rank_aggregation_with_ties::prelude::*;
-use rank_aggregation_with_ties::ragen::UniformSampler;
 use rank_aggregation_with_ties::rank_core::parse::parse_dataset_lines;
 use rank_aggregation_with_ties::rank_core::telemetry::{
     bucket_bound_secs, parse_exposition, render_families, Family, Histogram, HistogramSnapshot,
@@ -23,7 +20,7 @@ use service::proto::JobSubmission;
 use service::router::{Router, RouterConfig, RouterShutdown};
 use service::server::{Server, ServerConfig, ShutdownHandle};
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const PAPER_EXAMPLE: &str =
     "# the paper's §2.2 example\n[{A},{D},{B,C}]\n[{A},{B,C},{D}]\n[{D},{A,C},{B}]\n";
@@ -89,18 +86,6 @@ fn histogram_count(families: &[Family], name: &str) -> f64 {
 
 fn scrape(client: &Client) -> Vec<Family> {
     parse_exposition(&client.metrics_text().expect("GET /metrics"))
-}
-
-/// A dataset big enough that BioConsert keeps a worker busy for a while.
-fn big_dataset_text(n: usize, m: usize, seed: u64) -> String {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let data = UniformSampler::new(n).sample_dataset(n, m, &mut rng);
-    let mut text = String::new();
-    for r in data.rankings() {
-        text.push_str(&r.to_string());
-        text.push('\n');
-    }
-    text
 }
 
 // ------------------------------------------------ histogram algebra
@@ -375,10 +360,10 @@ fn router_metrics_re_namespace_worker_series() {
 
 // ------------------------------------------------ heartbeat knob
 
-/// `ServerConfig::heartbeat_secs` drives the event-stream keepalive: a
-/// queued job's quiet stream emits a heartbeat within a couple of the
-/// configured 1-second periods (the former hard-wired constant was 15s,
-/// far beyond this test's deadline).
+/// `ServerConfig::heartbeat_secs` drives the event-stream keepalive: an
+/// idle follow job's quiet stream emits a heartbeat within a couple of
+/// the configured 1-second periods (the former hard-wired constant was
+/// 15s, far beyond this test's deadline).
 #[test]
 fn heartbeat_interval_is_configurable() {
     assert_eq!(
@@ -387,44 +372,51 @@ fn heartbeat_interval_is_configurable() {
         "default cadence stays at the historical 15s"
     );
     let (client, shutdown, _) = start_server(ServerConfig {
-        max_jobs: 1,
-        queue_capacity: 4,
         heartbeat_secs: 1,
         ..ServerConfig::default()
     });
-    // Occupy the single worker so the next job sits queued (and silent).
-    let running = client
+    // A follow job goes quiet after its first `resolved` and stays quiet
+    // until its dataset changes: a silent stretch by construction, not by
+    // racing a busy worker.
+    client
+        .create_dataset("quiet", PAPER_EXAMPLE)
+        .expect("PUT the dataset");
+    let job = client
         .submit(&JobSubmission {
             algo: Some("BioConsert".to_owned()),
-            budget: Some(Duration::from_secs(20)),
-            ..JobSubmission::new(big_dataset_text(500, 30, 11))
+            follow: true,
+            ..JobSubmission::for_dataset("quiet")
         })
-        .expect("submit the long job");
-    let queued = client
-        .submit(&JobSubmission {
-            algo: Some("Exact".to_owned()),
-            ..JobSubmission::new(PAPER_EXAMPLE)
-        })
-        .expect("submit the queued job");
-
-    // The queued job's stream is silent until it starts; a 1s cadence
-    // must pad it with a heartbeat long before the 20s budget runs out.
-    let mut saw_heartbeat = false;
-    for event in client.events(queued.id).expect("event stream") {
-        let event = event.expect("event line");
-        if event.get("event").and_then(Json::as_str) == Some("heartbeat") {
-            saw_heartbeat = true;
+        .expect("submit the follow job");
+    let mut events = client.events(job.id).expect("event stream");
+    let kind = |event: &Json| event.get("event").and_then(Json::as_str).map(str::to_owned);
+    for event in events.by_ref() {
+        if kind(&event.expect("event line")).as_deref() == Some("resolved") {
             break;
         }
     }
-    assert!(
-        saw_heartbeat,
+
+    // A 1s cadence must pad the quiet stream with a heartbeat before any
+    // real event, long before the 15s default would.
+    let quiet_since = Instant::now();
+    let next = events
+        .next()
+        .expect("the follow stream stays open")
+        .expect("event line");
+    assert_eq!(
+        kind(&next).as_deref(),
+        Some("heartbeat"),
         "a 1s cadence must heartbeat the quiet stream before any real event"
     );
+    assert!(
+        quiet_since.elapsed() < Duration::from_secs(5),
+        "heartbeat took {:?} at a 1s cadence",
+        quiet_since.elapsed()
+    );
 
-    client.cancel(running.id).expect("cancel the long job");
-    client.wait(running.id).expect("long job settles");
-    client.wait(queued.id).expect("queued job settles");
+    drop(events);
+    client.cancel(job.id).expect("end the follow");
+    client.wait(job.id).expect("follow job settles");
     shutdown.shutdown();
 }
 
