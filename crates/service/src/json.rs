@@ -7,6 +7,18 @@
 //! covers everything the protocol needs: request parsing on the server,
 //! response parsing in the client, and re-serialization when the CLI
 //! reassembles a remote report into its local `--json` envelope.
+//!
+//! Every tier runs [`Json::parse`] on bytes it did not produce (request
+//! bodies, worker replies, event lines, journal records), so its cost is
+//! bounded by the input alone:
+//!
+//! * **Linear time.** Each byte is looked at a constant number of times;
+//!   a string's plain runs are copied whole, never re-validated, so a
+//!   1 MiB string decodes in milliseconds.
+//! * **Bounded depth.** Arrays and objects nest at most [`MAX_DEPTH`]
+//!   levels (the protocol's deepest document nests about five). A deeper
+//!   document is a [`JsonError`], not a stack overflow: the recursive
+//!   descent goes at most `MAX_DEPTH` containers deep, whatever the input.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -29,6 +41,9 @@ pub enum Json {
     /// so a sorted map keeps comparisons and re-serialization stable.
     Obj(BTreeMap<String, Json>),
 }
+
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts.
+pub const MAX_DEPTH: usize = 64;
 
 /// Parse failure: byte offset plus what was expected.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,7 +68,7 @@ impl Json {
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let bytes = input.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(input, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(err(pos, "trailing characters after the document"));
@@ -185,13 +200,18 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(err(*pos, "unexpected end of input")),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(err(
+            *pos,
+            &format!("nesting deeper than {MAX_DEPTH} levels"),
+        )),
+        Some(b'{') => parse_object(text, pos, depth + 1),
+        Some(b'[') => parse_array(text, pos, depth + 1),
+        Some(b'"') => parse_string(text, pos).map(Json::Str),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
         Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
@@ -232,11 +252,22 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         .ok_or_else(|| err(start, "malformed number"))
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, JsonError> {
+    let bytes = text.as_bytes();
     debug_assert_eq!(bytes[*pos], b'"');
     *pos += 1;
     let mut out = String::new();
     loop {
+        // Copy the run of plain bytes up to the next quote, backslash or
+        // control byte in one go. Those are all ASCII, so the run ends on
+        // a char boundary of `text` (as it starts on one, just past an
+        // ASCII byte) and slicing it needs no UTF-8 re-validation.
+        let run = bytes[*pos..]
+            .iter()
+            .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+            .map_or(bytes.len(), |n| *pos + n);
+        out.push_str(&text[*pos..run]);
+        *pos = run;
         match bytes.get(*pos) {
             None => return Err(err(*pos, "unterminated string")),
             Some(b'"') => {
@@ -287,15 +318,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 }
                 *pos += 1;
             }
-            Some(&c) if c < 0x20 => return Err(err(*pos, "raw control character in string")),
-            Some(_) => {
-                // Consume one UTF-8 scalar (the input is a &str, so the
-                // bytes are valid UTF-8).
-                let rest = std::str::from_utf8(&bytes[*pos..]).expect("input is valid UTF-8");
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+            Some(_) => return Err(err(*pos, "raw control character in string")),
         }
     }
 }
@@ -306,7 +329,8 @@ fn parse_hex4(bytes: &[u8], at: usize) -> Option<u32> {
     u32::from_str_radix(text, 16).ok()
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_array(text: &str, pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
+    let bytes = text.as_bytes();
     debug_assert_eq!(bytes[*pos], b'[');
     *pos += 1;
     let mut items = Vec::new();
@@ -316,7 +340,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(text, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -329,7 +353,8 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_object(text: &str, pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
+    let bytes = text.as_bytes();
     debug_assert_eq!(bytes[*pos], b'{');
     *pos += 1;
     let mut map = BTreeMap::new();
@@ -343,13 +368,13 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         if bytes.get(*pos) != Some(&b'"') {
             return Err(err(*pos, "expected a string key"));
         }
-        let key = parse_string(bytes, pos)?;
+        let key = parse_string(text, pos)?;
         skip_ws(bytes, pos);
         if bytes.get(*pos) != Some(&b':') {
             return Err(err(*pos, "expected ':' after key"));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(text, pos, depth)?;
         map.insert(key, value);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {

@@ -109,6 +109,23 @@ fn generate_roundtrips_through_aggregate() {
     assert!(stdout2.contains("elements:   8"));
 }
 
+/// The exact uniform sampler's tables grow as n⁴, so `generate uniform`
+/// refuses an `--n` that would run for minutes, at once, and points to
+/// the generator that scales.
+#[test]
+fn generate_uniform_refuses_n_above_its_cap() {
+    let started = std::time::Instant::now();
+    let (stdout, stderr, ok) = rawt(&["generate", "uniform", "--n", "4000", "--m", "3"]);
+    assert!(!ok);
+    assert!(stdout.is_empty(), "{stdout}");
+    assert!(stderr.contains("above 1000"), "{stderr}");
+    assert!(stderr.contains("rawt generate markov"), "{stderr}");
+    assert!(started.elapsed() < std::time::Duration::from_secs(5));
+    let (stdout, stderr, ok) = rawt(&["generate", "markov", "--n", "4000", "--m", "3"]);
+    assert!(ok, "{stderr}");
+    assert_eq!(stdout.lines().count(), 1 + 3, "a header and three rankings");
+}
+
 #[test]
 fn errors_are_reported_cleanly() {
     let (_, stderr, ok) = rawt(&["aggregate", "/nonexistent/file.txt"]);

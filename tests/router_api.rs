@@ -13,6 +13,7 @@ use rank_aggregation_with_ties::rank_core::parse::parse_dataset_lines;
 use rank_aggregation_with_ties::rank_core::telemetry::parse_exposition;
 use rank_aggregation_with_ties::rank_core::Universe;
 use service::client::{Client, ClientError};
+use service::http::{write_request, ClientResponse};
 use service::json::Json;
 use service::proto::{BatchSubmission, JobSubmission};
 use service::router::{Router, RouterConfig, RouterShutdown};
@@ -337,6 +338,38 @@ fn all_workers_down_is_503_and_healthz_reports_it() {
     assert_eq!(health.get("alive").and_then(Json::as_u64), Some(0));
     assert_eq!(health.get("total").and_then(Json::as_u64), Some(2));
     down_router.shutdown();
+}
+
+/// The nesting bomb through the front tier: the router decodes every
+/// submission body for its routing key before a worker sees it, so an
+/// unbounded decoder would let one body abort the router and a worker
+/// with it. Both answer 400 and keep serving.
+#[test]
+fn nesting_bomb_gets_a_400_and_never_kills_the_router() {
+    let (worker_a, down_a) = start_worker(ServerConfig::default());
+    let (worker_b, down_b) = start_worker(ServerConfig::default());
+    let (client, down_router, addr) = start_router(vec![worker_a, worker_b], None);
+    let bomb = "[".repeat(20_000);
+    for path in ["/v1/jobs", "/v1/batches"] {
+        let mut stream = TcpStream::connect(&addr).expect("connect to router");
+        write_request(
+            &mut stream,
+            "POST",
+            path,
+            &addr,
+            Some(("application/json", bomb.as_bytes())),
+            false,
+        )
+        .expect("send the bomb");
+        let response = ClientResponse::read(stream).expect("router answers");
+        assert_eq!(response.status, 400, "{path}");
+    }
+    let health = client.healthz().expect("router healthz after the bomb");
+    assert_eq!(health.get("status").and_then(Json::as_str), Some("ok"));
+    assert_eq!(health.get("alive").and_then(Json::as_u64), Some(2));
+    down_router.shutdown();
+    down_a.shutdown();
+    down_b.shutdown();
 }
 
 /// The bearer token guards the router exactly as it guards a worker:

@@ -12,12 +12,12 @@ use rank_aggregation_with_ties::ragen::UniformSampler;
 use rank_aggregation_with_ties::rank_core::parse::parse_dataset_lines;
 use rank_aggregation_with_ties::rank_core::Universe;
 use service::client::{Client, ClientError};
-use service::http::{write_request, ClientResponse};
+use service::http::{write_request, ClientResponse, MAX_BODY_BYTES};
 use service::json::Json;
 use service::proto::{ranking_json, JobSubmission};
 use service::server::{Server, ServerConfig, ShutdownHandle};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Bind an in-process server on an ephemeral port and serve it on a
 /// background thread.
@@ -52,10 +52,15 @@ fn big_dataset_text(n: usize, m: usize, seed: u64) -> String {
 
 /// Send a raw request body (possibly malformed) and return status + body.
 fn raw_post(addr: &str, path: &str, body: &str) -> (u16, String) {
+    raw_request(addr, "POST", path, body)
+}
+
+/// [`raw_post`] with any method.
+fn raw_request(addr: &str, method: &str, path: &str, body: &str) -> (u16, String) {
     let mut stream = TcpStream::connect(addr).expect("connect");
     write_request(
         &mut stream,
-        "POST",
+        method,
         path,
         addr,
         Some(("application/json", body.as_bytes())),
@@ -492,6 +497,49 @@ fn malformed_submissions_get_typed_400s_and_never_kill_the_server() {
             .and_then(Json::as_u64),
         Some(5)
     );
+    shutdown.shutdown();
+}
+
+/// A body of nothing but `[`: a decoder that recursed once per byte would
+/// overflow the connection thread's stack, an abort of the whole process
+/// that no `catch_unwind` can stop. Nesting is bounded, so every endpoint
+/// that decodes a body answers it with a plain 400.
+#[test]
+fn nesting_bomb_gets_a_400_and_never_kills_the_server() {
+    let (client, shutdown, addr) = default_server();
+    let bomb = "[".repeat(20_000);
+    for (method, path) in [
+        ("POST", "/v1/jobs"),
+        ("POST", "/v1/batches"),
+        ("PUT", "/v1/datasets/bomb"),
+    ] {
+        let (status, response) = raw_request(&addr, method, path, &bomb);
+        assert_eq!(status, 400, "{method} {path} → {response}");
+        if method == "POST" {
+            assert!(response.contains("nesting deeper than"), "{response}");
+        }
+    }
+    let health = client.healthz().expect("healthz after the bomb");
+    assert_eq!(health.get("status").and_then(Json::as_str), Some("ok"));
+    shutdown.shutdown();
+}
+
+/// The largest body a server accepts, carrying a dataset that does not
+/// parse, is refused within seconds: its JSON string decodes in time
+/// linear in its length (a quadratic decoder burns minutes on it).
+#[test]
+fn a_max_size_submission_is_refused_promptly() {
+    let (client, shutdown, _) = default_server();
+    let filler = "é".repeat((MAX_BODY_BYTES - 64) / "é".len());
+    let submission = JobSubmission::new(format!("[{{{filler}"));
+    assert!(submission.to_json().len() <= MAX_BODY_BYTES);
+    let started = Instant::now();
+    match client.submit(&submission) {
+        Err(ClientError::Status { status: 400, .. }) => {}
+        other => panic!("an unparseable dataset must 400, got {other:?}"),
+    }
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(10), "the 400 took {took:?}");
     shutdown.shutdown();
 }
 
