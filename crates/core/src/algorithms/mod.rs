@@ -610,8 +610,8 @@ impl AlgoContext {
 /// A consensus-ranking algorithm.
 ///
 /// `run` must return a ranking over exactly the dataset's elements
-/// (checked by `debug_assert`; also enforced by the integration tests for
-/// every registered algorithm).
+/// (checked by the engine after every run, which fails the job otherwise;
+/// also enforced by the integration tests for every registered algorithm).
 pub trait ConsensusAlgorithm: Send + Sync {
     /// Display name, matching the paper's tables (e.g. `"MEDRank(0.5)"`).
     fn name(&self) -> String;

@@ -102,6 +102,34 @@ impl Dataset {
     pub fn is_complete_ranking(&self, r: &Ranking) -> bool {
         r.n_elements() == self.n && (0..self.n as u32).all(|id| r.contains(Element(id)))
     }
+
+    /// Append a ranking already complete over `0..n` (session edits).
+    pub(crate) fn push(&mut self, r: Ranking) {
+        debug_assert!(self.is_complete_ranking(&r));
+        self.rankings.push(r);
+    }
+
+    /// Remove and return ranking `i`; the caller keeps `m ≥ 1`.
+    pub(crate) fn remove(&mut self, i: usize) -> Ranking {
+        debug_assert!(self.rankings.len() > 1);
+        self.rankings.remove(i)
+    }
+
+    /// Swap ranking `i` for `r` (complete over `0..n`), returning the old one.
+    pub(crate) fn replace(&mut self, i: usize, r: Ranking) -> Ranking {
+        debug_assert!(self.is_complete_ranking(&r));
+        std::mem::replace(&mut self.rankings[i], r)
+    }
+
+    /// Grow the universe to `0..n_new`: every ranking gains the new
+    /// elements as one appended tied bucket (§5.1 unification).
+    pub(crate) fn grow(&mut self, n_new: usize) {
+        let fresh: Vec<Element> = (self.n..n_new).map(|i| Element(i as u32)).collect();
+        for r in &mut self.rankings {
+            *r = r.with_bucket_appended(fresh.clone());
+        }
+        self.n = n_new;
+    }
 }
 
 impl fmt::Debug for Dataset {

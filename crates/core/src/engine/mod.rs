@@ -3,7 +3,7 @@
 //!
 //! Earlier revisions exposed the algorithm suite as research-script
 //! plumbing: callers string-matched
-//! [`ConsensusAlgorithm::name`](crate::algorithms::ConsensusAlgorithm::name)
+//! [`ConsensusAlgorithm::name`]
 //! against hard-coded panel vectors and read outcomes back out of shared
 //! atomic flags on [`AlgoContext`] — which mis-attributed timeouts whenever
 //! several algorithms shared one context family. This module is the
@@ -57,7 +57,8 @@ pub use spec::{
     DENSE_LANE_BUDGET_BYTES,
 };
 
-use crate::algorithms::{AlgoContext, MatrixCache};
+use crate::algorithms::{AlgoContext, ConsensusAlgorithm, MatrixCache};
+use crate::dataset::Dataset;
 use crate::parallel;
 use crate::ranking::Ranking;
 use crate::score;
@@ -556,9 +557,8 @@ impl Engine {
             ctx.deadline = Some(Instant::now() + budget);
         }
         let start = Instant::now();
-        let ranking = algo.run(&request.dataset, &mut ctx);
+        let ranking = run_checked(algo.as_ref(), &request.dataset, &mut ctx);
         let elapsed = start.elapsed();
-        debug_assert!(request.dataset.is_complete_ranking(&ranking));
         // Both scorers compute the same exact integer (property-tested);
         // the matrix-free path is O(m·n log n) instead of resident-O(n²).
         let score = match &matrix {
@@ -746,5 +746,85 @@ impl Engine {
             }
         }
         reports
+    }
+}
+
+/// Run the kernel and check that its answer ranks every element of the
+/// dataset. An incomplete ranking would otherwise be scored as if it were
+/// a consensus; the check panics instead — in release builds too — so the
+/// job fails down the same path as a crashed kernel.
+fn run_checked(algo: &dyn ConsensusAlgorithm, data: &Dataset, ctx: &mut AlgoContext) -> Ranking {
+    let ranking = algo.run(data, ctx);
+    assert!(
+        data.is_complete_ranking(&ranking),
+        "{} returned an incomplete ranking: {} of {} elements",
+        algo.name(),
+        ranking.n_elements(),
+        data.n()
+    );
+    ranking
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::element::Element;
+
+    /// A broken kernel: drops the last element from the dataset's first
+    /// ranking.
+    struct Truncating;
+
+    impl ConsensusAlgorithm for Truncating {
+        fn name(&self) -> String {
+            "Truncating".to_owned()
+        }
+
+        fn produces_ties(&self) -> bool {
+            true
+        }
+
+        fn run(&self, data: &Dataset, _ctx: &mut AlgoContext) -> Ranking {
+            let last = Element(data.n() as u32 - 1);
+            Ranking::from_buckets(
+                data.ranking(0)
+                    .buckets()
+                    .map(|b| b.iter().copied().filter(|&e| e != last).collect())
+                    .filter(|b: &Vec<Element>| !b.is_empty())
+                    .collect(),
+            )
+            .unwrap()
+        }
+    }
+
+    fn paper_dataset() -> Dataset {
+        Dataset::new(vec![
+            Ranking::from_slices(&[&[0], &[3], &[1, 2]]).unwrap(),
+            Ranking::from_slices(&[&[0], &[1, 2], &[3]]).unwrap(),
+            Ranking::from_slices(&[&[3], &[0, 2], &[1]]).unwrap(),
+        ])
+        .unwrap()
+    }
+
+    #[test]
+    fn an_incomplete_kernel_answer_fails_instead_of_being_scored() {
+        let data = paper_dataset();
+        let mut ctx = AlgoContext::seeded(1);
+        let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_checked(&Truncating, &data, &mut ctx)
+        }))
+        .expect_err("an incomplete ranking must not pass");
+        let message = crashed
+            .downcast_ref::<String>()
+            .expect("formatted panic message");
+        assert_eq!(
+            message,
+            "Truncating returned an incomplete ranking: 3 of 4 elements"
+        );
+        let complete = run_checked(
+            AlgoSpec::Borda.build(ExecPolicy::default()).as_ref(),
+            &data,
+            &mut ctx,
+        );
+        assert!(data.is_complete_ranking(&complete));
     }
 }

@@ -582,6 +582,10 @@ fn worker_loop(shared: &Shared, cache: &Arc<MatrixCache>) {
                 queue_wait,
             )
         }));
+        // Release the request's dataset and matrix before the report is
+        // delivered: a caller that edits its live session as soon as it
+        // holds the report must find them unshared, or the edit copies.
+        drop(job.request);
         if result.is_err() {
             // A panicking kernel never reached `close`; end the event
             // stream so subscribers draining it are not stranded.

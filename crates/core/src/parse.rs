@@ -13,6 +13,7 @@
 //! non-`#`-comment line.
 
 use crate::{Element, Ranking, RankingError, Universe};
+use std::collections::HashMap;
 use std::fmt;
 
 /// Parse failure.
@@ -125,6 +126,35 @@ pub fn parse_ranking_labeled(input: &str, universe: &mut Universe) -> Result<Ran
     Ok(Ranking::from_buckets(out)?)
 }
 
+/// Parse a labeled ranking against `universe` without changing it. Labels
+/// the universe lacks get the ids interning them in order of first
+/// appearance would assign, and come back in that order, so a caller can
+/// intern them only once it accepts the ranking: the result then equals
+/// [`parse_ranking_labeled`]'s.
+pub fn parse_ranking_against(
+    input: &str,
+    universe: &Universe,
+) -> Result<(Ranking, Vec<String>), ParseError> {
+    let buckets = tokenize(input)?;
+    let mut fresh: HashMap<&str, Element> = HashMap::new();
+    let mut order: Vec<String> = Vec::new();
+    let out: Vec<Vec<Element>> = buckets
+        .into_iter()
+        .map(|b| {
+            b.into_iter()
+                .map(|l| match universe.get(l) {
+                    Some(e) => e,
+                    None => *fresh.entry(l).or_insert_with(|| {
+                        order.push(l.to_owned());
+                        Element((universe.len() + order.len() - 1) as u32)
+                    }),
+                })
+                .collect()
+        })
+        .collect();
+    Ok((Ranking::from_buckets(out)?, order))
+}
+
 /// Parse a multi-line dataset file: one labeled ranking per line; blank
 /// lines and lines starting with `#` are skipped. Returns the raw rankings
 /// (possibly over different elements — normalize before aggregating).
@@ -167,6 +197,25 @@ mod tests {
         let r = parse_ranking_labeled("[{A},{B,C}]", &mut u).unwrap();
         assert_eq!(u.len(), 3);
         assert_eq!(r.display_with(&u), "[{A},{B,C}]");
+    }
+
+    #[test]
+    fn parsing_against_a_universe_leaves_it_unchanged() {
+        let mut u = Universe::new();
+        parse_ranking_labeled("[{A},{B}]", &mut u).unwrap();
+        let text = "[{C},{B,D},{A,C}]";
+        // A duplicate label is refused without touching the universe.
+        assert!(parse_ranking_against(text, &u).is_err());
+        let text = "[{C},{B,D},{A}]";
+        let (r, fresh) = parse_ranking_against(text, &u).unwrap();
+        assert_eq!(u.len(), 2);
+        assert_eq!(fresh, ["C", "D"]);
+        let mut interned = u.clone();
+        assert_eq!(parse_ranking_labeled(text, &mut interned).unwrap(), r);
+        for label in &fresh {
+            u.intern(label);
+        }
+        assert_eq!(r.display_with(&u), text);
     }
 
     #[test]

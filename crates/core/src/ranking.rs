@@ -204,6 +204,14 @@ impl Ranking {
         Ranking::from_buckets(buckets).expect("reversal preserves validity")
     }
 
+    /// The ranking with `bucket` (elements it does not rank) appended as
+    /// a final tied bucket.
+    pub(crate) fn with_bucket_appended(&self, bucket: Vec<Element>) -> Ranking {
+        let mut buckets = self.buckets.clone();
+        buckets.push(bucket);
+        Ranking::from_buckets(buckets).expect("appending unseen elements preserves validity")
+    }
+
     /// Apply `f` to every element id (e.g. to remap into a dense universe).
     ///
     /// # Panics

@@ -24,7 +24,11 @@
 //! * the last consensus is retained as a [`WarmStart`] hint
 //!   ([`DatasetSession::record_consensus`]); [`DatasetSession::request`]
 //!   attaches it so the next solve seeds from the previous answer instead
-//!   of starting cold.
+//!   of starting cold;
+//! * [`DatasetSession::snapshot`] freezes the version, dataset, matrix and
+//!   warm hint for a solve in O(1): the dataset and matrix are shared
+//!   copy-on-write, so a later edit copies one only while a snapshot of
+//!   the previous version is still held ([`DatasetSession::copies`]).
 //!
 //! [`remove_ranking`]: DatasetSession::remove_ranking
 //! [`replace_ranking`]: DatasetSession::replace_ranking
@@ -76,19 +80,65 @@ use std::time::Duration;
 /// A mutable dataset with its live, delta-patched [`CostMatrix`], a
 /// monotone version counter, and the previous consensus as a warm-start
 /// hint (see the [module docs](self)).
+///
+/// The dataset and the matrix are shared copy-on-write: a [`Snapshot`]
+/// (or a clone of the session) holds them by `Arc` in O(1), and an edit
+/// copies one only while such a holder still shares it — a solve still
+/// running on the previous version, say. [`Self::copies`] counts those
+/// copies.
 #[derive(Debug, Clone)]
 pub struct DatasetSession {
     /// The current inputs, each complete over `0..n` (unified on entry).
-    rankings: Vec<Ranking>,
-    /// Current universe size.
-    n: usize,
+    dataset: Arc<Dataset>,
     /// The live matrix — always bit-identical to
     /// `CostMatrix::build(&self.dataset())`.
-    matrix: CostMatrix,
+    matrix: Arc<CostMatrix>,
     /// Bumped by every successful edit; starts at 1.
     version: u64,
     /// The last recorded consensus (kept complete across universe growth).
     warm: Option<Ranking>,
+    copies: SnapshotCopies,
+}
+
+/// What one [`DatasetSession::snapshot`] froze: the version and the
+/// dataset, matrix and warm hint of that version. The dataset and matrix
+/// are shared with the session, not copied; later edits leave them as
+/// they were.
+#[derive(Debug, Clone)]
+pub struct Snapshot {
+    /// The session version the snapshot was taken at.
+    pub version: u64,
+    /// The inputs of that version.
+    pub dataset: Arc<Dataset>,
+    /// Their cost matrix, bit-identical to `CostMatrix::build(&dataset)`.
+    pub matrix: Arc<CostMatrix>,
+    /// The warm-start hint, scored against `matrix`.
+    pub warm: Option<WarmStart>,
+}
+
+impl Snapshot {
+    /// An [`AggregationRequest`] over the snapshot's dataset, carrying its
+    /// delta-patched matrix — the engine primes its cache with it instead
+    /// of paying the `O(m·n²)` rebuild a fresh dataset version would
+    /// otherwise cost — and warm-started when a consensus was recorded.
+    pub fn request(&self, spec: AlgoSpec) -> AggregationRequest {
+        let mut req = AggregationRequest::new(Arc::clone(&self.dataset), spec)
+            .with_cost_matrix(Arc::clone(&self.matrix));
+        if let Some(w) = &self.warm {
+            req = req.with_warm_start(w.clone());
+        }
+        req
+    }
+}
+
+/// How many edits of a [`DatasetSession`] had to copy a part because a
+/// snapshot still shared it (each part is copied at most once per edit).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SnapshotCopies {
+    /// Edits that copied the input rankings.
+    pub dataset: u64,
+    /// Edits that copied the cost matrix.
+    pub matrix: u64,
 }
 
 impl DatasetSession {
@@ -97,24 +147,24 @@ impl DatasetSession {
     pub fn new(dataset: Dataset) -> Self {
         let matrix = CostMatrix::build(&dataset);
         DatasetSession {
-            n: dataset.n(),
-            rankings: dataset.rankings().to_vec(),
-            matrix,
+            dataset: Arc::new(dataset),
+            matrix: Arc::new(matrix),
             version: 1,
             warm: None,
+            copies: SnapshotCopies::default(),
         }
     }
 
     /// Number of elements (`n`).
     #[inline]
     pub fn n(&self) -> usize {
-        self.n
+        self.dataset.n()
     }
 
     /// Number of input rankings (`m`).
     #[inline]
     pub fn m(&self) -> usize {
-        self.rankings.len()
+        self.dataset.m()
     }
 
     /// The session's current version (1 at creation, +1 per edit).
@@ -132,13 +182,31 @@ impl DatasetSession {
     /// The current input rankings (unified, complete over `0..n`).
     #[inline]
     pub fn rankings(&self) -> &[Ranking] {
-        &self.rankings
+        self.dataset.rankings()
     }
 
-    /// A frozen snapshot of the current dataset (what a cold rebuild would
-    /// aggregate).
-    pub fn dataset(&self) -> Dataset {
-        Dataset::new(self.rankings.clone()).expect("session rankings stay dense and non-empty")
+    /// The current dataset (what a cold rebuild would aggregate), shared:
+    /// O(1), and frozen — while the returned `Arc` is held, the next edit
+    /// copies instead of changing it.
+    pub fn dataset(&self) -> Arc<Dataset> {
+        Arc::clone(&self.dataset)
+    }
+
+    /// Version, dataset, matrix and warm hint in one frozen [`Snapshot`].
+    /// The dataset and matrix are shared, not copied; only the warm hint
+    /// is cloned and rescored.
+    pub fn snapshot(&self) -> Snapshot {
+        Snapshot {
+            version: self.version,
+            dataset: Arc::clone(&self.dataset),
+            matrix: Arc::clone(&self.matrix),
+            warm: self.warm_start(),
+        }
+    }
+
+    /// How many edits so far had to copy the dataset or the matrix.
+    pub fn copies(&self) -> SnapshotCopies {
+        self.copies
     }
 
     /// Append an input ranking, patching the matrix in `O(n²)`.
@@ -154,9 +222,9 @@ impl DatasetSession {
             Some(id) => id,
         };
         self.grow_to(max_id + 1);
-        let unified = unify_to(&r, self.n);
-        self.matrix.patch_add(&unified);
-        self.rankings.push(unified);
+        let unified = unify_to(&r, self.n());
+        self.matrix_mut().patch_add(&unified);
+        self.dataset_mut().push(unified);
         Ok(self.bump())
     }
 
@@ -165,17 +233,12 @@ impl DatasetSession {
     /// element mentioned only by the removed ranking stays, tied last in
     /// nothing (its costs simply reflect the remaining inputs).
     pub fn remove_ranking(&mut self, index: usize) -> Result<u64, SessionError> {
-        if index >= self.rankings.len() {
-            return Err(SessionError::IndexOutOfRange {
-                index,
-                m: self.rankings.len(),
-            });
-        }
-        if self.rankings.len() == 1 {
+        self.check_index(index)?;
+        if self.m() == 1 {
             return Err(SessionError::LastRanking);
         }
-        let removed = self.rankings.remove(index);
-        self.matrix.patch_remove(&removed);
+        let removed = self.dataset_mut().remove(index);
+        self.matrix_mut().patch_remove(&removed);
         Ok(self.bump())
     }
 
@@ -183,23 +246,19 @@ impl DatasetSession {
     /// one version bump, and the replacement keeps its slot). Returns the
     /// new version.
     pub fn replace_ranking(&mut self, index: usize, r: Ranking) -> Result<u64, SessionError> {
-        if index >= self.rankings.len() {
-            return Err(SessionError::IndexOutOfRange {
-                index,
-                m: self.rankings.len(),
-            });
-        }
+        self.check_index(index)?;
         let max_id = match r.elements().map(|e| e.index()).max() {
             None => return Err(SessionError::EmptyRanking),
             Some(id) => id,
         };
         self.grow_to(max_id + 1);
-        let unified = unify_to(&r, self.n);
+        let unified = unify_to(&r, self.n());
         // Growth above already re-unified the stored old ranking, so the
         // stored value is exactly what the matrix currently accounts for.
-        self.matrix.patch_remove(&self.rankings[index].clone());
-        self.matrix.patch_add(&unified);
-        self.rankings[index] = unified;
+        make_mut_counted(&mut self.matrix, &mut self.copies.matrix)
+            .patch_remove(&self.dataset.rankings()[index]);
+        self.matrix_mut().patch_add(&unified);
+        self.dataset_mut().replace(index, unified);
         Ok(self.bump())
     }
 
@@ -217,9 +276,7 @@ impl DatasetSession {
     /// (it is extended like any input) and is rescored lazily, so it stays
     /// valid across edits.
     pub fn record_consensus(&mut self, ranking: Ranking) -> Result<(), SessionError> {
-        let complete = ranking.n_elements() == self.n
-            && (0..self.n as u32).all(|id| ranking.contains(Element(id)));
-        if !complete {
+        if !self.dataset.is_complete_ranking(&ranking) {
             return Err(SessionError::IncompleteConsensus);
         }
         self.warm = Some(ranking);
@@ -239,16 +296,9 @@ impl DatasetSession {
 
     /// An [`AggregationRequest`] over the current dataset, warm-started
     /// from the previous consensus when one was recorded and carrying the
-    /// session's delta-patched cost matrix — the engine primes its cache
-    /// with it instead of paying the `O(m·n²)` rebuild a fresh dataset
-    /// version would otherwise cost (one `O(n²)` copy here buys that).
+    /// session's delta-patched cost matrix (see [`Snapshot::request`]).
     pub fn request(&self, spec: AlgoSpec) -> AggregationRequest {
-        let mut req = AggregationRequest::new(self.dataset(), spec)
-            .with_cost_matrix(Arc::new(self.matrix.clone()));
-        if let Some(w) = self.warm_start() {
-            req = req.with_warm_start(w);
-        }
-        req
+        self.snapshot().request(spec)
     }
 
     /// Solve the current dataset (warm-started when a previous consensus
@@ -276,18 +326,16 @@ impl DatasetSession {
     /// every stored input and to the warm hint. No-op when the universe
     /// already covers `n_new`.
     fn grow_to(&mut self, n_new: usize) {
-        if n_new <= self.n {
+        let n = self.n();
+        if n_new <= n {
             return;
         }
-        self.matrix.grow(n_new);
-        let fresh: Vec<Element> = (self.n..n_new).map(|i| Element(i as u32)).collect();
-        for r in &mut self.rankings {
-            *r = append_bucket(r, fresh.clone());
-        }
+        self.matrix_mut().grow(n_new);
+        self.dataset_mut().grow(n_new);
         if let Some(w) = &self.warm {
-            self.warm = Some(append_bucket(w, fresh));
+            let fresh = (n..n_new).map(|i| Element(i as u32)).collect();
+            self.warm = Some(w.with_bucket_appended(fresh));
         }
-        self.n = n_new;
     }
 
     /// Raise the version counter to `version` (no-op when already past
@@ -304,13 +352,34 @@ impl DatasetSession {
         self.version += 1;
         self.version
     }
+
+    fn check_index(&self, index: usize) -> Result<(), SessionError> {
+        if index >= self.m() {
+            return Err(SessionError::IndexOutOfRange { index, m: self.m() });
+        }
+        Ok(())
+    }
+
+    fn dataset_mut(&mut self) -> &mut Dataset {
+        make_mut_counted(&mut self.dataset, &mut self.copies.dataset)
+    }
+
+    fn matrix_mut(&mut self) -> &mut CostMatrix {
+        make_mut_counted(&mut self.matrix, &mut self.copies.matrix)
+    }
 }
 
-/// `r` with `bucket` appended as a final tied bucket.
-fn append_bucket(r: &Ranking, bucket: Vec<Element>) -> Ranking {
-    let mut buckets: Vec<Vec<Element>> = r.buckets().map(|b| b.to_vec()).collect();
-    buckets.push(bucket);
-    Ranking::from_buckets(buckets).expect("appending unseen elements preserves validity")
+/// [`Arc::make_mut`], counting on `copies` the calls that copied because
+/// the value was still shared — how the session counts its
+/// [`SnapshotCopies`], and how state kept next to a session (the
+/// service's label universe) can count its own.
+pub fn make_mut_counted<'a, T: Clone>(arc: &'a mut Arc<T>, copies: &mut u64) -> &'a mut T {
+    let before = Arc::as_ptr(arc);
+    let value = Arc::make_mut(arc);
+    if !std::ptr::eq(before, value) {
+        *copies += 1;
+    }
+    value
 }
 
 /// `r` unified to the dense universe `0..n`: any elements it misses join a
@@ -323,7 +392,7 @@ fn unify_to(r: &Ranking, n: usize) -> Ranking {
     if missing.is_empty() {
         return r.clone();
     }
-    append_bucket(r, missing)
+    r.with_bucket_appended(missing)
 }
 
 #[cfg(test)]
@@ -420,6 +489,42 @@ mod tests {
             s.record_consensus(consensus),
             Err(SessionError::IncompleteConsensus)
         );
+    }
+
+    #[test]
+    fn edits_copy_only_what_a_snapshot_still_shares() {
+        let mut s = paper_session();
+        s.add_ranking(parse_ranking("[{1},{0,3},{2}]").unwrap())
+            .unwrap();
+        assert_eq!(s.copies(), SnapshotCopies::default());
+        let frozen = s.snapshot();
+        // One edit under a live snapshot copies each part once.
+        s.replace_ranking(0, parse_ranking("[{2,3},{0},{1}]").unwrap())
+            .unwrap();
+        s.remove_ranking(1).unwrap();
+        assert_eq!(
+            s.copies(),
+            SnapshotCopies {
+                dataset: 1,
+                matrix: 1
+            }
+        );
+        assert_eq!(frozen.version, 2);
+        assert_eq!(frozen.dataset.m(), 4);
+        assert_eq!(*frozen.matrix, CostMatrix::build(&frozen.dataset));
+        // A dataset handle alone copies only the dataset.
+        let data = s.dataset();
+        drop(frozen);
+        s.remove_ranking(0).unwrap();
+        assert_eq!(
+            s.copies(),
+            SnapshotCopies {
+                dataset: 2,
+                matrix: 1
+            }
+        );
+        assert_eq!(data.m(), 3);
+        assert_matrix_cold(&s);
     }
 
     #[test]

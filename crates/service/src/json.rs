@@ -291,7 +291,9 @@ fn parse_string(text: &str, pos: &mut usize) -> Result<String, JsonError> {
                             .ok_or_else(|| err(*pos, "expected four hex digits after \\u"))?;
                         *pos += 4;
                         // Surrogate pair: a high surrogate must be followed
-                        // by an escaped low surrogate.
+                        // by an escaped low surrogate (DC00..E000). A low
+                        // half past that range whose pair would overflow
+                        // U+10FFFF keeps its "invalid surrogate pair".
                         let c = if (0xD800..0xDC00).contains(&code) {
                             if bytes.get(*pos + 1) == Some(&b'\\')
                                 && bytes.get(*pos + 2) == Some(&b'u')
@@ -304,8 +306,12 @@ fn parse_string(text: &str, pos: &mut usize) -> Result<String, JsonError> {
                                     + (low
                                         .checked_sub(0xDC00)
                                         .ok_or_else(|| err(*pos, "bad low surrogate"))?);
-                                char::from_u32(combined)
-                                    .ok_or_else(|| err(*pos, "invalid surrogate pair"))?
+                                let c = char::from_u32(combined)
+                                    .ok_or_else(|| err(*pos, "invalid surrogate pair"))?;
+                                if low >= 0xE000 {
+                                    return Err(err(*pos, "bad low surrogate"));
+                                }
+                                c
                             } else {
                                 return Err(err(*pos, "lone high surrogate"));
                             }

@@ -17,7 +17,7 @@
 use crate::json::{escape, Json};
 use rank_core::engine::{registry, ConsensusReport, Event, Normalization, TracePoint};
 use rank_core::normalize::Normalized;
-use rank_core::{Ranking, Universe};
+use rank_core::{Element, Ranking, Universe};
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -70,6 +70,20 @@ pub fn ranking_json(r: &Ranking, universe: &Universe) -> String {
     format!("[{}]", buckets.join(","))
 }
 
+/// A ranking over dense ids as nested label arrays: `mapping[i]` is dense
+/// id `i`'s element in `universe` (a normalization's mapping); with `None`
+/// the dense ids are `universe`'s own.
+pub fn dense_ranking_json(r: &Ranking, mapping: Option<&[Element]>, universe: &Universe) -> String {
+    match mapping {
+        Some(mapping) => ranking_json(
+            &r.map_elements(|e| mapping[e.index()])
+                .expect("mapping is injective"),
+            universe,
+        ),
+        None => ranking_json(r, universe),
+    }
+}
+
 /// One incumbent [`TracePoint`] as a JSON object — used by the final
 /// report's trace and the live trace of the server's job-status document,
 /// so the two can never drift apart. `lower_bound` is the certified
@@ -86,9 +100,9 @@ pub fn trace_point_json(p: &TracePoint) -> String {
 
 /// One [`ConsensusReport`] as a JSON object (outcome + incumbent trace +
 /// phase breakdown included), with the ranking denormalized back to
-/// input labels. This is the exact shape `rawt aggregate --json` has
-/// emitted since the anytime PR; the server's job reports reuse it
-/// verbatim.
+/// input labels by `norm`'s mapping. This is the exact shape `rawt
+/// aggregate --json` has emitted since the anytime PR; the server's job
+/// reports reuse it verbatim.
 ///
 /// The `phases` object is serialized *last* so its `serialize_secs` can
 /// be the measured wall-clock of serializing everything before it — the
@@ -97,6 +111,16 @@ pub fn trace_point_json(p: &TracePoint) -> String {
 /// these bytes verbatim on replay, so journaled and re-served reports
 /// keep their phase breakdown with no re-measurement.
 pub fn report_json(report: &ConsensusReport, norm: &Normalized, universe: &Universe) -> String {
+    dense_report_json(report, Some(&norm.mapping), universe)
+}
+
+/// [`report_json`] for a ranking over dense ids, denormalized through
+/// `mapping` (see [`dense_ranking_json`]).
+pub fn dense_report_json(
+    report: &ConsensusReport,
+    mapping: Option<&[Element]>,
+    universe: &Universe,
+) -> String {
     let serialize_start = std::time::Instant::now();
     let gap = report.gap.map_or("null".to_owned(), |g| format!("{g:.6}"));
     let lower_bound = report
@@ -119,7 +143,7 @@ pub fn report_json(report: &ConsensusReport, norm: &Normalized, universe: &Unive
         report.outcome,
         report.lane.as_str(),
         report.elapsed.as_secs_f64(),
-        ranking_json(&norm.denormalize(&report.ranking), universe),
+        dense_ranking_json(&report.ranking, mapping, universe),
         trace.join(",")
     );
     let phases = &report.phases;

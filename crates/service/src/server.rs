@@ -48,11 +48,10 @@ use rank_core::engine::{
     SchedulerConfig,
 };
 use rank_core::guidance::{recommend, DatasetFeatures, Priority};
-use rank_core::normalize::Normalized;
-use rank_core::parse::{parse_dataset_lines, parse_ranking_labeled};
-use rank_core::session::DatasetSession;
+use rank_core::parse::{parse_dataset_lines, parse_ranking_against};
+use rank_core::session::{make_mut_counted, DatasetSession, Snapshot};
 use rank_core::telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
-use rank_core::{CostMatrix, Dataset, Element, Universe};
+use rank_core::{Dataset, Element, Universe};
 use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -124,6 +123,9 @@ struct ServerMetrics {
     session_patch_seconds: Arc<Histogram>,
     /// Full session rebuild latency (dataset PUT and journal recovery).
     session_rebuild_seconds: Arc<Histogram>,
+    /// Dataset edits that had to copy a part a snapshot still shared, by
+    /// part: dataset, matrix, universe.
+    snapshot_copies: [Arc<Counter>; 3],
 }
 
 impl ServerMetrics {
@@ -154,6 +156,13 @@ impl ServerMetrics {
                 "Full dataset-session rebuild latency (PUT and recovery).",
                 &[],
             ),
+            snapshot_copies: ["dataset", "matrix", "universe"].map(|part| {
+                registry.counter(
+                    "rawt_session_snapshot_copies_total",
+                    "Live-dataset edits that copied a part a snapshot still shared.",
+                    &[("part", part)],
+                )
+            }),
         }
     }
 }
@@ -205,10 +214,19 @@ struct JobRecord {
 struct LiveRefs {
     n: usize,
     m: usize,
-    universe: Universe,
-    norm: Normalized,
+    universe: Arc<Universe>,
+    /// Dense id → input element, for inline jobs whose normalization
+    /// remapped ids; `None` for dataset jobs, whose dense ids are the
+    /// universe's ids.
+    mapping: Option<Vec<Element>>,
     sink: Arc<IncumbentSink>,
     cancel: CancelToken,
+}
+
+impl LiveRefs {
+    fn report_json(&self, report: &rank_core::engine::ConsensusReport) -> String {
+        proto::dense_report_json(report, self.mapping.as_deref(), &self.universe)
+    }
 }
 
 /// One live dataset (`PUT /v1/datasets/{id}`): a [`DatasetSession`]
@@ -222,7 +240,9 @@ struct LiveDataset {
 }
 
 struct DatasetState {
-    universe: Universe,
+    /// Shared with the jobs solving the dataset; an edit naming a new
+    /// label copies it only while one of them still holds it.
+    universe: Arc<Universe>,
     session: DatasetSession,
     writer: Option<JournalWriter>,
     /// Set by `DELETE /v1/datasets/{id}`: the dataset is gone from the
@@ -236,6 +256,15 @@ impl LiveDataset {
     }
 }
 
+impl DatasetState {
+    /// What a round on this dataset solves: the session's O(1) snapshot
+    /// and the universe its labels resolve against. The one snapshot path
+    /// of both `dataset_id` submissions and follow rounds.
+    fn snapshot(&self) -> (Snapshot, Arc<Universe>) {
+        (self.session.snapshot(), Arc::clone(&self.universe))
+    }
+}
+
 /// The input rankings rendered back to the repo's dataset text format,
 /// one `[{A},{B,C}]` line per ranking.
 fn dataset_text(session: &DatasetSession, universe: &Universe) -> String {
@@ -245,16 +274,6 @@ fn dataset_text(session: &DatasetSession, universe: &Universe) -> String {
         .map(|r| r.display_with(universe))
         .collect();
     lines.join("\n")
-}
-
-/// The identity [`Normalized`] for a dataset-id job: live sessions keep
-/// their rankings dense and unified, so dense id `i` *is* universe
-/// element `i` — no remapping ever happens.
-fn identity_norm(data: &Dataset) -> Normalized {
-    Normalized {
-        dataset: data.clone(),
-        mapping: (0..data.n() as u32).map(Element).collect(),
-    }
 }
 
 #[derive(Default)]
@@ -821,48 +840,50 @@ impl DatasetOp {
     }
 }
 
-/// Apply one op to a dataset: parse any ranking text against a *clone*
-/// of the universe, patch the session, and only then commit the clone —
-/// a refused op must not leak half-interned labels. Returns the new
-/// version.
+/// Apply one op to a dataset: parse any ranking text against the
+/// universe without changing it, patch the session, and only then intern
+/// the labels the ranking introduced — a refused op must not leak
+/// half-interned labels. Interning copies the shared universe only while
+/// a job still holds it; such copies are added to `universe_copies`.
+/// Returns the new version.
 fn apply_op(
-    universe: &mut Universe,
+    universe: &mut Arc<Universe>,
     session: &mut DatasetSession,
     op: &DatasetOp,
+    universe_copies: &mut u64,
 ) -> Result<u64, String> {
-    let parse = |text: &str, universe: &mut Universe| {
-        parse_ranking_labeled(text, universe).map_err(|e| format!("ranking: {e}"))
-    };
-    match op {
+    let parse =
+        |text: &str| parse_ranking_against(text, universe).map_err(|e| format!("ranking: {e}"));
+    let (version, fresh) = match op {
         DatasetOp::Add { ranking } => {
-            let mut scratch = universe.clone();
-            let r = parse(ranking, &mut scratch)?;
-            let version = session.add_ranking(r).map_err(|e| e.to_string())?;
-            *universe = scratch;
-            Ok(version)
+            let (r, fresh) = parse(ranking)?;
+            (session.add_ranking(r), fresh)
         }
-        DatasetOp::Remove { index } => session.remove_ranking(*index).map_err(|e| e.to_string()),
+        DatasetOp::Remove { index } => (session.remove_ranking(*index), Vec::new()),
         DatasetOp::Replace { index, ranking } => {
-            let mut scratch = universe.clone();
-            let r = parse(ranking, &mut scratch)?;
-            let version = session
-                .replace_ranking(*index, r)
-                .map_err(|e| e.to_string())?;
-            *universe = scratch;
-            Ok(version)
+            let (r, fresh) = parse(ranking)?;
+            (session.replace_ranking(*index, r), fresh)
+        }
+    };
+    let version = version.map_err(|e| e.to_string())?;
+    if !fresh.is_empty() {
+        let grown = make_mut_counted(universe, universe_copies);
+        for label in &fresh {
+            grown.intern(label);
         }
     }
+    Ok(version)
 }
 
 /// Rebuild a live dataset from its journal file: the consolidated text,
 /// then each durably recorded edit, landing at the journaled version.
-fn rebuild_dataset(ds: &RecoveredDataset) -> Result<(Universe, DatasetSession), String> {
+fn rebuild_dataset(ds: &RecoveredDataset) -> Result<(Arc<Universe>, DatasetSession), String> {
     let (mut universe, mut session) = build_session(&ds.dataset)?;
     session.restore_version(ds.version);
     for (version, op_json) in &ds.edits {
         let doc = Json::parse(op_json).map_err(|e| format!("edit record: {e}"))?;
         let op = DatasetOp::parse(&doc)?;
-        apply_op(&mut universe, &mut session, &op)?;
+        apply_op(&mut universe, &mut session, &op, &mut 0)?;
         session.restore_version(*version);
     }
     Ok((universe, session))
@@ -871,7 +892,7 @@ fn rebuild_dataset(ds: &RecoveredDataset) -> Result<(Universe, DatasetSession), 
 /// Shared body of the PUT and recovery paths: dataset text → universe +
 /// unified session. Mirrors `prepare_submission`'s unification semantics,
 /// so a live dataset and a one-shot `"dataset"` job see identical inputs.
-fn build_session(text: &str) -> Result<(Universe, DatasetSession), String> {
+fn build_session(text: &str) -> Result<(Arc<Universe>, DatasetSession), String> {
     let mut universe = Universe::new();
     let raw = parse_dataset_lines(text, &mut universe).map_err(|e| format!("dataset: {e}"))?;
     if raw.is_empty() {
@@ -879,7 +900,7 @@ fn build_session(text: &str) -> Result<(Universe, DatasetSession), String> {
     }
     let norm =
         rank_core::normalize::unification(&raw).expect("non-empty raw rankings always unify");
-    Ok((universe, DatasetSession::new(norm.dataset)))
+    Ok((Arc::new(universe), DatasetSession::new(norm.dataset)))
 }
 
 /// `PUT /v1/datasets/{id}`: create-only (409 on an existing id). Body:
@@ -1013,9 +1034,11 @@ fn edit_dataset(
     let (version, n, m) = {
         let mut guard = dataset.lock();
         let ds = &mut *guard;
+        let copies_before = ds.session.copies();
+        let mut universe_copies = 0;
         for op in &ops {
             let patch_start = Instant::now();
-            let applied_op = apply_op(&mut ds.universe, &mut ds.session, op);
+            let applied_op = apply_op(&mut ds.universe, &mut ds.session, op, &mut universe_copies);
             state
                 .metrics
                 .session_patch_seconds
@@ -1032,6 +1055,15 @@ fn edit_dataset(
                     break;
                 }
             }
+        }
+        let copies = ds.session.copies();
+        let deltas = [
+            copies.dataset - copies_before.dataset,
+            copies.matrix - copies_before.matrix,
+            universe_copies,
+        ];
+        for (counter, delta) in state.metrics.snapshot_copies.iter().zip(deltas) {
+            counter.add(delta);
         }
         (ds.session.version(), ds.session.n(), ds.session.m())
     };
@@ -1126,26 +1158,20 @@ fn delete_dataset(
 /// both live `POST /v1/jobs` bodies and journaled submissions replayed on
 /// recovery, so a re-admitted job is prepared exactly like the original.
 struct Prepared {
-    universe: Universe,
-    norm: Normalized,
+    universe: Arc<Universe>,
+    /// Dense id → input element (`None`: the identity, as for live datasets).
+    mapping: Option<Vec<Element>>,
     data: Arc<Dataset>,
     spec: AlgoSpec,
 }
 
-/// A prepared submission plus its live-dataset context (absent for
-/// inline-dataset jobs): the warm-start hint and version snapshotted at
-/// preparation, and the dataset handle for consensus record-back.
+/// A prepared submission plus, for a `dataset_id` job, the live dataset
+/// (for consensus record-back) and the session snapshot the job solves:
+/// its version, delta-patched matrix — attached to the request so the
+/// engine skips its own `O(m·n²)` rebuild — and warm hint.
 struct PreparedJob {
     prepared: Prepared,
-    warm: Option<rank_core::algorithms::WarmStart>,
-    /// The dataset version the snapshot was taken at (0 for inline jobs;
-    /// live versions start at 1).
-    version: u64,
-    dataset: Option<Arc<LiveDataset>>,
-    /// The session's delta-patched cost matrix, snapshotted with the
-    /// dataset — attached to the request so the engine skips its own
-    /// `O(m·n²)` rebuild (absent for inline jobs).
-    matrix: Option<Arc<CostMatrix>>,
+    live: Option<(Arc<LiveDataset>, Snapshot)>,
 }
 
 /// Resolve the algorithm spec (explicit, or §7.4 guidance) and check its
@@ -1186,22 +1212,20 @@ fn prepare_submission(submission: &JobSubmission) -> Result<Prepared, Submission
         .normalize
         .apply(&raw)
         .ok_or_else(|| SubmissionError::new("normalization produced an empty dataset"))?;
-    // One copy of the dense dataset, shared by the request (Arc) and
-    // readable for the n/m/guidance checks below.
-    let data = Arc::new(norm.dataset.clone());
+    let data = Arc::new(norm.dataset);
     let spec = resolve_spec(submission, &data)?;
     Ok(Prepared {
-        universe,
-        norm,
+        universe: Arc::new(universe),
+        mapping: Some(norm.mapping),
         data,
         spec,
     })
 }
 
-/// Prepare a `"dataset_id"` job: snapshot the live dataset (frozen copy,
-/// universe, warm hint, version) under its lock, then resolve the spec
-/// against the snapshot. The error carries the HTTP status (404 for a
-/// missing dataset, 400 otherwise).
+/// Prepare a `"dataset_id"` job: snapshot the live dataset (shared
+/// dataset and matrix, universe, warm hint, version) under its lock,
+/// then resolve the spec against the snapshot. The error carries the
+/// HTTP status (404 for a missing dataset, 400 otherwise).
 fn prepare_dataset_job(
     state: &Arc<ServerState>,
     submission: &JobSubmission,
@@ -1214,29 +1238,16 @@ fn prepare_dataset_job(
         .get(id)
         .cloned()
         .ok_or_else(|| (404, SubmissionError::new(format!("no such dataset {id:?}"))))?;
-    let (data, universe, warm, version, matrix) = {
-        let ds = dataset.lock();
-        (
-            Arc::new(ds.session.dataset()),
-            ds.universe.clone(),
-            ds.session.warm_start(),
-            ds.session.version(),
-            Arc::new(ds.session.matrix().clone()),
-        )
-    };
-    let spec = resolve_spec(submission, &data).map_err(|e| (400, e))?;
-    let norm = identity_norm(&data);
+    let (snapshot, universe) = dataset.lock().snapshot();
+    let spec = resolve_spec(submission, &snapshot.dataset).map_err(|e| (400, e))?;
     Ok(PreparedJob {
         prepared: Prepared {
             universe,
-            norm,
-            data,
+            mapping: None,
+            data: Arc::clone(&snapshot.dataset),
             spec,
         },
-        warm,
-        version,
-        dataset: Some(dataset),
-        matrix: Some(matrix),
+        live: Some((dataset, snapshot)),
     })
 }
 
@@ -1252,10 +1263,7 @@ fn prepare_any(
         prepare_submission(submission)
             .map(|prepared| PreparedJob {
                 prepared,
-                warm: None,
-                version: 0,
-                dataset: None,
-                matrix: None,
+                live: None,
             })
             .map_err(|e| (400, e))
     }
@@ -1264,21 +1272,24 @@ fn prepare_any(
 /// The engine request for a prepared submission — shared by the live
 /// submit path and recovery re-admission, so both run the identical
 /// (spec, seed, budget) and the recovered report is bit-identical to an
-/// uninterrupted run. Dataset jobs additionally carry the warm hint.
+/// uninterrupted run. Dataset jobs additionally carry their snapshot's
+/// matrix and warm hint.
 fn build_request(pj: &PreparedJob, submission: &JobSubmission) -> AggregationRequest {
-    let mut request =
-        AggregationRequest::new(Arc::clone(&pj.prepared.data), pj.prepared.spec.clone())
-            .with_seed(submission.seed);
-    if let Some(budget) = submission.budget {
-        request = request.with_budget(budget);
+    let spec = pj.prepared.spec.clone();
+    let request = match &pj.live {
+        Some((_, snapshot)) => snapshot.request(spec),
+        None => AggregationRequest::new(Arc::clone(&pj.prepared.data), spec),
+    };
+    seeded(request, submission.seed, submission.budget)
+}
+
+/// `request` with the submission's seed and optional budget.
+fn seeded(request: AggregationRequest, seed: u64, budget: Option<Duration>) -> AggregationRequest {
+    let request = request.with_seed(seed);
+    match budget {
+        Some(budget) => request.with_budget(budget),
+        None => request,
     }
-    if let Some(warm) = pj.warm.clone() {
-        request = request.with_warm_start(warm);
-    }
-    if let Some(matrix) = &pj.matrix {
-        request = request.with_cost_matrix(Arc::clone(matrix));
-    }
-    request
 }
 
 /// The submission as journaled: the original body with the *resolved*
@@ -1332,13 +1343,13 @@ fn make_record(
         seed: submission.seed,
         normalize: submission.normalize,
         idempotency: submission.idempotency_key.clone(),
-        dataset: pj.dataset,
+        dataset: pj.live.map(|(dataset, _)| dataset),
         follow_stop: submission.follow.then(|| AtomicBool::new(false)),
         live: Mutex::new(LiveRefs {
             n: pj.prepared.data.n(),
             m: pj.prepared.data.m(),
             universe: pj.prepared.universe,
-            norm: pj.prepared.norm,
+            mapping: pj.prepared.mapping,
             sink,
             cancel,
         }),
@@ -1402,12 +1413,13 @@ impl FollowSpawn {
     /// loop needs to re-admit later rounds.
     fn for_submission(submission: &JobSubmission, pj: &PreparedJob) -> FollowSpawn {
         if submission.follow {
+            let (dataset, snapshot) = pj.live.as_ref().expect("proto: follow requires dataset");
             FollowSpawn::Follow {
-                dataset: Arc::clone(pj.dataset.as_ref().expect("proto: follow requires dataset")),
+                dataset: Arc::clone(dataset),
                 spec: pj.prepared.spec.clone(),
                 seed: submission.seed,
                 budget: submission.budget,
-                version: pj.version,
+                version: snapshot.version,
             }
         } else {
             FollowSpawn::Collect
@@ -1623,12 +1635,11 @@ fn submit_batch(
     let requests: Vec<AggregationRequest> = prepared
         .iter()
         .map(|p| {
-            let mut request = AggregationRequest::new(Arc::clone(&data), p.spec.clone())
-                .with_seed(submission.seed);
-            if let Some(budget) = submission.budget {
-                request = request.with_budget(budget);
-            }
-            request
+            seeded(
+                AggregationRequest::new(Arc::clone(&data), p.spec.clone()),
+                submission.seed,
+                submission.budget,
+            )
         })
         .collect();
     let handles = match state.engine.try_submit_batch(requests) {
@@ -1687,10 +1698,7 @@ fn submit_batch(
                         &job_submission(&spec.to_string()),
                         PreparedJob {
                             prepared: prep,
-                            warm: None,
-                            version: 0,
-                            dataset: None,
-                            matrix: None,
+                            live: None,
                         },
                         Arc::clone(handle.sink()),
                         handle.cancel_token(),
@@ -1921,10 +1929,7 @@ fn follow_loop(
                         let _ = ds.session.record_consensus(report.ranking.clone());
                     }
                 }
-                let report_json = {
-                    let live = record.live();
-                    proto::report_json(&report, &live.norm, &live.universe)
-                };
+                let report_json = record.live().report_json(&report);
                 let outcome = report.outcome.to_string();
                 let resolved = tag_version(
                     &format!(
@@ -1970,13 +1975,7 @@ fn follow_loop(
                 break 'wait None;
             }
             if ds.session.version() != version {
-                break 'wait Some((
-                    ds.session.version(),
-                    Arc::new(ds.session.dataset()),
-                    ds.universe.clone(),
-                    ds.session.warm_start(),
-                    Arc::new(ds.session.matrix().clone()),
-                ));
+                break 'wait Some(ds.snapshot());
             }
             // Timed wait so job-DELETE and shutdown (which poke the
             // condvar best-effort) are noticed within a bounded delay
@@ -1988,9 +1987,10 @@ fn follow_loop(
                     .expect("dataset state poisoned"),
             );
         };
-        let Some((new_version, data, universe, warm, matrix)) = next else {
+        let Some((snapshot, universe)) = next else {
             break;
         };
+        let data = &snapshot.dataset;
         if let Some(cap) = spec.max_n() {
             if data.n() > cap {
                 let line = format!(
@@ -2008,17 +2008,9 @@ fn follow_loop(
             if stopped() {
                 break 'admit None;
             }
-            let mut request =
-                AggregationRequest::new(Arc::clone(&data), spec.clone()).with_seed(seed);
-            if let Some(budget) = budget {
-                request = request.with_budget(budget);
-            }
-            if let Some(warm) = warm.clone() {
-                request = request.with_warm_start(warm);
-            }
             // The session's delta-patched matrix rides along: a follow
             // round never pays the engine-side rebuild either.
-            request = request.with_cost_matrix(Arc::clone(&matrix));
+            let request = seeded(snapshot.request(spec.clone()), seed, budget);
             match state.engine.try_submit(request) {
                 Ok(handle) => break 'admit Some(handle),
                 Err(AdmissionError::QueueFull { retry_after, .. }) => {
@@ -2030,12 +2022,11 @@ fn follow_loop(
         let Some(new_handle) = new_handle else {
             break;
         };
-        version = new_version;
+        version = snapshot.version;
         {
             let mut live = record.live();
             live.n = data.n();
             live.m = data.m();
-            live.norm = identity_norm(&data);
             live.universe = universe;
             live.sink = Arc::clone(new_handle.sink());
             live.cancel = new_handle.cancel_token();
@@ -2272,10 +2263,7 @@ fn collect(
                     let _ = ds.session.record_consensus(report.ranking.clone());
                 }
             }
-            let report_json = {
-                let live = record.live();
-                proto::report_json(&report, &live.norm, &live.universe)
-            };
+            let report_json = record.live().report_json(&report);
             let outcome = report.outcome.to_string();
             if let Some(writer) = writer.as_mut() {
                 writer.finish(&outcome, Some(&report_json));
@@ -2318,7 +2306,7 @@ fn job_status(stream: &mut TcpStream, record: &Arc<JobRecord>, keep: bool) -> Se
         None => "null".to_owned(),
         Some((score, ranking)) => format!(
             "{{\"score\":{score},\"ranking\":{}}}",
-            proto::ranking_json(&live.norm.denormalize(&ranking), &live.universe)
+            proto::dense_ranking_json(&ranking, live.mapping.as_deref(), &live.universe)
         ),
     };
     let (n, m) = (live.n, live.m);

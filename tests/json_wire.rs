@@ -226,6 +226,7 @@ fn error_messages_and_offsets_are_pinned() {
         (r#""\uD800""#, 6, "lone high surrogate"),
         (r#""\uD800\u0041""#, 12, "bad low surrogate"),
         (r#""\uDBFF\uFFFF""#, 12, "invalid surrogate pair"),
+        (r#""\uD83D\uE000""#, 12, "bad low surrogate"),
         (r#""\uDC00""#, 6, "invalid codepoint"),
         ("\"a\nb\"", 2, "raw control character in string"),
         ("\"\u{1}\"", 1, "raw control character in string"),
@@ -246,6 +247,24 @@ fn error_messages_and_offsets_are_pinned() {
             (message, offset),
             "{input:?}"
         );
+    }
+}
+
+/// The surrogate-pair edges: the lowest and highest low halves with the
+/// lowest and highest high halves decode to the scalars they encode, and
+/// `Display` writes each back as the character itself, which parses to
+/// the same string.
+#[test]
+fn surrogate_pair_edges_round_trip() {
+    for (literal, c) in [
+        (r#""\uD800\uDC00""#, '\u{10000}'),
+        (r#""\uD83D\uDE00""#, '😀'),
+        (r#""\uD83D\uDFFF""#, '\u{1F7FF}'),
+        (r#""\uDBFF\uDFFF""#, '\u{10FFFF}'),
+    ] {
+        let decoded = Json::parse(literal).expect(literal);
+        assert_eq!(decoded, Json::Str(c.to_string()), "{literal}");
+        assert_eq!(Json::parse(&decoded.to_string()), Ok(decoded), "{literal}");
     }
 }
 

@@ -1,11 +1,20 @@
 //! End-to-end tests for live dataset sessions over the wire (DESIGN.md
 //! §13): dataset CRUD with versioning, jobs submitted by `dataset_id`,
 //! warm-started re-solves recorded back into the session, `"follow"`
-//! jobs re-emitting version-tagged incumbents across PATCHes, and
-//! restart recovery of the dataset journal (with consolidation).
+//! jobs re-emitting version-tagged incumbents across PATCHes, rounds
+//! that share the session's dataset instead of copying it, and restart
+//! recovery of the dataset journal (with consolidation).
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use rank_aggregation_with_ties::prelude::*;
+use rank_aggregation_with_ties::ragen::UniformSampler;
+use rank_aggregation_with_ties::rank_core::parse::{parse_dataset_lines, parse_ranking_labeled};
+use rank_aggregation_with_ties::rank_core::session::DatasetSession;
+use rank_aggregation_with_ties::rank_core::telemetry::parse_exposition;
 use service::client::Client;
 use service::client::ClientError;
+use service::client::EventStream;
 use service::journal::{FsyncPolicy, Journal};
 use service::json::Json;
 use service::proto::JobSubmission;
@@ -317,6 +326,234 @@ fn deleting_a_dataset_ends_its_follow_jobs() {
         done.get("outcome").and_then(Json::as_str),
         Some("cancelled")
     );
+    shutdown.shutdown();
+}
+
+// ------------------------------------------------- copy-on-write rounds
+
+/// `m` uniformly drawn rankings with ties over the labels `0..n`, one per
+/// line.
+fn uniform_text(n: usize, m: usize, seed: u64) -> String {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let data = UniformSampler::new(n).sample_dataset(n, m, &mut rng);
+    let lines: Vec<String> = data.rankings().iter().map(|r| r.to_string()).collect();
+    lines.join("\n")
+}
+
+/// A local copy of a live dataset: the server's parse and unification of
+/// the same text, with the same edits applied in the same order, so each
+/// label gets the server's dense id and every version can be rescored.
+#[derive(Clone)]
+struct Mirror {
+    universe: Universe,
+    session: DatasetSession,
+}
+
+impl Mirror {
+    fn new(text: &str) -> Mirror {
+        let mut universe = Universe::new();
+        let raw = parse_dataset_lines(text, &mut universe).expect("dataset text");
+        let session = DatasetSession::new(unification(&raw).expect("non-empty").dataset);
+        Mirror { universe, session }
+    }
+
+    /// Apply `op` (`add`, `remove` or `replace`) locally and return the
+    /// PATCH body that applies it on the server.
+    fn edit(&mut self, op: &str, index: usize, ranking: &str) -> String {
+        let mut parsed = || parse_ranking_labeled(ranking, &mut self.universe).expect("ranking");
+        match op {
+            "add" => self.session.add_ranking(parsed()),
+            "remove" => self.session.remove_ranking(index),
+            _ => self.session.replace_ranking(index, parsed()),
+        }
+        .expect("the edit is accepted");
+        format!("{{\"ops\":[{{\"op\":\"{op}\",\"index\":{index},\"ranking\":\"{ranking}\"}}]}}")
+    }
+
+    /// The Kemeny score of a served report's ranking over this mirror's
+    /// dataset, after checking it ranks exactly that dataset's elements.
+    fn rescore(&self, report: &Json) -> u64 {
+        let buckets = report
+            .get("ranking")
+            .and_then(Json::as_array)
+            .expect("ranking");
+        let buckets: Vec<Vec<Element>> = buckets
+            .iter()
+            .map(|b| {
+                let labels = b.as_array().expect("bucket");
+                labels
+                    .iter()
+                    .map(|l| {
+                        self.universe
+                            .get(l.as_str().expect("label"))
+                            .expect("known label")
+                    })
+                    .collect()
+            })
+            .collect();
+        let ranking = Ranking::from_buckets(buckets).expect("a valid ranking");
+        let data = self.session.dataset();
+        assert!(
+            data.is_complete_ranking(&ranking),
+            "{report} does not rank exactly the version-{} elements",
+            self.session.version()
+        );
+        kemeny_score(&ranking, &data)
+    }
+}
+
+/// Read a follow job's stream up to the `resolved` line of `version`;
+/// returns its score.
+fn resolved_score(events: &mut EventStream, version: u64) -> u64 {
+    loop {
+        let event = events
+            .next()
+            .expect("stream stays open while following")
+            .expect("event line parses");
+        match event.get("event").and_then(Json::as_str) {
+            Some("resolved") if u64_field(&event, "dataset_version") == version => {
+                return u64_field(&event, "score");
+            }
+            Some("failed" | "finished") => panic!("follow job ended: {event}"),
+            _ => {}
+        }
+    }
+}
+
+/// `rawt_session_snapshot_copies_total` for one part, from `/metrics`.
+fn snapshot_copies(client: &Client, part: &str) -> u64 {
+    parse_exposition(&client.metrics_text().expect("GET /metrics"))
+        .iter()
+        .filter(|f| f.name == "rawt_session_snapshot_copies_total")
+        .flat_map(|f| &f.samples)
+        .find(|s| s.label("part") == Some(part))
+        .map(|s| s.value as u64)
+        .unwrap_or_else(|| panic!("no part={part} series"))
+}
+
+/// The served report of a follow job's latest round.
+fn latest_report(client: &Client, job: u64) -> Json {
+    let status = client.status(job).expect("status");
+    status
+        .get("report")
+        .cloned()
+        .expect("a resolved round's report")
+}
+
+/// The edit/re-solve loop: PATCH, then wait for the follow job's
+/// `resolved` of the new version, many times over. Rounds share the
+/// session's dataset, so no edit ever copies it; every resolved score is
+/// the Kemeny score of the served ranking over that version's dataset.
+#[test]
+fn closed_loop_follow_rounds_never_copy_the_dataset() {
+    let (client, shutdown) = start_server(ServerConfig::default());
+    let (n, m) = (12, 6);
+    let text = uniform_text(n, m, 7);
+    let pool: Vec<String> = uniform_text(n, 8, 8).lines().map(str::to_owned).collect();
+    let mut mirror = Mirror::new(&text);
+    client.create_dataset("loop", &text).expect("PUT");
+    let job = client
+        .submit(&JobSubmission {
+            algo: Some("Chanas".into()),
+            follow: true,
+            ..JobSubmission::for_dataset("loop")
+        })
+        .expect("submit follow job");
+    let mut events = client.events(job.id).expect("event stream");
+    let mut check_round = |mirror: &Mirror| {
+        let version = mirror.session.version();
+        let score = resolved_score(&mut events, version);
+        let report = latest_report(&client, job.id);
+        assert_eq!(u64_field(&report, "score"), score);
+        assert_eq!(mirror.rescore(&report), score, "version {version}");
+    };
+    check_round(&mirror);
+    let edits = 24;
+    for k in 0..edits {
+        let ranking = &pool[k % pool.len()];
+        let body = match k % 3 {
+            0 => mirror.edit("replace", k % m, ranking),
+            1 => mirror.edit("add", 0, ranking),
+            _ => mirror.edit("remove", 0, ranking),
+        };
+        let patched = client.patch_dataset("loop", &body).expect("PATCH");
+        assert_eq!(u64_field(&patched, "version"), mirror.session.version());
+        check_round(&mirror);
+        assert_eq!(
+            snapshot_copies(&client, "dataset"),
+            0,
+            "edit {k} copied the dataset"
+        );
+    }
+    // The engine's matrix cache keeps each round's primed matrix, so an
+    // edit may still copy the matrix — at most once.
+    assert!(snapshot_copies(&client, "matrix") <= edits as u64);
+    assert_eq!(snapshot_copies(&client, "universe"), 0);
+    // A new label grows the universe, which the follow job still holds
+    // for rendering its reports: that edit copies it.
+    let body = mirror.edit("add", 0, "[{fresh},{0}]");
+    client
+        .patch_dataset("loop", &body)
+        .expect("PATCH with a new label");
+    check_round(&mirror);
+    assert_eq!(snapshot_copies(&client, "universe"), 1);
+    assert_eq!(snapshot_copies(&client, "dataset"), 0);
+    client.cancel(job.id).expect("cancel follow job");
+    shutdown.shutdown();
+}
+
+/// A PATCH that lands while a budgeted follow round is still solving
+/// copies the dataset once, leaving the running round its own version:
+/// that round resolves over the old elements and the next round over the
+/// new ones.
+#[test]
+fn a_patch_mid_round_leaves_the_running_round_on_its_own_version() {
+    let (client, shutdown) = start_server(ServerConfig::default());
+    // Exact's proof search at n = 48 with few voters runs far past the
+    // budget, so each round takes the whole budget.
+    let text = uniform_text(48, 6, 2);
+    let mut mirror = Mirror::new(&text);
+    client.create_dataset("busy", &text).expect("PUT");
+    let job = client
+        .submit(&JobSubmission {
+            algo: Some("Exact".into()),
+            follow: true,
+            budget: Some(Duration::from_secs(2)),
+            ..JobSubmission::for_dataset("busy")
+        })
+        .expect("submit follow job");
+    let mut events = client.events(job.id).expect("event stream");
+    loop {
+        let event = events.next().expect("stream open").expect("event parses");
+        if event.get("event").and_then(Json::as_str) == Some("started") {
+            break;
+        }
+    }
+    let round_one = mirror.clone();
+    let body = mirror.edit("add", 0, "[{late},{0},{1}]");
+    let patched = client
+        .patch_dataset("busy", &body)
+        .expect("PATCH mid-round");
+    assert_eq!(u64_field(&patched, "version"), 2);
+    assert_eq!(u64_field(&patched, "n"), 49);
+    assert_eq!(
+        snapshot_copies(&client, "dataset"),
+        1,
+        "the running round still held version 1"
+    );
+    let score = resolved_score(&mut events, 1);
+    let report = latest_report(&client, job.id);
+    assert_eq!(u64_field(&report, "score"), score);
+    assert_eq!(
+        round_one.rescore(&report),
+        score,
+        "round 1 solved version 1"
+    );
+    let score = resolved_score(&mut events, 2);
+    let report = latest_report(&client, job.id);
+    assert_eq!(u64_field(&report, "score"), score);
+    assert_eq!(mirror.rescore(&report), score, "round 2 solved version 2");
+    client.cancel(job.id).expect("cancel follow job");
     shutdown.shutdown();
 }
 

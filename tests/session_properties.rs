@@ -2,11 +2,12 @@
 //! sequence leaves the delta-patched cost matrix bit-identical to a cold
 //! rebuild from the current rankings, refused edits change nothing, and
 //! warm-started re-solves never score worse than the run that seeded
-//! them (and never corrupt exactness).
+//! them (and never corrupt exactness). Snapshots stay frozen: edits
+//! after a snapshot copy what it shares instead of changing it.
 
 use proptest::prelude::*;
 use rank_aggregation_with_ties::prelude::*;
-use rank_aggregation_with_ties::rank_core::session::DatasetSession;
+use rank_aggregation_with_ties::rank_core::session::{DatasetSession, Snapshot};
 use rank_aggregation_with_ties::rank_core::CostMatrix;
 
 fn ranking_strategy(n: usize) -> impl Strategy<Value = Ranking> {
@@ -83,6 +84,58 @@ proptest! {
                 "delta-patched matrix drifted from the cold rebuild");
             prop_assert_eq!(session.m(), session.dataset().m());
             prop_assert_eq!(session.n(), session.dataset().n());
+        }
+    }
+
+    /// Snapshots share the session's dataset and matrix copy-on-write:
+    /// after every later edit — add (with universe growth), remove,
+    /// replace, refused ones too — every snapshot taken so far still
+    /// holds its own version's dataset and a matrix equal to its cold
+    /// rebuild, and a fresh snapshot equals the rebuild after the edit.
+    /// An accepted edit copies the dataset and matrix exactly when a
+    /// snapshot still holds them.
+    #[test]
+    fn snapshots_stay_frozen_across_later_edits(
+        data in dataset_strategy(),
+        script in edit_script_strategy(),
+    ) {
+        let mut session = DatasetSession::new(data);
+        session
+            .record_consensus(session.rankings()[0].clone())
+            .expect("an input ranking is complete");
+        let mut held: Vec<(Snapshot, Dataset)> = Vec::new();
+        for (step, (kind, raw_index, ranking)) in script.into_iter().enumerate() {
+            // Snapshot before every other edit, so some edits run
+            // unshared: a held snapshot shares the session's parts only
+            // until an edit is accepted.
+            if step % 2 == 0 {
+                let snapshot = session.snapshot();
+                let before = (*snapshot.dataset).clone();
+                held.push((snapshot, before));
+            }
+            let shared = held
+                .last()
+                .is_some_and(|(snapshot, _)| snapshot.version == session.version());
+            let copies = session.copies();
+            let index = raw_index % (session.m() + 1);
+            let result = match kind {
+                0 => session.add_ranking(ranking),
+                1 => session.remove_ranking(index),
+                _ => session.replace_ranking(index, ranking),
+            };
+            let copied = u64::from(result.is_ok() && shared);
+            prop_assert_eq!(session.copies().dataset, copies.dataset + copied);
+            prop_assert_eq!(session.copies().matrix, copies.matrix + copied);
+            for (snapshot, before) in &held {
+                prop_assert_eq!(&*snapshot.dataset, before, "snapshot {} changed", snapshot.version);
+                prop_assert_eq!(&*snapshot.matrix, &CostMatrix::build(before));
+                let warm = snapshot.warm.as_ref().expect("a consensus was recorded");
+                prop_assert_eq!(warm.score, snapshot.matrix.score(&warm.ranking));
+            }
+            let now = session.snapshot();
+            prop_assert_eq!(now.version, session.version());
+            prop_assert_eq!(&*now.matrix, &CostMatrix::build(&now.dataset));
+            prop_assert_eq!(now.dataset.rankings(), session.rankings());
         }
     }
 
