@@ -1167,7 +1167,9 @@ mod tests {
         let whole_floor = PairTable::build(&d).lower_bound();
 
         let (tx, rx) = mpsc::channel();
-        let sink = Arc::new(IncumbentSink::with_sender(tx));
+        let sink = Arc::new(IncumbentSink::with_listener(Arc::new(move |e: &Event| {
+            let _ = tx.send(e.clone());
+        })));
         let mut ctx = AlgoContext::seeded(4);
         ctx.attach_sink(Arc::clone(&sink));
         let (_, score, proved) = ExactAlgorithm::default().solve(&d, &mut ctx);

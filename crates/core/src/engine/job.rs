@@ -18,8 +18,12 @@
 //!   per improvement of either side.
 //! * [`CancelToken`] — a clonable flag observed by every algorithm's
 //!   [`AlgoContext::checkpoint`](crate::algorithms::AlgoContext::checkpoint).
-//! * [`JobHandle`] — returned by [`Engine::submit`](super::Engine::submit):
-//!   subscribe to [`JobHandle::events`], peek [`JobHandle::best_so_far`],
+//! * [`JobHooks`] — the two ways an admitted job reports: the sink's
+//!   [`Listener`], called with every event as it is published, and the
+//!   [`Completion`] the scheduler calls exactly once with the result.
+//! * [`JobHandle`] — returned by [`Engine::submit`](super::Engine::submit),
+//!   the in-process adapter over those hooks: subscribe to
+//!   [`JobHandle::events`], peek [`JobHandle::best_so_far`],
 //!   [`JobHandle::cancel`], and [`JobHandle::wait`] for the final
 //!   [`ConsensusReport`].
 //!
@@ -48,10 +52,34 @@
 use super::{ConsensusReport, Outcome};
 use crate::engine::AlgoSpec;
 use crate::ranking::Ranking;
+use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{self, Receiver};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
+
+/// Receives every [`Event`] of a job as it is published, on the
+/// publishing thread (the kernel's, for incumbents and bounds) and under
+/// the sink's lock — so events arrive in emission order, and the listener
+/// must never block on anything that waits for the sink.
+pub type Listener = Arc<dyn Fn(&Event) + Send + Sync>;
+
+/// Called by the scheduler exactly once per admitted job, on the worker
+/// that ran it, with the job's report (or the panic payload of a crashed
+/// kernel).
+pub type Completion = Box<dyn FnOnce(std::thread::Result<ConsensusReport>) + Send>;
+
+/// How an admitted job reports: the sink it publishes into (with the
+/// sink's listener, if any), the token that cancels it, and the
+/// completion the scheduler calls with its result.
+pub struct JobHooks {
+    /// Where the run publishes incumbents, bounds and lifecycle events.
+    pub sink: Arc<IncumbentSink>,
+    /// The run's cooperative cancellation flag.
+    pub cancel: CancelToken,
+    /// Called exactly once, after the run, with its result.
+    pub completion: Completion,
+}
 
 /// One point of a job's quality-vs-time curve: the job had found a
 /// consensus of `score` after `elapsed` of wall clock.
@@ -134,16 +162,35 @@ impl CancelToken {
     }
 }
 
-/// Best incumbent + best lower bound + trace + event sender, guarded by
-/// one lock so improvements are recorded and emitted atomically (the
+/// Best incumbent + best lower bound + trace + listener, guarded by one
+/// lock so improvements are recorded and emitted atomically (the
 /// strict-decrease / strict-increase guarantees of the module docs).
-#[derive(Debug, Default)]
+#[derive(Default)]
 struct SinkState {
     best: Option<(u64, Ranking)>,
     /// Best certified lower bound on the optimal score offered so far.
     lower_bound: Option<u64>,
     trace: Vec<TracePoint>,
-    sender: Option<Sender<Event>>,
+    listener: Option<Listener>,
+}
+
+impl SinkState {
+    fn publish(&self, event: &Event) {
+        if let Some(listener) = &self.listener {
+            listener(event);
+        }
+    }
+}
+
+impl fmt::Debug for SinkState {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SinkState")
+            .field("best", &self.best)
+            .field("lower_bound", &self.lower_bound)
+            .field("trace", &self.trace)
+            .field("listener", &self.listener.is_some())
+            .finish()
+    }
 }
 
 /// Where a run publishes monotonically improving incumbents and
@@ -178,15 +225,13 @@ impl IncumbentSink {
         }
     }
 
-    /// A sink streaming events to `sender` (what [`Engine::submit`]
-    /// wires to the [`JobHandle`]'s receiver).
-    ///
-    /// [`Engine::submit`]: super::Engine::submit
-    pub(crate) fn with_sender(sender: Sender<Event>) -> Self {
+    /// A sink that calls `listener` with every event it publishes, until
+    /// the job ends (see [`Listener`] for the calling rules).
+    pub fn with_listener(listener: Listener) -> Self {
         IncumbentSink {
             started: Instant::now(),
             state: Mutex::new(SinkState {
-                sender: Some(sender),
+                listener: Some(listener),
                 ..SinkState::default()
             }),
         }
@@ -216,14 +261,11 @@ impl IncumbentSink {
             lower_bound,
         });
         let gap = lower_bound.map(|lb| score - lb);
-        if let Some(sender) = &state.sender {
-            // A dropped receiver just means nobody is watching.
-            let _ = sender.send(Event::Incumbent {
-                score,
-                gap,
-                elapsed,
-            });
-        }
+        state.publish(&Event::Incumbent {
+            score,
+            gap,
+            elapsed,
+        });
         true
     }
 
@@ -256,13 +298,11 @@ impl IncumbentSink {
         let elapsed = self.started.elapsed();
         state.lower_bound = Some(lb);
         let gap = best.map(|score| score - lb);
-        if let Some(sender) = &state.sender {
-            let _ = sender.send(Event::LowerBound {
-                lower_bound: lb,
-                gap,
-                elapsed,
-            });
-        }
+        state.publish(&Event::LowerBound {
+            lower_bound: lb,
+            gap,
+            elapsed,
+        });
         true
     }
 
@@ -293,33 +333,36 @@ impl IncumbentSink {
             .clone()
     }
 
-    /// Whether anyone is live-streaming this sink's events (a
-    /// [`JobHandle`] holds the receiving end). Blocking `run`/`run_batch`
-    /// attach a *senderless* sink — the trace is still recorded, but
-    /// algorithms use this to skip extra work whose only value is an
-    /// early streamed incumbent (e.g. the exact solver's pre-decomposition
-    /// heuristic, Ailon's best-input scan).
+    /// Whether anyone is live-streaming this sink's events (a listener is
+    /// attached: a [`JobHandle`]'s channel or a service's event log).
+    /// Blocking `run`/`run_batch` attach a *listenerless* sink — the trace
+    /// is still recorded, but algorithms use this to skip extra work whose
+    /// only value is an early streamed incumbent (e.g. the exact solver's
+    /// pre-decomposition heuristic, Ailon's best-input scan).
     pub fn has_subscriber(&self) -> bool {
         self.state
             .lock()
             .expect("incumbent sink poisoned")
-            .sender
+            .listener
             .is_some()
     }
 
-    /// Stream a lifecycle event ([`Event::Started`] / [`Event::Finished`])
-    /// to the subscriber, if any.
-    pub(crate) fn emit(&self, event: Event) {
-        let state = self.state.lock().expect("incumbent sink poisoned");
-        if let Some(sender) = &state.sender {
-            let _ = sender.send(event);
-        }
+    /// Publish a lifecycle event ([`Event::Started`] / [`Event::Finished`])
+    /// to the listener, if any.
+    pub(crate) fn emit(&self, event: &Event) {
+        self.state
+            .lock()
+            .expect("incumbent sink poisoned")
+            .publish(event);
     }
 
-    /// Drop the event sender so a draining receiver sees the stream end
-    /// (called once, after [`Event::Finished`]).
+    /// Drop the listener, so a [`JobHandle`]'s event stream ends (called
+    /// once, after [`Event::Finished`] or a kernel panic).
     pub(crate) fn close(&self) {
-        self.state.lock().expect("incumbent sink poisoned").sender = None;
+        // Dropping the listener is right even when a listener that
+        // panicked mid-publish poisoned the lock.
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        state.listener = None;
     }
 }
 
@@ -341,38 +384,64 @@ impl IncumbentSink {
 ///   queued makes it stop at its first checkpoint once a worker picks it
 ///   up — an accepted job always produces a report);
 /// * [`JobHandle::wait`] — block for the final [`ConsensusReport`].
+///
+/// It is an adapter over the job's [`JobHooks`]: the sink's listener feeds
+/// the handle's event channel, and the completion fills its report slot.
 #[derive(Debug)]
 pub struct JobHandle {
     sink: Arc<IncumbentSink>,
     cancel: CancelToken,
     events: Receiver<Event>,
-    /// One-shot channel the scheduler worker sends the finished report
-    /// (or the panic payload of a crashed kernel) through.
-    report: Receiver<std::thread::Result<ConsensusReport>>,
-    /// Set by the worker *after* sending the report, so observing `true`
-    /// guarantees the report is collectable without blocking.
-    done: Arc<AtomicBool>,
-    /// The report once received, so [`JobHandle::try_report`] can hand out
-    /// clones while [`JobHandle::wait`] still consumes the handle.
-    collected: Mutex<Option<std::thread::Result<ConsensusReport>>>,
+    report: Arc<ReportSlot>,
+}
+
+/// Where the completion leaves a job's result for its [`JobHandle`].
+#[derive(Default)]
+struct ReportSlot {
+    result: Mutex<Option<std::thread::Result<ConsensusReport>>>,
+    filled: Condvar,
+    /// Set with the result and never cleared, so a finished job still
+    /// reads finished after [`JobHandle::try_report`] propagated its panic.
+    done: AtomicBool,
+}
+
+impl fmt::Debug for ReportSlot {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ReportSlot")
+            .field("done", &self.done.load(Ordering::Acquire))
+            .finish()
+    }
 }
 
 impl JobHandle {
-    pub(crate) fn new(
-        sink: Arc<IncumbentSink>,
-        cancel: CancelToken,
-        events: Receiver<Event>,
-        report: Receiver<std::thread::Result<ConsensusReport>>,
-        done: Arc<AtomicBool>,
-    ) -> Self {
-        JobHandle {
+    /// A fresh handle and the hooks that feed it, for admission.
+    pub(crate) fn attach() -> (JobHandle, JobHooks) {
+        let (event_tx, events) = mpsc::channel();
+        // A dropped receiver just means nobody is watching.
+        let listener: Listener = Arc::new(move |event: &Event| {
+            let _ = event_tx.send(event.clone());
+        });
+        let sink = Arc::new(IncumbentSink::with_listener(listener));
+        let cancel = CancelToken::new();
+        let report = Arc::new(ReportSlot::default());
+        let slot = Arc::clone(&report);
+        let completion: Completion = Box::new(move |result| {
+            *slot.result.lock().expect("job handle poisoned") = Some(result);
+            slot.done.store(true, Ordering::Release);
+            slot.filled.notify_all();
+        });
+        let hooks = JobHooks {
+            sink: Arc::clone(&sink),
+            cancel: cancel.clone(),
+            completion,
+        };
+        let handle = JobHandle {
             sink,
             cancel,
             events,
             report,
-            done,
-            collected: Mutex::new(None),
-        }
+        };
+        (handle, hooks)
     }
 
     /// Blocking iterator over the job's events, in emission order. Ends
@@ -407,7 +476,7 @@ impl JobHandle {
 
     /// A clone of the job's cancel token, so cancellation stays possible
     /// after the handle itself moves into a consumer (e.g. the service's
-    /// per-job event collector).
+    /// follow loop).
     pub fn cancel_token(&self) -> CancelToken {
         self.cancel.clone()
     }
@@ -423,29 +492,20 @@ impl JobHandle {
     /// Whether the job has finished executing (its report may still be
     /// waiting to be collected with [`JobHandle::wait`]).
     pub fn is_finished(&self) -> bool {
-        self.done.load(Ordering::Acquire)
-            || self
-                .collected
-                .lock()
-                .expect("job handle poisoned")
-                .is_some()
+        self.report.done.load(Ordering::Acquire)
     }
 
     /// The final report if the job has finished, without consuming the
     /// handle (clones; `None` while queued or running). Propagates a
     /// panic from the job's kernel, if any.
     pub fn try_report(&self) -> Option<ConsensusReport> {
-        let mut collected = self.collected.lock().expect("job handle poisoned");
-        if collected.is_none() {
-            if let Ok(result) = self.report.try_recv() {
-                *collected = Some(result);
-            }
-        }
-        match collected.as_ref() {
+        let mut result = self.report.result.lock().expect("job handle poisoned");
+        match result.as_ref() {
             None => None,
             Some(Ok(report)) => Some(report.clone()),
             Some(Err(_)) => {
-                let panic = collected.take().expect("checked above").unwrap_err();
+                let panic = result.take().expect("checked above").unwrap_err();
+                drop(result);
                 std::panic::resume_unwind(panic)
             }
         }
@@ -454,17 +514,24 @@ impl JobHandle {
     /// Block for the job's report and return it. Propagates a panic from
     /// the job's kernel, if any.
     pub fn wait(self) -> ConsensusReport {
-        let collected = self.collected.into_inner().expect("job handle poisoned");
-        let result = match collected {
-            Some(result) => result,
-            None => self
-                .report
-                .recv()
-                .expect("scheduler worker always sends a report"),
-        };
-        match result {
+        let result = self.report.result.lock().expect("job handle poisoned");
+        let mut result = self
+            .report
+            .filled
+            .wait_while(result, |r| {
+                r.is_none() && !self.report.done.load(Ordering::Acquire)
+            })
+            .expect("job handle poisoned");
+        // Empty only when `try_report` already re-raised the job's panic.
+        match result
+            .take()
+            .expect("the job's panic was already propagated")
+        {
             Ok(report) => report,
-            Err(panic) => std::panic::resume_unwind(panic),
+            Err(panic) => {
+                drop(result);
+                std::panic::resume_unwind(panic)
+            }
         }
     }
 }

@@ -48,7 +48,9 @@ pub mod request;
 pub mod scheduler;
 pub mod spec;
 
-pub use job::{CancelToken, Event, IncumbentSink, JobHandle, TracePoint};
+pub use job::{
+    CancelToken, Completion, Event, IncumbentSink, JobHandle, JobHooks, Listener, TracePoint,
+};
 pub use request::{AggregationRequest, BatchBuilder, Normalization};
 pub use scheduler::{AdmissionError, SchedulerConfig, SchedulerStats, DEFAULT_QUEUE_CAPACITY};
 pub use spec::{
@@ -387,18 +389,33 @@ impl Engine {
         self.scheduler().try_submit(request)
     }
 
-    /// [`Engine::try_submit`] for a whole panel: the batch is admitted as
-    /// one unit — either every request fits in the admission queue
-    /// together or the whole batch is shed with
-    /// [`AdmissionError::QueueFull`] — and returns one [`JobHandle`] per
-    /// request, in request order. Requests sharing a dataset (the normal
-    /// batch shape, [`BatchBuilder`]) share a single `O(m·n²)` cost-matrix
-    /// build through the engine cache, exactly as [`Engine::run_batch`].
-    pub fn try_submit_batch(
+    /// [`Engine::try_submit`] for a caller that reports through its own
+    /// [`JobHooks`] — a listener on the sink that publishes each event
+    /// where it belongs, and a completion that takes the result — instead
+    /// of holding a [`JobHandle`]. On refusal the hooks are dropped unused;
+    /// an admitted job calls its completion exactly once, on the worker
+    /// that ran it (also when the kernel panics, and when
+    /// [`Engine::shutdown_drain`] cancels it).
+    pub fn try_submit_with(
         &self,
-        requests: Vec<AggregationRequest>,
-    ) -> Result<Vec<JobHandle>, AdmissionError> {
-        self.scheduler().try_submit_batch(requests)
+        request: AggregationRequest,
+        hooks: JobHooks,
+    ) -> Result<(), AdmissionError> {
+        self.scheduler().try_submit_with(request, hooks)
+    }
+
+    /// [`Engine::try_submit_with`] for a whole panel, one set of hooks
+    /// per request: the batch is admitted as one unit — either every
+    /// request fits in the admission queue together or the whole batch is
+    /// shed with [`AdmissionError::QueueFull`] and no hook is ever called.
+    /// Requests sharing a dataset (the normal batch shape,
+    /// [`BatchBuilder`]) share a single `O(m·n²)` cost-matrix build
+    /// through the engine cache, exactly as [`Engine::run_batch`].
+    pub fn try_submit_batch_with(
+        &self,
+        jobs: Vec<(AggregationRequest, JobHooks)>,
+    ) -> Result<(), AdmissionError> {
+        self.scheduler().try_submit_batch_with(jobs)
     }
 
     /// [`Engine::submit`] into the scheduler's **recovered** class: the
@@ -412,6 +429,12 @@ impl Engine {
     /// engine is shut down while waiting, like [`Engine::submit`].
     pub fn submit_recovered(&self, request: AggregationRequest) -> JobHandle {
         self.scheduler().submit_recovered(request)
+    }
+
+    /// [`Engine::submit_recovered`] with caller-built hooks (see
+    /// [`Engine::try_submit_with`]).
+    pub fn submit_recovered_with(&self, request: AggregationRequest, hooks: JobHooks) {
+        self.scheduler().submit_recovered_with(request, hooks)
     }
 
     /// The scheduler's shape (configured bounds, whether or not the
@@ -469,7 +492,7 @@ impl Engine {
                 algo_label,
             )
             .inc();
-        sink.emit(Event::Started {
+        sink.emit(&Event::Started {
             spec: request.spec.clone(),
             seed: request.seed,
         });
@@ -682,7 +705,7 @@ impl Engine {
                 algo_label,
             )
             .add(ctx.checkpoints());
-        sink.emit(Event::Finished(outcome));
+        sink.emit(&Event::Finished(outcome));
         sink.close();
         report
     }

@@ -35,17 +35,20 @@
 //! worker picks them up still execute (the kernel observes the token at
 //! its first checkpoint and returns immediately), so every accepted job
 //! produces a report and no [`JobHandle::wait`] ever dangles.
+//!
+//! A job reports through its [`JobHooks`]: the sink's listener sees each
+//! event as the kernel publishes it, and the worker that ran the job
+//! calls its completion exactly once with the result — after a kernel
+//! panic and after a drain-cancel too. That is the only completion path;
+//! a [`JobHandle`] is the in-process adapter over the same two hooks.
 
-use super::job::{CancelToken, IncumbentSink, JobHandle};
+use super::job::{CancelToken, JobHandle, JobHooks};
 use super::request::AggregationRequest;
 use super::Engine;
 use crate::algorithms::MatrixCache;
-use crate::engine::ConsensusReport;
 use crate::telemetry::{Gauge, MetricsRegistry};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -134,10 +137,7 @@ pub struct SchedulerStats {
 /// One admitted, not-yet-running job.
 struct QueuedJob {
     request: AggregationRequest,
-    sink: Arc<IncumbentSink>,
-    cancel: CancelToken,
-    report_tx: Sender<std::thread::Result<ConsensusReport>>,
-    done: Arc<AtomicBool>,
+    hooks: JobHooks,
     seq: u64,
     /// Re-admitted from a journal after a restart: runs ahead of every
     /// fresh submission, FIFO within the recovered class.
@@ -284,7 +284,20 @@ impl Scheduler {
 
     /// Admit `request` if the queue has room; otherwise shed it.
     pub fn try_submit(&self, request: AggregationRequest) -> Result<JobHandle, AdmissionError> {
-        self.admit(request, false).map_err(|(_, e)| {
+        let (handle, hooks) = JobHandle::attach();
+        self.try_submit_with(request, hooks).map(|()| handle)
+    }
+
+    /// [`Scheduler::try_submit`] reporting through caller-built `hooks`
+    /// instead of a [`JobHandle`]. On refusal the hooks are dropped and
+    /// the completion is never called; once admitted, it is called
+    /// exactly once.
+    pub fn try_submit_with(
+        &self,
+        request: AggregationRequest,
+        hooks: JobHooks,
+    ) -> Result<(), AdmissionError> {
+        self.admit(request, hooks, false).map_err(|(_, _, e)| {
             if matches!(e, AdmissionError::QueueFull { .. }) {
                 self.shared.count_shed(1);
             }
@@ -301,77 +314,68 @@ impl Scheduler {
         &self,
         requests: Vec<AggregationRequest>,
     ) -> Result<Vec<JobHandle>, AdmissionError> {
-        // Build every job's channel/sink/token set before taking the lock,
-        // mirroring `admit`.
-        let prepared: Vec<_> = requests
+        let (handles, jobs): (Vec<_>, Vec<_>) = requests
             .into_iter()
             .map(|request| {
-                let (event_tx, events) = mpsc::channel();
-                let (report_tx, report_rx) = mpsc::channel();
-                let sink = Arc::new(IncumbentSink::with_sender(event_tx));
-                let cancel = CancelToken::new();
-                let done = Arc::new(AtomicBool::new(false));
-                (request, sink, cancel, done, events, report_rx, report_tx)
+                let (handle, hooks) = JobHandle::attach();
+                (handle, (request, hooks))
             })
-            .collect();
+            .unzip();
+        self.try_submit_batch_with(jobs).map(|()| handles)
+    }
+
+    /// [`Scheduler::try_submit_batch`] with caller-built hooks per request
+    /// (see [`Scheduler::try_submit_with`]).
+    pub fn try_submit_batch_with(
+        &self,
+        jobs: Vec<(AggregationRequest, JobHooks)>,
+    ) -> Result<(), AdmissionError> {
         let mut state = self.shared.state.lock().expect("scheduler state poisoned");
         if state.shutdown {
             return Err(AdmissionError::ShuttingDown);
         }
-        if state.queue.len() + prepared.len() > self.shared.config.queue_capacity {
+        if state.queue.len() + jobs.len() > self.shared.config.queue_capacity {
             let err = AdmissionError::QueueFull {
                 queued: state.queue.len(),
                 capacity: self.shared.config.queue_capacity,
                 retry_after: retry_hint(&state),
             };
             drop(state);
-            self.shared.count_shed(prepared.len() as u64);
+            self.shared.count_shed(jobs.len() as u64);
             return Err(err);
         }
-        let handles: Vec<JobHandle> = prepared
-            .into_iter()
-            .map(
-                |(request, sink, cancel, done, events, report_rx, report_tx)| {
-                    let seq = state.next_seq;
-                    state.next_seq += 1;
-                    state.queue.push(QueuedJob {
-                        request,
-                        sink: Arc::clone(&sink),
-                        cancel: cancel.clone(),
-                        report_tx,
-                        done: Arc::clone(&done),
-                        seq,
-                        recovered: false,
-                        enqueued: Instant::now(),
-                    });
-                    JobHandle::new(sink, cancel, events, report_rx, done)
-                },
-            )
-            .collect();
+        let admitted = jobs.len() as u64;
+        for (request, hooks) in jobs {
+            let seq = state.next_seq;
+            state.next_seq += 1;
+            state.queue.push(QueuedJob {
+                request,
+                hooks,
+                seq,
+                recovered: false,
+                enqueued: Instant::now(),
+            });
+        }
         drop(state);
-        self.shared.count_admitted(false, handles.len() as u64);
+        self.shared.count_admitted(false, admitted);
         self.shared.work_ready.notify_all();
-        Ok(handles)
+        Ok(())
     }
 
-    /// [`Scheduler::try_submit`], returning the request on rejection so
-    /// the blocking path can retry it.
+    /// Admit one job, returning the request and hooks on rejection so the
+    /// blocking path can retry them.
     // The large Err is the point: rejection hands the request back so
     // `submit` can retry it without a clone on the admission fast path.
     #[allow(clippy::result_large_err)]
     fn admit(
         &self,
         request: AggregationRequest,
+        hooks: JobHooks,
         recovered: bool,
-    ) -> Result<JobHandle, (AggregationRequest, AdmissionError)> {
-        let (event_tx, events) = mpsc::channel();
-        let (report_tx, report_rx) = mpsc::channel();
-        let sink = Arc::new(IncumbentSink::with_sender(event_tx));
-        let cancel = CancelToken::new();
-        let done = Arc::new(AtomicBool::new(false));
+    ) -> Result<(), (AggregationRequest, JobHooks, AdmissionError)> {
         let mut state = self.shared.state.lock().expect("scheduler state poisoned");
         if state.shutdown {
-            return Err((request, AdmissionError::ShuttingDown));
+            return Err((request, hooks, AdmissionError::ShuttingDown));
         }
         if state.queue.len() >= self.shared.config.queue_capacity {
             let err = AdmissionError::QueueFull {
@@ -379,16 +383,13 @@ impl Scheduler {
                 capacity: self.shared.config.queue_capacity,
                 retry_after: retry_hint(&state),
             };
-            return Err((request, err));
+            return Err((request, hooks, err));
         }
         let seq = state.next_seq;
         state.next_seq += 1;
         state.queue.push(QueuedJob {
             request,
-            sink: Arc::clone(&sink),
-            cancel: cancel.clone(),
-            report_tx,
-            done: Arc::clone(&done),
+            hooks,
             seq,
             recovered,
             enqueued: Instant::now(),
@@ -396,7 +397,7 @@ impl Scheduler {
         drop(state);
         self.shared.count_admitted(recovered, 1);
         self.shared.work_ready.notify_one();
-        Ok(JobHandle::new(sink, cancel, events, report_rx, done))
+        Ok(())
     }
 
     /// Admit `request`, blocking until the queue has room (the in-process
@@ -408,7 +409,9 @@ impl Scheduler {
     /// Panics if the scheduler is shut down while waiting — submitting to
     /// an engine being torn down is a caller bug.
     pub fn submit(&self, request: AggregationRequest) -> JobHandle {
-        self.submit_class(request, false)
+        let (handle, hooks) = JobHandle::attach();
+        self.submit_class(request, hooks, false);
+        handle
     }
 
     /// Blocking admission into the **recovered** class: the job runs
@@ -426,19 +429,26 @@ impl Scheduler {
     /// Panics if the scheduler is shut down while waiting, exactly like
     /// [`Scheduler::submit`].
     pub fn submit_recovered(&self, request: AggregationRequest) -> JobHandle {
-        self.submit_class(request, true)
+        let (handle, hooks) = JobHandle::attach();
+        self.submit_recovered_with(request, hooks);
+        handle
     }
 
-    fn submit_class(&self, request: AggregationRequest, recovered: bool) -> JobHandle {
-        let mut request = request;
+    /// [`Scheduler::submit_recovered`] with caller-built hooks.
+    pub fn submit_recovered_with(&self, request: AggregationRequest, hooks: JobHooks) {
+        self.submit_class(request, hooks, true);
+    }
+
+    fn submit_class(&self, request: AggregationRequest, hooks: JobHooks, recovered: bool) {
+        let mut job = (request, hooks);
         loop {
-            match self.admit(request, recovered) {
-                Ok(handle) => return handle,
-                Err((_, AdmissionError::ShuttingDown)) => {
+            match self.admit(job.0, job.1, recovered) {
+                Ok(()) => return,
+                Err((_, _, AdmissionError::ShuttingDown)) => {
                     panic!("Engine::submit on a shut-down engine")
                 }
-                Err((rejected, AdmissionError::QueueFull { .. })) => {
-                    request = rejected;
+                Err((request, hooks, AdmissionError::QueueFull { .. })) => {
+                    job = (request, hooks);
                     let state = self.shared.state.lock().expect("scheduler state poisoned");
                     drop(
                         self.shared
@@ -478,7 +488,7 @@ impl Scheduler {
             let mut state = self.shared.state.lock().expect("scheduler state poisoned");
             state.shutdown = true;
             for job in &state.queue {
-                job.cancel.cancel();
+                job.hooks.cancel.cancel();
             }
             for (_, _, token) in &state.running {
                 token.cancel();
@@ -564,7 +574,7 @@ fn worker_loop(shared: &Shared, cache: &Arc<MatrixCache>) {
             // dequeues, so a concurrent drain never misses the job's token.
             state
                 .running
-                .push((job.seq, job.request.budget, job.cancel.clone()));
+                .push((job.seq, job.request.budget, job.hooks.cancel.clone()));
             job
         };
         shared.queued_gauge.dec();
@@ -577,8 +587,8 @@ fn worker_loop(shared: &Shared, cache: &Arc<MatrixCache>) {
                 &job.request,
                 cache,
                 &shared.metrics,
-                &job.sink,
-                job.cancel.clone(),
+                &job.hooks.sink,
+                job.hooks.cancel.clone(),
                 queue_wait,
             )
         }));
@@ -587,16 +597,21 @@ fn worker_loop(shared: &Shared, cache: &Arc<MatrixCache>) {
         // holds the report must find them unshared, or the edit copies.
         drop(job.request);
         if result.is_err() {
-            // A panicking kernel never reached `close`; end the event
-            // stream so subscribers draining it are not stranded.
-            job.sink.close();
+            // A panicking kernel never reached `close`; drop the listener
+            // so a handle's event stream ends and is not stranded.
+            job.hooks.sink.close();
         }
-        // The receiver may be gone (handle dropped) — that is fine.
-        let _ = job.report_tx.send(result);
-        job.done.store(true, Ordering::Release);
         shared.running_gauge.dec();
-        let mut state = shared.state.lock().expect("scheduler state poisoned");
-        state.running.retain(|(seq, _, _)| *seq != job.seq);
+        shared
+            .state
+            .lock()
+            .expect("scheduler state poisoned")
+            .running
+            .retain(|(seq, _, _)| *seq != job.seq);
+        // The one completion path. A panicking completion must not take
+        // this worker down with it: the pool would shrink for good.
+        let completion = job.hooks.completion;
+        let _ = catch_unwind(AssertUnwindSafe(move || completion(result)));
     }
 }
 
@@ -615,7 +630,7 @@ fn next_index(queue: &[QueuedJob]) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{AlgoSpec, Outcome};
+    use crate::engine::{AlgoSpec, Event, IncumbentSink, Listener, Outcome};
     use crate::parse::parse_ranking;
     use crate::Dataset;
 
@@ -833,6 +848,47 @@ mod tests {
             assert_eq!(h.wait().score, 5);
         }
         assert_eq!(single.wait().score, 5);
+    }
+
+    #[test]
+    fn completions_run_once_even_when_a_kernel_or_a_completion_panics() {
+        let s = sched(1, 4);
+        let (tx, rx) = std::sync::mpsc::channel();
+        // A listener that panics on `Started` crashes the run like a
+        // kernel panic would: the completion gets the `Err`.
+        let listener: Listener = Arc::new(|event: &Event| {
+            assert!(!matches!(event, Event::Started { .. }), "listener fault");
+        });
+        let crashed = JobHooks {
+            sink: Arc::new(IncumbentSink::with_listener(listener)),
+            cancel: CancelToken::new(),
+            completion: Box::new(move |result| tx.send(result.is_err()).expect("receiver")),
+        };
+        s.try_submit_with(
+            AggregationRequest::new(tiny_dataset(), AlgoSpec::Borda),
+            crashed,
+        )
+        .expect("admitted");
+        // A completion that panics must not take the only worker down.
+        let faulty = JobHooks {
+            sink: Arc::new(IncumbentSink::new()),
+            cancel: CancelToken::new(),
+            completion: Box::new(|_| panic!("completion fault")),
+        };
+        s.try_submit_with(
+            AggregationRequest::new(tiny_dataset(), AlgoSpec::Borda),
+            faulty,
+        )
+        .expect("admitted");
+        let next = s
+            .try_submit(AggregationRequest::new(tiny_dataset(), AlgoSpec::Exact))
+            .expect("admitted");
+        assert_eq!(next.wait().score, 5, "the worker survived both panics");
+        assert_eq!(
+            rx.try_iter().collect::<Vec<_>>(),
+            vec![true],
+            "one call, with the panic"
+        );
     }
 
     #[test]

@@ -624,8 +624,10 @@ fn raw_edit_op(json: &str) -> Option<&str> {
     json.get(start..end)
 }
 
-/// The append side of one job's journal segment. Owned by the job's
-/// collector thread; every method is infallible by design — an I/O or
+/// The append side of one job's journal segment. Held in the job's
+/// record: a one-shot job's listener appends its events on the kernel's
+/// thread and its completion closes the segment; a follow job's loop does
+/// both. Every method is infallible by design — an I/O or
 /// fsync failure degrades the whole journal (shared flag) and turns this
 /// writer into a no-op, never an error the job could trip over.
 #[derive(Debug)]

@@ -15,7 +15,7 @@
 //!   errors (HTTP 400 material, never a panicking thread).
 
 use crate::json::{escape, Json};
-use rank_core::engine::{registry, ConsensusReport, Event, Normalization, TracePoint};
+use rank_core::engine::{registry, ConsensusReport, Event, Normalization, Outcome, TracePoint};
 use rank_core::normalize::Normalized;
 use rank_core::{Element, Ranking, Universe};
 use std::fmt::Write as _;
@@ -167,16 +167,56 @@ pub fn dense_report_json(
     out
 }
 
+/// The fields a served event line carries after its own, naming the
+/// stream it was published on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EventTag<'a> {
+    /// No extra fields: a one-shot job's own stream.
+    None,
+    /// `"dataset_version":V` — every line of a follow job's round names
+    /// the dataset version the round solved.
+    DatasetVersion(u64),
+    /// `"spec":"…","job":N` — each line of a batch's merged stream names
+    /// the sub-job it came from.
+    Batch {
+        /// The sub-job's spec, as displayed.
+        spec: &'a str,
+        /// The sub-job's id.
+        job: u64,
+    },
+}
+
+/// Close an event object whose own fields are already in `line`: append
+/// the tag's fields, then the closing brace.
+fn close_event(mut line: String, tag: EventTag) -> String {
+    match tag {
+        EventTag::None => {}
+        EventTag::DatasetVersion(version) => {
+            let _ = write!(line, ",\"dataset_version\":{version}");
+        }
+        EventTag::Batch { spec, job } => {
+            let _ = write!(line, ",\"spec\":\"{}\",\"job\":{job}", escape(spec));
+        }
+    }
+    line.push('}');
+    line
+}
+
 /// One anytime [`Event`] as an NDJSON line (no trailing newline — the
 /// chunked writer appends it). Incumbent scores strictly decrease and
 /// `lower_bound` values strictly increase along a stream; every `gap`
 /// field is the certified optimality gap `score − lower_bound`
 /// (DESIGN.md §11.2), `null` until a bounding solver proves one.
 pub fn event_json(event: &Event) -> String {
-    match event {
+    tagged_event_json(event, EventTag::None)
+}
+
+/// [`event_json`] with the fields of `tag` after the event's own.
+pub fn tagged_event_json(event: &Event, tag: EventTag) -> String {
+    let line = match event {
         Event::Started { spec, seed } => {
             format!(
-                "{{\"event\":\"started\",\"spec\":\"{}\",\"seed\":{seed}}}",
+                "{{\"event\":\"started\",\"spec\":\"{}\",\"seed\":{seed}",
                 escape(&spec.to_string())
             )
         }
@@ -189,7 +229,7 @@ pub fn event_json(event: &Event) -> String {
             // (integer cost units), null until a solver proves a bound.
             let gap = gap.map_or("null".to_owned(), |g| g.to_string());
             format!(
-                "{{\"event\":\"incumbent\",\"score\":{score},\"gap\":{gap},\"elapsed_secs\":{:.6}}}",
+                "{{\"event\":\"incumbent\",\"score\":{score},\"gap\":{gap},\"elapsed_secs\":{:.6}",
                 elapsed.as_secs_f64()
             )
         }
@@ -200,14 +240,35 @@ pub fn event_json(event: &Event) -> String {
         } => {
             let gap = gap.map_or("null".to_owned(), |g| g.to_string());
             format!(
-                "{{\"event\":\"lower_bound\",\"lower_bound\":{lower_bound},\"gap\":{gap},\"elapsed_secs\":{:.6}}}",
+                "{{\"event\":\"lower_bound\",\"lower_bound\":{lower_bound},\"gap\":{gap},\"elapsed_secs\":{:.6}",
                 elapsed.as_secs_f64()
             )
         }
         Event::Finished(outcome) => {
-            format!("{{\"event\":\"finished\",\"outcome\":\"{outcome}\"}}")
+            format!("{{\"event\":\"finished\",\"outcome\":\"{outcome}\"")
         }
-    }
+    };
+    close_event(line, tag)
+}
+
+/// The line that ends one round of a follow job in place of `finished`
+/// (which subscribers read as end-of-stream): the round's outcome and
+/// score.
+pub fn resolved_json(outcome: &Outcome, score: u64, tag: EventTag) -> String {
+    let line = format!(
+        "{{\"event\":\"resolved\",\"outcome\":\"{}\",\"score\":{score}",
+        escape(&outcome.to_string())
+    );
+    close_event(line, tag)
+}
+
+/// The terminal line of a job that could not finish: a crashed kernel,
+/// or a follow job whose dataset outgrew its algorithm.
+pub fn failed_json(error: &str, tag: EventTag) -> String {
+    close_event(
+        format!("{{\"event\":\"failed\",\"error\":\"{}\"", escape(error)),
+        tag,
+    )
 }
 
 /// An error-response body: `{"error":"...","suggestion":...}`.
@@ -784,5 +845,110 @@ mod tests {
             e.get("name").and_then(Json::as_str) == Some("BioConsert")
                 && e.get("produces_ties").and_then(Json::as_bool) == Some(true)
         }));
+    }
+
+    /// Every line kind × every tag, byte for byte. The expected strings
+    /// are the lines the server produced before tags were serialized
+    /// with the event (they were spliced into the finished line then),
+    /// so this pins the wire format across that change.
+    #[test]
+    fn tagged_event_lines_are_pinned() {
+        use rank_core::engine::AlgoSpec;
+        let events = [
+            Event::Started {
+                spec: AlgoSpec::parse("BestOf(KwikSort,7)").unwrap(),
+                seed: 42,
+            },
+            Event::Incumbent {
+                score: 17,
+                gap: None,
+                elapsed: Duration::from_micros(1500),
+            },
+            Event::Incumbent {
+                score: 5,
+                gap: Some(0),
+                elapsed: Duration::from_nanos(250_000_400),
+            },
+            Event::LowerBound {
+                lower_bound: 3,
+                gap: Some(2),
+                elapsed: Duration::from_nanos(12_345_678_901),
+            },
+            Event::LowerBound {
+                lower_bound: 8,
+                gap: None,
+                elapsed: Duration::ZERO,
+            },
+            Event::Finished(Outcome::Optimal),
+            Event::Finished(Outcome::Heuristic),
+            Event::Finished(Outcome::TimedOut),
+            Event::Finished(Outcome::Cancelled),
+        ];
+        let tags = [
+            EventTag::None,
+            EventTag::DatasetVersion(3),
+            EventTag::Batch {
+                spec: "Borda",
+                job: 12,
+            },
+            EventTag::Batch {
+                spec: "we\"ird\\spec",
+                job: 7,
+            },
+        ];
+        let mut lines = Vec::new();
+        for event in &events {
+            lines.extend(tags.map(|tag| tagged_event_json(event, tag)));
+        }
+        lines.extend(tags.map(|tag| resolved_json(&Outcome::Heuristic, 9, tag)));
+        lines.extend(tags.map(|tag| failed_json("internal kernel panic", tag)));
+        let expected = [
+            r#"{"event":"started","spec":"BestOf(KwikSort,7)","seed":42}"#,
+            r#"{"event":"started","spec":"BestOf(KwikSort,7)","seed":42,"dataset_version":3}"#,
+            r#"{"event":"started","spec":"BestOf(KwikSort,7)","seed":42,"spec":"Borda","job":12}"#,
+            r#"{"event":"started","spec":"BestOf(KwikSort,7)","seed":42,"spec":"we\"ird\\spec","job":7}"#,
+            r#"{"event":"incumbent","score":17,"gap":null,"elapsed_secs":0.001500}"#,
+            r#"{"event":"incumbent","score":17,"gap":null,"elapsed_secs":0.001500,"dataset_version":3}"#,
+            r#"{"event":"incumbent","score":17,"gap":null,"elapsed_secs":0.001500,"spec":"Borda","job":12}"#,
+            r#"{"event":"incumbent","score":17,"gap":null,"elapsed_secs":0.001500,"spec":"we\"ird\\spec","job":7}"#,
+            r#"{"event":"incumbent","score":5,"gap":0,"elapsed_secs":0.250000}"#,
+            r#"{"event":"incumbent","score":5,"gap":0,"elapsed_secs":0.250000,"dataset_version":3}"#,
+            r#"{"event":"incumbent","score":5,"gap":0,"elapsed_secs":0.250000,"spec":"Borda","job":12}"#,
+            r#"{"event":"incumbent","score":5,"gap":0,"elapsed_secs":0.250000,"spec":"we\"ird\\spec","job":7}"#,
+            r#"{"event":"lower_bound","lower_bound":3,"gap":2,"elapsed_secs":12.345679}"#,
+            r#"{"event":"lower_bound","lower_bound":3,"gap":2,"elapsed_secs":12.345679,"dataset_version":3}"#,
+            r#"{"event":"lower_bound","lower_bound":3,"gap":2,"elapsed_secs":12.345679,"spec":"Borda","job":12}"#,
+            r#"{"event":"lower_bound","lower_bound":3,"gap":2,"elapsed_secs":12.345679,"spec":"we\"ird\\spec","job":7}"#,
+            r#"{"event":"lower_bound","lower_bound":8,"gap":null,"elapsed_secs":0.000000}"#,
+            r#"{"event":"lower_bound","lower_bound":8,"gap":null,"elapsed_secs":0.000000,"dataset_version":3}"#,
+            r#"{"event":"lower_bound","lower_bound":8,"gap":null,"elapsed_secs":0.000000,"spec":"Borda","job":12}"#,
+            r#"{"event":"lower_bound","lower_bound":8,"gap":null,"elapsed_secs":0.000000,"spec":"we\"ird\\spec","job":7}"#,
+            r#"{"event":"finished","outcome":"optimal"}"#,
+            r#"{"event":"finished","outcome":"optimal","dataset_version":3}"#,
+            r#"{"event":"finished","outcome":"optimal","spec":"Borda","job":12}"#,
+            r#"{"event":"finished","outcome":"optimal","spec":"we\"ird\\spec","job":7}"#,
+            r#"{"event":"finished","outcome":"heuristic"}"#,
+            r#"{"event":"finished","outcome":"heuristic","dataset_version":3}"#,
+            r#"{"event":"finished","outcome":"heuristic","spec":"Borda","job":12}"#,
+            r#"{"event":"finished","outcome":"heuristic","spec":"we\"ird\\spec","job":7}"#,
+            r#"{"event":"finished","outcome":"timed out"}"#,
+            r#"{"event":"finished","outcome":"timed out","dataset_version":3}"#,
+            r#"{"event":"finished","outcome":"timed out","spec":"Borda","job":12}"#,
+            r#"{"event":"finished","outcome":"timed out","spec":"we\"ird\\spec","job":7}"#,
+            r#"{"event":"finished","outcome":"cancelled"}"#,
+            r#"{"event":"finished","outcome":"cancelled","dataset_version":3}"#,
+            r#"{"event":"finished","outcome":"cancelled","spec":"Borda","job":12}"#,
+            r#"{"event":"finished","outcome":"cancelled","spec":"we\"ird\\spec","job":7}"#,
+            r#"{"event":"resolved","outcome":"heuristic","score":9}"#,
+            r#"{"event":"resolved","outcome":"heuristic","score":9,"dataset_version":3}"#,
+            r#"{"event":"resolved","outcome":"heuristic","score":9,"spec":"Borda","job":12}"#,
+            r#"{"event":"resolved","outcome":"heuristic","score":9,"spec":"we\"ird\\spec","job":7}"#,
+            r#"{"event":"failed","error":"internal kernel panic"}"#,
+            r#"{"event":"failed","error":"internal kernel panic","dataset_version":3}"#,
+            r#"{"event":"failed","error":"internal kernel panic","spec":"Borda","job":12}"#,
+            r#"{"event":"failed","error":"internal kernel panic","spec":"we\"ird\\spec","job":7}"#,
+        ];
+        assert_eq!(lines, expected);
+        assert_eq!(event_json(&events[0]), expected[0]);
     }
 }

@@ -16,14 +16,14 @@
 //! | `GET`    | `/v1/algorithms`       | the algorithm registry                         |
 //! | `GET`    | `/healthz`             | liveness + scheduler stats                     |
 //!
-//! Submissions flow through [`Engine::try_submit`]: when the scheduler's
-//! admission queue is full the server sheds the request with **429** and
-//! a `Retry-After` header — running jobs are never affected. Each accepted
-//! job gets a collector thread that drains the
-//! [`JobHandle`](rank_core::engine::JobHandle)'s event
-//! stream into a replayable per-job log (so `GET …/events` works for
-//! late and repeated subscribers, streaming live past the replay point)
-//! and stores the final report.
+//! Submissions flow through [`Engine::try_submit_with`]: when the
+//! scheduler's admission queue is full the server sheds the request with
+//! **429** and a `Retry-After` header — running jobs are never affected.
+//! A one-shot job publishes itself: its sink's listener, on the kernel's
+//! thread, journals each event and appends it to a replayable per-job log
+//! (so `GET …/events` works for late and repeated subscribers, streaming
+//! live past the replay point), and its completion, on the scheduler
+//! worker, stores the final report. No thread is spawned per job.
 //!
 //! A job submitted with `"dataset_id"` aggregates the live dataset's
 //! current snapshot, warm-started from the dataset's last recorded
@@ -42,22 +42,22 @@ use crate::fault::FaultPlan;
 use crate::http::{self, ChunkedWriter, Request, Served};
 use crate::journal::{FsyncPolicy, Journal, JournalWriter, RecoveredDataset};
 use crate::json::Json;
-use crate::proto::{self, BatchSubmission, JobSubmission, SubmissionError};
+use crate::proto::{self, BatchSubmission, EventTag, JobSubmission, SubmissionError};
 use rank_core::engine::{
-    AdmissionError, AggregationRequest, AlgoSpec, CancelToken, Engine, Event, IncumbentSink,
-    SchedulerConfig,
+    AdmissionError, AggregationRequest, AlgoSpec, CancelToken, ConsensusReport, Engine, Event,
+    IncumbentSink, JobHandle, JobHooks, Listener, Outcome, SchedulerConfig,
 };
 use rank_core::guidance::{recommend, DatasetFeatures, Priority};
 use rank_core::parse::{parse_dataset_lines, parse_ranking_against};
 use rank_core::session::{make_mut_counted, DatasetSession, Snapshot};
 use rank_core::telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
 use rank_core::{Dataset, Element, Universe};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
 use std::time::{Duration, Instant};
 
 /// How the server is shaped.
@@ -186,7 +186,8 @@ impl Drop for GaugeGuard {
 
 /// Everything one served job carries: identity, the pieces needed to
 /// serialize its results back to input labels, a cancel token usable
-/// while another thread streams its events, and the replayable event log.
+/// while another thread streams its events, its journal writer, and the
+/// replayable event log.
 struct JobRecord {
     id: u64,
     spec: AlgoSpec,
@@ -195,9 +196,16 @@ struct JobRecord {
     /// The submission's idempotency key, so eviction can release it.
     idempotency: Option<String>,
     /// The live dataset this job aggregates, when submitted by
-    /// `dataset_id` — the collector records the consensus back into it
+    /// `dataset_id` — the completion records the consensus back into it
     /// as the next warm hint.
     dataset: Option<Arc<LiveDataset>>,
+    /// The batch this job is a sub-job of: its merged stream's tag and
+    /// wake-up signal.
+    batch: Option<BatchLink>,
+    /// The job's journal segment (`None` without a journal). The
+    /// submitter holds it while admitting, so the kernel's first event
+    /// waits here until the submission record is on disk.
+    writer: Mutex<Option<JournalWriter>>,
     /// Set for `"follow": true` jobs: flipping it ends the follow loop
     /// after the in-flight round (DELETE flips it and pokes the
     /// dataset's condvar).
@@ -280,6 +288,9 @@ fn dataset_text(session: &DatasetSession, universe: &Universe) -> String {
 struct JobProgress {
     /// Serialized NDJSON event lines, in emission order (the replay log).
     events: Vec<String>,
+    /// The same lines tagged with the sub-job's spec and id, for a batch
+    /// sub-job's merged batch stream (empty for other jobs).
+    batch_events: Vec<String>,
     /// Whether the job has started executing (left the admission queue).
     started: bool,
     /// The final report as a JSON object, once the job finished.
@@ -302,11 +313,179 @@ fn state_name(progress: &JobProgress) -> &'static str {
 
 impl JobRecord {
     fn queue_state(&self) -> &'static str {
-        state_name(&self.state.lock().expect("job state poisoned"))
+        state_name(&self.progress())
     }
 
-    fn live(&self) -> std::sync::MutexGuard<'_, LiveRefs> {
+    fn live(&self) -> MutexGuard<'_, LiveRefs> {
         self.live.lock().expect("job live refs poisoned")
+    }
+
+    fn progress(&self) -> MutexGuard<'_, JobProgress> {
+        self.state.lock().expect("job state poisoned")
+    }
+
+    fn journal(&self, line: &str) {
+        if let Some(writer) = self.writer.lock().expect("job writer poisoned").as_mut() {
+            writer.append_event(line);
+        }
+    }
+
+    /// Wake this job's subscribers, and its batch's merged stream.
+    fn wake(&self) {
+        self.advanced.notify_all();
+        if let Some(batch) = &self.batch {
+            batch.signal.notify();
+        }
+    }
+
+    fn batch_tag(&self) -> Option<EventTag<'_>> {
+        self.batch.as_ref().map(|batch| EventTag::Batch {
+            spec: &batch.spec,
+            job: self.id,
+        })
+    }
+
+    /// Journal `line` and append it to the replay log. `started` marks
+    /// the job as having left the admission queue.
+    fn push(&self, line: String, batch_line: Option<String>, started: bool) {
+        self.journal(&line);
+        let mut progress = self.progress();
+        progress.started |= started;
+        progress.events.push(line);
+        progress.batch_events.extend(batch_line);
+        drop(progress);
+        self.wake();
+    }
+
+    /// The listener of a one-shot job: runs on the kernel's thread, under
+    /// its sink's lock, so it never touches `live` (`job_status` holds
+    /// `live` while it reads the sink). `finished` is left to the
+    /// completion, which publishes it together with `done`.
+    fn publish(&self, event: &Event) {
+        if matches!(event, Event::Finished(_)) {
+            return;
+        }
+        let batch_line = self
+            .batch_tag()
+            .map(|tag| proto::tagged_event_json(event, tag));
+        let started = matches!(event, Event::Started { .. });
+        self.push(proto::event_json(event), batch_line, started);
+    }
+
+    /// The completion of a one-shot job, on the scheduler worker that ran
+    /// it: record the consensus back into a live dataset, serialize the
+    /// report once, and end the job.
+    fn complete(&self, result: std::thread::Result<ConsensusReport>, done_ids: &DoneIds) {
+        match result {
+            Ok(report) => {
+                // A dataset-id job records its consensus back into the
+                // live session: the next solve on this dataset
+                // warm-starts from it. (Refused harmlessly if the dataset
+                // grew mid-run.)
+                if let Some(dataset) = &self.dataset {
+                    let mut ds = dataset.lock();
+                    if !ds.deleted {
+                        let _ = ds.session.record_consensus(report.ranking.clone());
+                    }
+                }
+                let report_json = self.live().report_json(&report);
+                let finished = Event::Finished(report.outcome);
+                let batch_line = self
+                    .batch_tag()
+                    .map(|tag| proto::tagged_event_json(&finished, tag));
+                self.end(
+                    proto::event_json(&finished),
+                    batch_line,
+                    report.outcome.to_string(),
+                    Some(report_json),
+                    done_ids,
+                );
+            }
+            Err(_) => {
+                let batch_line = self
+                    .batch_tag()
+                    .map(|tag| proto::failed_json(KERNEL_PANIC, tag));
+                self.end(
+                    proto::failed_json(KERNEL_PANIC, EventTag::None),
+                    batch_line,
+                    "failed".to_owned(),
+                    None,
+                    done_ids,
+                );
+            }
+        }
+    }
+
+    /// End the job with its last `line`: journal it with the terminal
+    /// record, then publish it together with the outcome, the report (if
+    /// any — `None` keeps the one already stored) and `done`, under one
+    /// lock, so a subscriber that has read it always finds the job done.
+    fn end(
+        &self,
+        line: String,
+        batch_line: Option<String>,
+        outcome: String,
+        report_json: Option<String>,
+        done_ids: &DoneIds,
+    ) {
+        if let Some(writer) = self.writer.lock().expect("job writer poisoned").as_mut() {
+            writer.append_event(&line);
+            writer.finish(&outcome, report_json.as_deref());
+        }
+        let mut progress = self.progress();
+        progress.events.push(line);
+        progress.batch_events.extend(batch_line);
+        progress.outcome = Some(outcome);
+        if report_json.is_some() {
+            progress.report_json = report_json;
+        }
+        progress.done = true;
+        drop(progress);
+        self.wake();
+        done_ids.lock().expect("done ids poisoned").insert(self.id);
+    }
+}
+
+/// The error line of a job whose kernel panicked.
+const KERNEL_PANIC: &str = "internal kernel panic";
+
+/// Ids of the finished jobs still in the job table, oldest (smallest id,
+/// which is submission order) first — what `retain_done` evicts from.
+type DoneIds = Mutex<BTreeSet<u64>>;
+
+/// A batch sub-job's tie to its batch: the spec its merged-stream lines
+/// are tagged with, and the signal that wakes that stream.
+struct BatchLink {
+    spec: String,
+    signal: Arc<Signal>,
+}
+
+/// A wake-up for a batch's merged stream: every sub-job publication moves
+/// the generation, and the stream waits for it to move.
+#[derive(Default)]
+struct Signal {
+    generation: Mutex<u64>,
+    moved: Condvar,
+}
+
+impl Signal {
+    fn generation(&self) -> u64 {
+        *self.generation.lock().expect("signal poisoned")
+    }
+
+    fn notify(&self) {
+        *self.generation.lock().expect("signal poisoned") += 1;
+        self.moved.notify_all();
+    }
+
+    /// Wait until the generation moves past `seen`, at most `timeout`.
+    fn wait_past(&self, seen: u64, timeout: Duration) {
+        let generation = self.generation.lock().expect("signal poisoned");
+        drop(
+            self.moved
+                .wait_timeout_while(generation, timeout, |g| *g == seen)
+                .expect("signal poisoned"),
+        );
     }
 }
 
@@ -319,6 +498,8 @@ struct BatchRecord {
     idempotency: Option<String>,
     seed: u64,
     jobs: Vec<Arc<JobRecord>>,
+    /// Notified by every sub-job publication (see [`BatchLink`]).
+    signal: Arc<Signal>,
 }
 
 #[derive(Default)]
@@ -336,6 +517,8 @@ struct ServerState {
     /// Live datasets by id (`PUT /v1/datasets/{id}` creates, `DELETE`
     /// removes).
     datasets: Mutex<HashMap<String, Arc<LiveDataset>>>,
+    /// Finished jobs, for eviction. Lock order: `jobs`, then this.
+    done_ids: Arc<DoneIds>,
     started: Instant,
     metrics: ServerMetrics,
     shutting_down: AtomicBool,
@@ -350,8 +533,6 @@ struct ServerState {
 #[derive(Default)]
 struct JobTable {
     next_id: u64,
-    /// Insertion-ordered so eviction drops the oldest finished job.
-    order: Vec<u64>,
     records: HashMap<u64, Arc<JobRecord>>,
     /// Idempotency key → job id (rebuilt from the journal on recovery,
     /// so a retried submit after a crash still finds its job).
@@ -419,6 +600,7 @@ impl Server {
             jobs: Mutex::new(JobTable::default()),
             batches: Mutex::new(BatchTable::default()),
             datasets: Mutex::new(HashMap::new()),
+            done_ids: Arc::default(),
             started: Instant::now(),
             metrics,
             shutting_down: AtomicBool::new(false),
@@ -1327,8 +1509,8 @@ fn submit_body(record: &JobRecord, deduplicated: bool) -> String {
 
 /// Build the [`JobRecord`] for a prepared job, consuming the preparation
 /// (universe and denormalization context move into the record's live
-/// half). Shared by submit and both recovery paths so the record shape
-/// can never drift between them.
+/// half). Shared by submit, batches and both recovery paths so the
+/// record shape can never drift between them.
 fn make_record(
     id: u64,
     submission: &JobSubmission,
@@ -1336,6 +1518,7 @@ fn make_record(
     sink: Arc<IncumbentSink>,
     cancel: CancelToken,
     progress: JobProgress,
+    batch: Option<BatchLink>,
 ) -> JobRecord {
     JobRecord {
         id,
@@ -1344,6 +1527,8 @@ fn make_record(
         normalize: submission.normalize,
         idempotency: submission.idempotency_key.clone(),
         dataset: pj.live.map(|(dataset, _)| dataset),
+        batch,
+        writer: Mutex::new(None),
         follow_stop: submission.follow.then(|| AtomicBool::new(false)),
         live: Mutex::new(LiveRefs {
             n: pj.prepared.data.n(),
@@ -1358,73 +1543,186 @@ fn make_record(
     }
 }
 
-/// Spawn the owning thread for an admitted job: the follow loop for
-/// `"follow": true` jobs, the one-shot collector otherwise. Either way
-/// the thread is the only consumer of the raw engine event channel; HTTP
-/// subscribers read the record's replay log.
-fn spawn_owner(
-    state: &Arc<ServerState>,
-    record: &Arc<JobRecord>,
-    handle: rank_core::engine::JobHandle,
-    writer: Option<JournalWriter>,
-    follow: FollowSpawn,
-) {
-    let record = Arc::clone(record);
-    let id = record.id;
-    match follow {
-        FollowSpawn::Follow {
-            dataset,
-            spec,
-            seed,
-            budget,
-            version,
-        } => {
-            let state = Arc::clone(state);
-            let _ = std::thread::Builder::new()
-                .name(format!("rank-follow-{id}"))
-                .spawn(move || {
-                    follow_loop(
-                        &state, &record, &dataset, &spec, seed, budget, handle, version, writer,
-                    );
-                });
-        }
-        FollowSpawn::Collect => {
-            let _ = std::thread::Builder::new()
-                .name(format!("rank-collect-{id}"))
-                .spawn(move || collect(&record, handle, writer));
-        }
-    }
+/// The record of a one-shot job and the hooks it reports through: the
+/// sink's listener publishes each event into the record
+/// ([`JobRecord::publish`]) and the completion ends it
+/// ([`JobRecord::complete`]). The listener holds the record weakly, so a
+/// record refused admission is simply dropped.
+fn one_shot_record(
+    state: &ServerState,
+    id: u64,
+    submission: &JobSubmission,
+    pj: PreparedJob,
+    batch: Option<BatchLink>,
+) -> (Arc<JobRecord>, JobHooks) {
+    let cancel = CancelToken::new();
+    let record = Arc::new_cyclic(|me: &Weak<JobRecord>| {
+        let me = me.clone();
+        let listener: Listener = Arc::new(move |event: &Event| {
+            if let Some(record) = me.upgrade() {
+                record.publish(event);
+            }
+        });
+        let sink = Arc::new(IncumbentSink::with_listener(listener));
+        make_record(
+            id,
+            submission,
+            pj,
+            sink,
+            cancel.clone(),
+            JobProgress::default(),
+            batch,
+        )
+    });
+    let owner = Arc::clone(&record);
+    let done_ids = Arc::clone(&state.done_ids);
+    let hooks = JobHooks {
+        sink: Arc::clone(&record.live().sink),
+        cancel,
+        completion: Box::new(move |result| owner.complete(result, &done_ids)),
+    };
+    (record, hooks)
 }
 
-/// How [`spawn_owner`] should run an admitted job.
-enum FollowSpawn {
-    Collect,
-    Follow {
-        dataset: Arc<LiveDataset>,
-        spec: AlgoSpec,
-        seed: u64,
-        budget: Option<Duration>,
-        version: u64,
+/// Which admission class a job enters, and the journal segment it
+/// records into.
+#[derive(Clone, Copy)]
+enum Admission {
+    /// A new submission: shed when the queue is full.
+    Fresh,
+    /// A journaled job re-run after a restart: runs ahead of fresh
+    /// traffic and never sheds.
+    Recovered {
+        /// The segment the re-run records into.
+        segment: u32,
     },
 }
 
-impl FollowSpawn {
-    /// The spawn mode for a submission: follow jobs carry everything the
-    /// loop needs to re-admit later rounds.
-    fn for_submission(submission: &JobSubmission, pj: &PreparedJob) -> FollowSpawn {
-        if submission.follow {
-            let (dataset, snapshot) = pj.live.as_ref().expect("proto: follow requires dataset");
-            FollowSpawn::Follow {
-                dataset: Arc::clone(dataset),
-                spec: pj.prepared.spec.clone(),
-                seed: submission.seed,
-                budget: submission.budget,
-                version: snapshot.version,
-            }
-        } else {
-            FollowSpawn::Collect
+/// Admit a prepared job as `id` and journal its submission. A one-shot
+/// job's record is built first and publishes itself; a follow job keeps
+/// its own `rank-follow-{id}` thread, which consumes a [`JobHandle`].
+/// Callers hold the job table's lock, so concurrent twins of one
+/// idempotency key can never both be admitted.
+fn admit_job(
+    state: &Arc<ServerState>,
+    id: u64,
+    submission: &JobSubmission,
+    pj: PreparedJob,
+    admission: Admission,
+) -> Result<Arc<JobRecord>, AdmissionError> {
+    let request = build_request(&pj, submission);
+    let journaled = journaled_submission_json(submission, &pj.prepared.spec);
+    let begin = || {
+        let segment = match admission {
+            Admission::Fresh => 0,
+            Admission::Recovered { segment } => segment,
+        };
+        state
+            .journal
+            .as_ref()
+            .and_then(|journal| journal.begin_job(id, segment, &journaled))
+    };
+    if let Some(follow) = Follow::of(submission, &pj) {
+        let handle = match admission {
+            Admission::Fresh => state.engine.try_submit(request)?,
+            Admission::Recovered { .. } => state.engine.submit_recovered(request),
+        };
+        let record = Arc::new(make_record(
+            id,
+            submission,
+            pj,
+            Arc::clone(handle.sink()),
+            handle.cancel_token(),
+            JobProgress::default(),
+            None,
+        ));
+        *record.writer.lock().expect("job writer poisoned") = begin();
+        spawn_follow(state, &record, handle, follow);
+        return Ok(record);
+    }
+    let (record, hooks) = one_shot_record(state, id, submission, pj, None);
+    // Hold the writer slot through admission: no event can be journaled
+    // before the submission record, and a refused job journals nothing.
+    let mut writer = record.writer.lock().expect("job writer poisoned");
+    match admission {
+        Admission::Fresh => state.engine.try_submit_with(request, hooks)?,
+        Admission::Recovered { .. } => state.engine.submit_recovered_with(request, hooks),
+    }
+    *writer = begin();
+    drop(writer);
+    Ok(record)
+}
+
+/// Answer a refused admission: 429 with a `Retry-After` hint for a full
+/// queue (`what` names what needed the room), 503 while draining.
+fn respond_refused(stream: &mut TcpStream, err: AdmissionError, what: &str, keep: bool) -> Served {
+    match err {
+        AdmissionError::QueueFull {
+            queued,
+            capacity,
+            retry_after,
+        } => {
+            let secs = retry_after.as_secs().max(1);
+            let body = format!(
+                "{{\"error\":\"admission queue full ({queued}/{capacity}){what}\",\"retry_after_secs\":{secs}}}"
+            );
+            let _ = http::write_response(
+                stream,
+                429,
+                "application/json",
+                &[("Retry-After", secs.to_string())],
+                body.as_bytes(),
+                keep,
+            );
+            Served::KeepAlive
+        }
+        AdmissionError::ShuttingDown => {
+            respond_error(stream, 503, "server is draining", None, keep)
         }
     }
+}
+
+/// What a follow job's loop needs to re-admit later rounds.
+struct Follow {
+    dataset: Arc<LiveDataset>,
+    spec: AlgoSpec,
+    seed: u64,
+    budget: Option<Duration>,
+    /// The dataset version the first round solves.
+    version: u64,
+}
+
+impl Follow {
+    /// The follow parameters of a `"follow": true` submission.
+    fn of(submission: &JobSubmission, pj: &PreparedJob) -> Option<Follow> {
+        if !submission.follow {
+            return None;
+        }
+        let (dataset, snapshot) = pj.live.as_ref().expect("proto: follow requires dataset");
+        Some(Follow {
+            dataset: Arc::clone(dataset),
+            spec: pj.prepared.spec.clone(),
+            seed: submission.seed,
+            budget: submission.budget,
+            version: snapshot.version,
+        })
+    }
+}
+
+/// Spawn the `rank-follow-{id}` thread of an admitted follow job: the
+/// only consumer of the job's engine event channel; HTTP subscribers read
+/// the record's replay log.
+fn spawn_follow(
+    state: &Arc<ServerState>,
+    record: &Arc<JobRecord>,
+    handle: JobHandle,
+    follow: Follow,
+) {
+    let record = Arc::clone(record);
+    let state = Arc::clone(state);
+    let _ = std::thread::Builder::new()
+        .name(format!("rank-follow-{}", record.id))
+        .spawn(move || follow_loop(&state, &record, handle, follow));
 }
 
 /// `POST /v1/jobs`: parse, validate, dedupe, admit, journal, record.
@@ -1463,78 +1761,39 @@ fn submit_job(
             return respond_error(stream, status, &e.message, e.suggestion.as_deref(), keep);
         }
     };
-    let handle = match state.engine.try_submit(build_request(&pj, &submission)) {
-        Ok(handle) => handle,
-        Err(AdmissionError::QueueFull {
-            queued,
-            capacity,
-            retry_after,
-        }) => {
-            let secs = retry_after.as_secs().max(1);
-            let body = format!(
-                "{{\"error\":\"admission queue full ({queued}/{capacity})\",\"retry_after_secs\":{secs}}}"
-            );
-            let _ = http::write_response(
-                stream,
-                429,
-                "application/json",
-                &[("Retry-After", secs.to_string())],
-                body.as_bytes(),
-                keep,
-            );
-            return Served::KeepAlive;
-        }
-        Err(AdmissionError::ShuttingDown) => {
-            return respond_error(stream, 503, "server is draining", None, keep);
-        }
-    };
-    let (record, deduplicated) = {
+    let admitted = {
         let mut table = state.jobs.lock().expect("job table poisoned");
-        // Re-check the key under the insertion lock: a concurrent twin
-        // may have won the race since the pre-parse check. The loser's
-        // admitted handle is cancelled and dropped — its job resolves at
-        // the first checkpoint, unrecorded.
-        if let Some(existing) = submission
+        // Re-check the key under the table lock, which is held through
+        // admission: of concurrent twins, only the first is admitted.
+        let existing = submission
             .idempotency_key
             .as_ref()
             .and_then(|key| table.keys.get(key))
-            .and_then(|id| table.records.get(id))
-        {
-            let existing = Arc::clone(existing);
-            drop(table);
-            handle.cancel();
-            drop(handle);
-            (existing, true)
-        } else {
-            let id = table.next_id;
-            table.next_id += 1;
-            let journaled = journaled_submission_json(&submission, &pj.prepared.spec);
-            let follow = FollowSpawn::for_submission(&submission, &pj);
-            let record = Arc::new(make_record(
-                id,
-                &submission,
-                pj,
-                Arc::clone(handle.sink()),
-                handle.cancel_token(),
-                JobProgress::default(),
-            ));
-            table.order.push(id);
-            table.records.insert(id, Arc::clone(&record));
-            if let Some(key) = &submission.idempotency_key {
-                table.keys.insert(key.clone(), id);
+            .and_then(|id| table.records.get(id));
+        match existing {
+            Some(existing) => Ok((Arc::clone(existing), true)),
+            None => {
+                let id = table.next_id;
+                admit_job(state, id, &submission, pj, Admission::Fresh).map(|record| {
+                    table.next_id += 1;
+                    table.records.insert(id, Arc::clone(&record));
+                    if let Some(key) = &submission.idempotency_key {
+                        table.keys.insert(key.clone(), id);
+                    }
+                    evict_done(&mut table, state);
+                    state.metrics.jobs_accepted.inc();
+                    (record, false)
+                })
             }
-            evict_done(&mut table, state.config.retain_done, state.journal.as_ref());
-            state.metrics.jobs_accepted.inc();
-            let writer = state
-                .journal
-                .as_ref()
-                .and_then(|journal| journal.begin_job(id, 0, &journaled));
-            spawn_owner(state, &record, handle, writer, follow);
-            (record, false)
         }
     };
-    let status = if deduplicated { 200 } else { 202 };
-    respond_json(stream, status, &submit_body(&record, deduplicated), keep)
+    match admitted {
+        Ok((record, deduplicated)) => {
+            let status = if deduplicated { 200 } else { 202 };
+            respond_json(stream, status, &submit_body(&record, deduplicated), keep)
+        }
+        Err(err) => respond_refused(stream, err, "", keep),
+    }
 }
 
 /// The `POST /v1/batches` response body (also the idempotent-retry body,
@@ -1632,103 +1891,81 @@ fn submit_batch(
     // is shared by every request, so the engine cache sees one
     // fingerprint and pays one matrix build.
     let data = Arc::clone(&prepared[0].data);
-    let requests: Vec<AggregationRequest> = prepared
-        .iter()
-        .map(|p| {
-            seeded(
-                AggregationRequest::new(Arc::clone(&data), p.spec.clone()),
-                submission.seed,
-                submission.budget,
-            )
-        })
-        .collect();
-    let handles = match state.engine.try_submit_batch(requests) {
-        Ok(handles) => handles,
-        Err(AdmissionError::QueueFull {
-            queued,
-            capacity,
-            retry_after,
-        }) => {
-            let secs = retry_after.as_secs().max(1);
-            let body = format!(
-                "{{\"error\":\"admission queue full ({queued}/{capacity}); batch of {} needs room for all\",\"retry_after_secs\":{secs}}}",
-                submission.specs.len()
-            );
-            let _ = http::write_response(
-                stream,
-                429,
-                "application/json",
-                &[("Retry-After", secs.to_string())],
-                body.as_bytes(),
-                keep,
-            );
-            return Served::KeepAlive;
-        }
-        Err(AdmissionError::ShuttingDown) => {
-            return respond_error(stream, 503, "server is draining", None, keep);
-        }
-    };
-    let (batch, deduplicated) = {
+    let panel = submission.specs.len();
+    let admitted = {
         let mut batches = state.batches.lock().expect("batch table poisoned");
-        // Same race re-check as jobs: a concurrent twin with our key may
-        // have landed since the pre-parse check; the loser cancels its
-        // whole admitted panel.
-        if let Some(existing) = submission
+        // Same re-check as jobs, and held through admission the same way:
+        // a concurrent twin with our key is never admitted.
+        let existing = submission
             .idempotency_key
             .as_ref()
             .and_then(|key| batches.keys.get(key))
-            .and_then(|id| batches.records.get(id))
-        {
-            let existing = Arc::clone(existing);
-            drop(batches);
-            for handle in handles {
-                handle.cancel();
-            }
-            (existing, true)
-        } else {
-            let mut jobs = Vec::with_capacity(handles.len());
-            {
+            .and_then(|id| batches.records.get(id));
+        match existing {
+            Some(existing) => Ok((Arc::clone(existing), true)),
+            None => {
                 let mut table = state.jobs.lock().expect("job table poisoned");
-                for (prep, handle) in prepared.into_iter().zip(handles) {
-                    let id = table.next_id;
-                    table.next_id += 1;
-                    let spec = prep.spec.clone();
-                    let record = Arc::new(make_record(
-                        id,
-                        &job_submission(&spec.to_string()),
-                        PreparedJob {
+                let signal = Arc::new(Signal::default());
+                let first_id = table.next_id;
+                let (records, jobs): (Vec<_>, Vec<_>) = prepared
+                    .into_iter()
+                    .zip(first_id..)
+                    .map(|(prep, id)| {
+                        let request = seeded(
+                            AggregationRequest::new(Arc::clone(&data), prep.spec.clone()),
+                            submission.seed,
+                            submission.budget,
+                        );
+                        let spec = prep.spec.to_string();
+                        let link = BatchLink {
+                            spec: spec.clone(),
+                            signal: Arc::clone(&signal),
+                        };
+                        let pj = PreparedJob {
                             prepared: prep,
                             live: None,
-                        },
-                        Arc::clone(handle.sink()),
-                        handle.cancel_token(),
-                        JobProgress::default(),
-                    ));
-                    table.order.push(id);
-                    table.records.insert(id, Arc::clone(&record));
-                    state.metrics.jobs_accepted.inc();
-                    spawn_owner(state, &record, handle, None, FollowSpawn::Collect);
-                    jobs.push(record);
-                }
-                evict_done(&mut table, state.config.retain_done, state.journal.as_ref());
+                        };
+                        let (record, hooks) =
+                            one_shot_record(state, id, &job_submission(&spec), pj, Some(link));
+                        (record, (request, hooks))
+                    })
+                    .unzip();
+                state.engine.try_submit_batch_with(jobs).map(|()| {
+                    table.next_id += records.len() as u64;
+                    for record in &records {
+                        table.records.insert(record.id, Arc::clone(record));
+                        state.metrics.jobs_accepted.inc();
+                    }
+                    evict_done(&mut table, state);
+                    drop(table);
+                    let id = batches.next_id;
+                    batches.next_id += 1;
+                    let batch = Arc::new(BatchRecord {
+                        id,
+                        idempotency: submission.idempotency_key.clone(),
+                        seed: submission.seed,
+                        jobs: records,
+                        signal,
+                    });
+                    batches.records.insert(id, Arc::clone(&batch));
+                    if let Some(key) = &batch.idempotency {
+                        batches.keys.insert(key.clone(), id);
+                    }
+                    (batch, false)
+                })
             }
-            let id = batches.next_id;
-            batches.next_id += 1;
-            let batch = Arc::new(BatchRecord {
-                id,
-                idempotency: submission.idempotency_key.clone(),
-                seed: submission.seed,
-                jobs,
-            });
-            batches.records.insert(id, Arc::clone(&batch));
-            if let Some(key) = &batch.idempotency {
-                batches.keys.insert(key.clone(), id);
-            }
-            (batch, false)
         }
     };
-    let status = if deduplicated { 200 } else { 202 };
-    respond_json(stream, status, &batch_body(&batch, deduplicated), keep)
+    match admitted {
+        Ok((batch, deduplicated)) => {
+            let status = if deduplicated { 200 } else { 202 };
+            respond_json(stream, status, &batch_body(&batch, deduplicated), keep)
+        }
+        Err(err) => {
+            let what = format!("; batch of {panel} needs room for all");
+            respond_refused(stream, err, &what, keep)
+        }
+    }
 }
 
 /// `GET /v1/batches/{id}`: the panel's aggregate state plus each
@@ -1777,19 +2014,6 @@ fn batch_status(stream: &mut TcpStream, batch: &Arc<BatchRecord>, keep: bool) ->
     respond_json(stream, 200, &body, keep)
 }
 
-/// Splice `"spec"` and `"job"` fields into a serialized event object, so
-/// each line of a batch's merged stream names the sub-job it came from.
-fn tag_spec(line: &str, spec: &str, job_id: u64) -> String {
-    match line.rfind('}') {
-        Some(i) => format!(
-            "{},\"spec\":\"{}\",\"job\":{job_id}}}",
-            &line[..i],
-            crate::json::escape(spec)
-        ),
-        None => line.to_owned(),
-    }
-}
-
 /// `GET /v1/batches/{id}/events`: the panel's event logs merged into one
 /// chunked NDJSON stream, every line tagged `"spec"`/`"job"`. Within one
 /// sub-job, lines keep their emission order; across sub-jobs the merge is
@@ -1806,57 +2030,45 @@ fn stream_batch_events(
         return Served::Close;
     };
     let _subscriber = GaugeGuard::enter(&state.metrics.stream_subscribers);
-    let specs: Vec<String> = batch.jobs.iter().map(|j| j.spec.to_string()).collect();
+    let heartbeat = Duration::from_secs(u64::from(state.config.heartbeat_secs));
     let mut cursors = vec![0usize; batch.jobs.len()];
-    let mut quiet = Duration::ZERO;
+    let mut quiet_since = Instant::now();
     loop {
+        // Read the generation before scanning: a publication that lands
+        // mid-scan moves it, so the wait below returns at once.
+        let seen = batch.signal.generation();
         let mut wrote = false;
         let mut all_done = true;
-        for (i, job) in batch.jobs.iter().enumerate() {
-            let (batch_lines, done) = {
-                let progress = job.state.lock().expect("job state poisoned");
-                (progress.events[cursors[i]..].to_vec(), progress.done)
+        for (job, cursor) in batch.jobs.iter().zip(&mut cursors) {
+            let (lines, done) = {
+                let progress = job.progress();
+                (progress.batch_events[*cursor..].to_vec(), progress.done)
             };
             all_done &= done;
-            for line in &batch_lines {
-                if writer
-                    .write_line(&tag_spec(line, &specs[i], job.id))
-                    .is_err()
-                {
+            for line in &lines {
+                if writer.write_line(line).is_err() {
                     return Served::Close; // subscriber went away; jobs keep running
                 }
             }
-            cursors[i] += batch_lines.len();
-            wrote |= !batch_lines.is_empty();
+            *cursor += lines.len();
+            wrote |= !lines.is_empty();
         }
         if all_done {
             return writer.finish();
         }
         if wrote {
-            quiet = Duration::ZERO;
-        } else {
-            // Poll-merge: each sub-job has its own condvar, so the merged
-            // stream polls at a coarse interval instead of waiting on one.
-            let step = Duration::from_millis(25);
-            std::thread::sleep(step);
-            quiet += step;
-            if quiet >= Duration::from_secs(state.config.heartbeat_secs as u64) {
-                if writer.write_line("{\"event\":\"heartbeat\"}").is_err() {
-                    return Served::Close;
-                }
-                quiet = Duration::ZERO;
-            }
+            quiet_since = Instant::now();
+            continue;
         }
-    }
-}
-
-/// Splice a `"dataset_version"` field into a serialized event object, so
-/// every line a follow job emits names the dataset version its round
-/// solved. Non-object lines pass through untouched.
-fn tag_version(line: &str, version: u64) -> String {
-    match line.rfind('}') {
-        Some(i) => format!("{},\"dataset_version\":{version}}}", &line[..i]),
-        None => line.to_owned(),
+        let quiet = quiet_since.elapsed();
+        if quiet >= heartbeat {
+            if writer.write_line("{\"event\":\"heartbeat\"}").is_err() {
+                return Served::Close;
+            }
+            quiet_since = Instant::now();
+        } else {
+            batch.signal.wait_past(seen, heartbeat - quiet);
+        }
     }
 }
 
@@ -1871,18 +2083,19 @@ fn tag_version(line: &str, version: u64) -> String {
 /// rounds). The single real `finished` line — outcome `cancelled` — is
 /// emitted when the follow ends: job DELETE, dataset DELETE, or server
 /// shutdown.
-#[allow(clippy::too_many_arguments)]
 fn follow_loop(
     state: &Arc<ServerState>,
     record: &Arc<JobRecord>,
-    dataset: &Arc<LiveDataset>,
-    spec: &AlgoSpec,
-    seed: u64,
-    budget: Option<Duration>,
-    mut handle: rank_core::engine::JobHandle,
-    mut version: u64,
-    mut writer: Option<JournalWriter>,
+    mut handle: JobHandle,
+    follow: Follow,
 ) {
+    let Follow {
+        dataset,
+        spec,
+        seed,
+        budget,
+        mut version,
+    } = follow;
     let stopped = || {
         record
             .follow_stop
@@ -1890,32 +2103,17 @@ fn follow_loop(
             .is_some_and(|stop| stop.load(Ordering::SeqCst))
             || state.shutting_down.load(Ordering::SeqCst)
     };
-    let push_event = |line: String, writer: &mut Option<JournalWriter>, started: bool| {
-        if let Some(writer) = writer.as_mut() {
-            writer.append_event(&line);
-        }
-        let mut progress = record.state.lock().expect("job state poisoned");
-        if started {
-            progress.started = true;
-        }
-        progress.events.push(line);
-        drop(progress);
-        record.advanced.notify_all();
-    };
     loop {
         // Drain this round's events, version-tagged. The engine's
         // per-round `finished` is suppressed — subscribers would read it
         // as end-of-stream — and replaced by `resolved` below.
+        let tag = EventTag::DatasetVersion(version);
         for event in handle.events() {
             if matches!(event, Event::Finished { .. }) {
                 continue;
             }
             let started = matches!(event, Event::Started { .. });
-            push_event(
-                tag_version(&proto::event_json(&event), version),
-                &mut writer,
-                started,
-            );
+            record.push(proto::tagged_event_json(&event, tag), None, started);
         }
         match catch_unwind(AssertUnwindSafe(|| handle.wait())) {
             Ok(report) => {
@@ -1930,38 +2128,19 @@ fn follow_loop(
                     }
                 }
                 let report_json = record.live().report_json(&report);
-                let outcome = report.outcome.to_string();
-                let resolved = tag_version(
-                    &format!(
-                        "{{\"event\":\"resolved\",\"outcome\":\"{}\",\"score\":{}}}",
-                        crate::json::escape(&outcome),
-                        report.score
-                    ),
-                    version,
-                );
-                if let Some(writer) = writer.as_mut() {
-                    writer.append_event(&resolved);
-                }
-                let mut progress = record.state.lock().expect("job state poisoned");
+                let resolved = proto::resolved_json(&report.outcome, report.score, tag);
+                record.journal(&resolved);
+                let mut progress = record.progress();
                 progress.started = true;
                 progress.events.push(resolved);
-                progress.outcome = Some(outcome);
+                progress.outcome = Some(report.outcome.to_string());
                 progress.report_json = Some(report_json);
                 drop(progress);
-                record.advanced.notify_all();
+                record.wake();
             }
             Err(_) => {
-                let line = "{\"event\":\"failed\",\"error\":\"internal kernel panic\"}".to_owned();
-                if let Some(writer) = writer.as_mut() {
-                    writer.append_event(&line);
-                    writer.finish("failed", None);
-                }
-                let mut progress = record.state.lock().expect("job state poisoned");
-                progress.events.push(line);
-                progress.outcome = Some("failed".to_owned());
-                progress.done = true;
-                drop(progress);
-                record.advanced.notify_all();
+                let line = proto::failed_json(KERNEL_PANIC, EventTag::None);
+                record.end(line, None, "failed".to_owned(), None, &state.done_ids);
                 return;
             }
         }
@@ -1993,12 +2172,12 @@ fn follow_loop(
         let data = &snapshot.dataset;
         if let Some(cap) = spec.max_n() {
             if data.n() > cap {
-                let line = format!(
-                    "{{\"event\":\"failed\",\"error\":\"dataset {} grew to n = {} past the n = {cap} cap for {spec}\"}}",
-                    crate::json::escape(&dataset.id),
+                let error = format!(
+                    "dataset {} grew to n = {} past the n = {cap} cap for {spec}",
+                    dataset.id,
                     data.n()
                 );
-                push_event(line, &mut writer, false);
+                record.push(proto::failed_json(&error, EventTag::None), None, false);
                 break;
             }
         }
@@ -2035,23 +2214,15 @@ fn follow_loop(
     }
     // The follow ended. The terminal outcome is always `cancelled` —
     // a follow job never completes on its own; something stopped it.
-    let line = "{\"event\":\"finished\",\"outcome\":\"cancelled\"}".to_owned();
-    let report_json = record
-        .state
-        .lock()
-        .expect("job state poisoned")
-        .report_json
-        .clone();
-    if let Some(writer) = writer.as_mut() {
-        writer.append_event(&line);
-        writer.finish("cancelled", report_json.as_deref());
-    }
-    let mut progress = record.state.lock().expect("job state poisoned");
-    progress.events.push(line);
-    progress.outcome = Some("cancelled".to_owned());
-    progress.done = true;
-    drop(progress);
-    record.advanced.notify_all();
+    let line = proto::event_json(&Event::Finished(Outcome::Cancelled));
+    let report_json = record.progress().report_json.clone();
+    record.end(
+        line,
+        None,
+        Outcome::Cancelled.to_string(),
+        report_json,
+        &state.done_ids,
+    );
 }
 
 /// Replay the journal directory into the job table ([`Server::bind`]):
@@ -2132,46 +2303,41 @@ fn recover(state: &Arc<ServerState>) -> std::io::Result<()> {
             // original report bytes. The live sink is empty (its trace
             // died with the old process) — the report carries the full
             // trace, and `best` reads null like any pre-start job.
+            state
+                .done_ids
+                .lock()
+                .expect("done ids poisoned")
+                .insert(job.id);
             Arc::new(make_record(
                 job.id,
                 &job.submission,
                 pj,
-                Arc::new(rank_core::engine::IncumbentSink::new()),
-                rank_core::engine::CancelToken::new(),
+                Arc::new(IncumbentSink::new()),
+                CancelToken::new(),
                 JobProgress {
                     events: job.events,
                     started: true,
                     report_json: finished.report_json,
                     outcome: Some(finished.outcome),
                     done: true,
+                    ..JobProgress::default()
                 },
+                None,
             ))
         } else {
             readmitted += 1;
             // Interrupted: deterministically re-run from the journaled
-            // (spec, seed, budget). `submit_recovered` places it ahead
+            // (spec, seed, budget). The recovered class places it ahead
             // of all fresh traffic, FIFO in this (ascending id) order.
             // A follow job resumes following from the dataset's
             // recovered version.
-            let handle = state
-                .engine
-                .submit_recovered(build_request(&pj, &job.submission));
-            let journaled = journaled_submission_json(&job.submission, &pj.prepared.spec);
-            let follow = FollowSpawn::for_submission(&job.submission, &pj);
-            let record = Arc::new(make_record(
-                job.id,
-                &job.submission,
-                pj,
-                Arc::clone(handle.sink()),
-                handle.cancel_token(),
-                JobProgress::default(),
-            ));
+            let admission = Admission::Recovered {
+                segment: job.segment + 1,
+            };
             state.metrics.jobs_accepted.inc();
-            let writer = journal.begin_job(job.id, job.segment + 1, &journaled);
-            spawn_owner(state, &record, handle, writer, follow);
-            record
+            admit_job(state, job.id, &job.submission, pj, admission)
+                .expect("recovered admission never sheds")
         };
-        table.order.push(job.id);
         if let Some(key) = &record.idempotency {
             table.keys.insert(key.clone(), job.id);
         }
@@ -2188,106 +2354,27 @@ fn recover(state: &Arc<ServerState>) -> std::io::Result<()> {
 }
 
 /// Drop the oldest *finished* records beyond the retention bound (live
-/// jobs are never evicted — their handles and collectors are running).
+/// jobs are never evicted: they are not in `done_ids` until they end).
 /// An evicted job releases its idempotency key and journal segments, so
 /// the on-disk recovery set stays as bounded as the in-memory table.
-fn evict_done(table: &mut JobTable, retain_done: usize, journal: Option<&Journal>) {
-    let done_ids: Vec<u64> = table
-        .order
-        .iter()
-        .copied()
-        .filter(|id| {
-            table
-                .records
-                .get(id)
-                .is_some_and(|r| r.state.lock().expect("job state poisoned").done)
-        })
-        .collect();
-    if done_ids.len() <= retain_done {
-        return;
-    }
-    let drop_count = done_ids.len() - retain_done;
-    for id in &done_ids[..drop_count] {
-        if let Some(record) = table.records.remove(id) {
+/// Each finished job is popped at most once, so a call costs O(log n)
+/// amortized, not a scan of the table.
+fn evict_done(table: &mut JobTable, state: &ServerState) {
+    let evicted: Vec<u64> = {
+        let mut done_ids = state.done_ids.lock().expect("done ids poisoned");
+        let excess = done_ids.len().saturating_sub(state.config.retain_done);
+        (0..excess).filter_map(|_| done_ids.pop_first()).collect()
+    };
+    for id in evicted {
+        if let Some(record) = table.records.remove(&id) {
             if let Some(key) = &record.idempotency {
                 table.keys.remove(key);
             }
-            if let Some(journal) = journal {
-                journal.remove_job(*id);
+            if let Some(journal) = &state.journal {
+                journal.remove_job(id);
             }
-        }
-        table.order.retain(|o| o != id);
-    }
-}
-
-/// Drain one job's event stream into its replay log (and journal), then
-/// collect and serialize the final report (closing the journal segment
-/// with a terminal record).
-///
-/// The `finished` line is journaled in stream order but published to the
-/// replay log with the report and `done`, under one lock, so a subscriber
-/// that has read `finished` always finds the job done.
-fn collect(
-    record: &Arc<JobRecord>,
-    handle: rank_core::engine::JobHandle,
-    mut writer: Option<JournalWriter>,
-) {
-    let mut terminal = None;
-    for event in handle.events() {
-        let line = proto::event_json(&event);
-        if let Some(writer) = writer.as_mut() {
-            writer.append_event(&line);
-        }
-        if matches!(event, Event::Finished { .. }) {
-            terminal = Some(line);
-            continue;
-        }
-        let mut progress = record.state.lock().expect("job state poisoned");
-        if matches!(event, Event::Started { .. }) {
-            progress.started = true;
-        }
-        progress.events.push(line);
-        drop(progress);
-        record.advanced.notify_all();
-    }
-    // The stream has ended; the report is ready (or the kernel panicked).
-    let report = catch_unwind(AssertUnwindSafe(|| handle.wait()));
-    match report {
-        Ok(report) => {
-            // A dataset-id job records its consensus back into the live
-            // session: the next solve on this dataset warm-starts from
-            // it. (Refused harmlessly if the dataset grew mid-run.)
-            if let Some(dataset) = &record.dataset {
-                let mut ds = dataset.lock();
-                if !ds.deleted {
-                    let _ = ds.session.record_consensus(report.ranking.clone());
-                }
-            }
-            let report_json = record.live().report_json(&report);
-            let outcome = report.outcome.to_string();
-            if let Some(writer) = writer.as_mut() {
-                writer.finish(&outcome, Some(&report_json));
-            }
-            let mut progress = record.state.lock().expect("job state poisoned");
-            progress.events.extend(terminal);
-            progress.outcome = Some(outcome);
-            progress.report_json = Some(report_json);
-            progress.done = true;
-        }
-        Err(_) => {
-            let line = "{\"event\":\"failed\",\"error\":\"internal kernel panic\"}".to_owned();
-            if let Some(writer) = writer.as_mut() {
-                writer.append_event(&line);
-                writer.finish("failed", None);
-            }
-            let mut progress = record.state.lock().expect("job state poisoned");
-            progress.outcome = Some("failed".to_owned());
-            progress.events.extend(terminal);
-            progress.events.push(line);
-            progress.done = true;
         }
     }
-    record.advanced.notify_all();
 }
 
 /// `GET /v1/jobs/{id}`: status + best-so-far (trace from the sink, full

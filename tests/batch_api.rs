@@ -5,13 +5,20 @@
 //! stream tags each line with its spec and sub-job, and an
 //! authenticated server 401s everything except `GET /healthz`.
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use rank_aggregation_with_ties::prelude::*;
+use rank_aggregation_with_ties::ragen::UniformSampler;
 use rank_aggregation_with_ties::rank_core::parse::parse_dataset_lines;
+use rank_aggregation_with_ties::rank_core::telemetry::parse_exposition;
 use rank_aggregation_with_ties::rank_core::Universe;
 use service::client::{Client, ClientError};
 use service::json::Json;
 use service::proto::{BatchSubmission, JobSubmission, MAX_BATCH_SPECS};
 use service::server::{Server, ServerConfig, ShutdownHandle};
+use std::collections::BTreeSet;
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 fn start_server(config: ServerConfig) -> (Client, ShutdownHandle, String) {
     let server = Server::bind("127.0.0.1:0", config).expect("bind ephemeral port");
@@ -308,6 +315,129 @@ fn bearer_token_guards_everything_but_healthz() {
             .and_then(Json::as_u64),
         Some(5),
         "the §2.2 example's optimal score"
+    );
+    shutdown.shutdown();
+}
+
+/// `rawt_jobs_admitted_total{class="fresh"}`, read from `GET /metrics`.
+fn fresh_admissions(client: &Client) -> u64 {
+    let text = client.metrics_text().expect("GET /metrics");
+    parse_exposition(&text)
+        .iter()
+        .flat_map(|family| &family.samples)
+        .filter(|sample| sample.name == "rawt_jobs_admitted_total")
+        .filter(|sample| sample.labels == [("class".to_owned(), "fresh".to_owned())])
+        .map(|sample| sample.value as u64)
+        .sum()
+}
+
+/// Concurrent twins of one batch key: the key is checked and the panel
+/// admitted in one critical section, so exactly one panel enters the
+/// scheduler and every other twin reattaches to it.
+#[test]
+fn concurrent_batch_twins_of_one_key_admit_one_panel() {
+    let (client, shutdown, addr) = start_server(ServerConfig::default());
+    let warm = client
+        .submit_batch(&panel_submission())
+        .expect("warm-up batch");
+    client.wait_batch(warm.id).expect("warm-up batch finishes");
+    let before = fresh_admissions(&client);
+    let barrier = Arc::new(Barrier::new(8));
+    let twins: Vec<_> = (0..8)
+        .map(|_| {
+            let barrier = Arc::clone(&barrier);
+            let client = Client::new(&addr);
+            std::thread::spawn(move || {
+                let submission = BatchSubmission {
+                    idempotency_key: Some("panel-twins".into()),
+                    ..panel_submission()
+                };
+                barrier.wait();
+                client.submit_batch(&submission).expect("submit a twin")
+            })
+        })
+        .collect();
+    let submitted: Vec<_> = twins
+        .into_iter()
+        .map(|twin| twin.join().expect("twin thread"))
+        .collect();
+    let ids: BTreeSet<u64> = submitted.iter().map(|b| b.id).collect();
+    assert_eq!(ids.len(), 1, "one key, one batch");
+    assert_eq!(
+        submitted.iter().filter(|b| !b.deduplicated).count(),
+        1,
+        "exactly one twin created the batch"
+    );
+    assert!(submitted.iter().all(|b| b.jobs == submitted[0].jobs));
+    assert_eq!(
+        fresh_admissions(&client) - before,
+        PANEL.len() as u64,
+        "only the winning twin's panel entered the scheduler"
+    );
+    client
+        .wait_batch(submitted[0].id)
+        .expect("the batch finishes");
+    shutdown.shutdown();
+}
+
+/// A dataset on which BioConsert runs well past a 40 ms budget, in the
+/// wire text format.
+fn slow_dataset_text() -> String {
+    let mut rng = StdRng::seed_from_u64(11);
+    let data = UniformSampler::new(200).sample_dataset(200, 20, &mut rng);
+    data.rankings().iter().map(|r| format!("{r}\n")).collect()
+}
+
+/// The merged batch stream ends as soon as the last sub-job is done:
+/// sub-job publication wakes it, so it never sleeps through the end.
+/// Measured per panel as the gap between the last per-job stream ending
+/// (each is woken directly by its own job) and the merged stream ending.
+#[test]
+fn merged_stream_ends_promptly_after_the_last_sub_job() {
+    let (client, shutdown, addr) = start_server(ServerConfig::default());
+    let text = slow_dataset_text();
+    let mut delays = Vec::new();
+    for seed in 0..7 {
+        let batch = client
+            .submit_batch(&BatchSubmission {
+                seed,
+                budget: Some(Duration::from_millis(40)),
+                ..BatchSubmission::new(
+                    text.clone(),
+                    vec!["BioConsert".to_owned(), "BestOf(BioConsert,2)".to_owned()],
+                )
+            })
+            .expect("submit batch");
+        let job_streams: Vec<_> = batch
+            .jobs
+            .iter()
+            .map(|job| {
+                let client = Client::new(&addr);
+                let id = job.id;
+                std::thread::spawn(move || {
+                    for event in client.events(id).expect("job stream") {
+                        event.expect("job event");
+                    }
+                    Instant::now()
+                })
+            })
+            .collect();
+        for event in client.batch_events(batch.id).expect("batch stream") {
+            event.expect("batch event");
+        }
+        let merged_end = Instant::now();
+        let last_job_end = job_streams
+            .into_iter()
+            .map(|stream| stream.join().expect("job stream thread"))
+            .max()
+            .expect("two sub-jobs");
+        delays.push(merged_end.saturating_duration_since(last_job_end));
+    }
+    delays.sort();
+    let median = delays[delays.len() / 2];
+    assert!(
+        median < Duration::from_millis(5),
+        "merged stream ended {median:?} after its last sub-job (all: {delays:?})"
     );
     shutdown.shutdown();
 }

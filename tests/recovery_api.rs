@@ -10,7 +10,10 @@
 //! smoke test covers the real-SIGKILL variant of the same story against
 //! the actual binary.
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use rank_aggregation_with_ties::prelude::*;
+use rank_aggregation_with_ties::ragen::UniformSampler;
 use rank_aggregation_with_ties::rank_core::parse::parse_dataset_lines;
 use rank_aggregation_with_ties::rank_core::Universe;
 use service::client::{Client, ClientError, RetryNotice, RetryPolicy};
@@ -481,4 +484,93 @@ fn report_score(status: &Json) -> u64 {
         .and_then(|r| r.get("score"))
         .and_then(Json::as_u64)
         .expect("report score")
+}
+
+/// A dataset on which `BestOf(BioConsert,1000)` runs for minutes, in the
+/// wire text format: a job on it stays live until it is cancelled.
+fn slow_dataset_text() -> String {
+    let mut rng = StdRng::seed_from_u64(23);
+    let data = UniformSampler::new(200).sample_dataset(200, 20, &mut rng);
+    data.rankings().iter().map(|r| format!("{r}\n")).collect()
+}
+
+/// `retain_done` bounds the finished jobs kept. Beyond it the oldest
+/// finished job by submission order goes first — even one that finished
+/// last — and takes its idempotency key and journal segments with it. A
+/// live job is never evicted, however old.
+#[test]
+fn retain_done_evicts_the_oldest_finished_jobs_and_spares_live_ones() {
+    let dir = scratch_dir("retain");
+    let (client, shutdown) = start_server(ServerConfig {
+        retain_done: 2,
+        max_jobs: 2,
+        ..journaled_config(&dir)
+    });
+    let borda = |key: &str| JobSubmission {
+        algo: Some("Borda".to_owned()),
+        idempotency_key: Some(key.to_owned()),
+        ..JobSubmission::new(PAPER_EXAMPLE)
+    };
+    let run = |key: &str| {
+        let job = client.submit(&borda(key)).expect("submit");
+        client.wait(job.id).expect("job finishes");
+        job.id
+    };
+    let gone = |id: u64| {
+        matches!(
+            client.status(id),
+            Err(ClientError::Status { status: 404, .. })
+        )
+    };
+    let segment = |id: u64| dir.join(format!("job-{id}-s0.ndjson")).exists();
+
+    // The oldest job stays live until it is cancelled.
+    let live = client
+        .submit(&JobSubmission {
+            algo: Some("BestOf(BioConsert,1000)".to_owned()),
+            budget: Some(Duration::from_secs(120)),
+            ..JobSubmission::new(slow_dataset_text())
+        })
+        .expect("submit the live job")
+        .id;
+    let (a, b, c, d) = (run("a"), run("b"), run("c"), run("d"));
+    // Submitting e finds a, b, c, d finished: the two oldest go.
+    let e = run("e");
+    for id in [a, b] {
+        assert!(gone(id), "job {id} should be evicted");
+        assert!(!segment(id), "job {id}'s journal segment should be removed");
+    }
+    for id in [live, c, d, e] {
+        assert!(!gone(id), "job {id} should be retained");
+        assert!(segment(id), "job {id}'s journal segment should be kept");
+    }
+    let status = client.status(live).expect("live job status");
+    assert_eq!(status.get("state").and_then(Json::as_str), Some("running"));
+
+    // a's key was released with it: the same key now admits a new job.
+    let again = client.submit(&borda("a")).expect("resubmit a");
+    assert!(!again.deduplicated, "an evicted job's key must be free");
+    assert_ne!(again.id, a);
+    client.wait(again.id).expect("resubmitted job finishes");
+    assert!(gone(c), "submitting again evicted c");
+
+    // The live job finishes last but is the oldest by submission, so the
+    // next eviction takes it before d.
+    client.cancel(live).expect("cancel the live job");
+    client.wait(live).expect("live job resolves");
+    let f = run("f");
+    for id in [live, d] {
+        assert!(gone(id), "job {id} should be evicted");
+        assert!(!segment(id), "job {id}'s journal segment should be removed");
+    }
+    for id in [e, again.id, f] {
+        assert!(!gone(id), "job {id} should be retained");
+    }
+    let dedup = client.submit(&borda("e")).expect("resubmit e");
+    assert!(
+        dedup.deduplicated && dedup.id == e,
+        "a retained key still dedupes"
+    );
+    shutdown.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -10,13 +10,16 @@ use rand::SeedableRng;
 use rank_aggregation_with_ties::prelude::*;
 use rank_aggregation_with_ties::ragen::UniformSampler;
 use rank_aggregation_with_ties::rank_core::parse::parse_dataset_lines;
+use rank_aggregation_with_ties::rank_core::telemetry::parse_exposition;
 use rank_aggregation_with_ties::rank_core::Universe;
 use service::client::{Client, ClientError};
 use service::http::{write_request, ClientResponse, MAX_BODY_BYTES};
 use service::json::Json;
 use service::proto::{ranking_json, JobSubmission};
 use service::server::{Server, ServerConfig, ShutdownHandle};
+use std::collections::BTreeSet;
 use std::net::TcpStream;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 /// Bind an in-process server on an ephemeral port and serve it on a
@@ -729,4 +732,78 @@ fn stream_live_at_drain_still_reads_its_final_status() {
         status.get("outcome").and_then(Json::as_str),
         Some("cancelled")
     );
+}
+
+// ------------------------------------------------------------ idempotency
+
+/// `rawt_jobs_admitted_total{class="fresh"}`, read from `GET /metrics`.
+fn fresh_admissions(client: &Client) -> u64 {
+    let text = client.metrics_text().expect("GET /metrics");
+    parse_exposition(&text)
+        .iter()
+        .flat_map(|family| &family.samples)
+        .filter(|sample| sample.name == "rawt_jobs_admitted_total")
+        .filter(|sample| sample.labels == [("class".to_owned(), "fresh".to_owned())])
+        .map(|sample| sample.value as u64)
+        .sum()
+}
+
+/// Concurrent twins of one idempotency key: the key is checked and the
+/// job admitted in one critical section, so exactly one twin enters the
+/// scheduler and every other one reattaches to it — no loser is admitted
+/// and cancelled afterwards.
+#[test]
+fn concurrent_twins_of_one_key_admit_exactly_one_job() {
+    let (client, shutdown, addr) = default_server();
+    // A first job brings the scheduler (and its counters) up.
+    let warm = client
+        .submit(&JobSubmission::new(PAPER_EXAMPLE))
+        .expect("warm-up submit");
+    client.wait(warm.id).expect("warm-up job");
+    let before = fresh_admissions(&client);
+    // A body that takes a while to parse keeps every twin's pre-parse
+    // key check ahead of the first twin's admission.
+    let text = big_dataset_text(200, 20, 3);
+    let barrier = Arc::new(Barrier::new(8));
+    let twins: Vec<_> = (0..8)
+        .map(|_| {
+            let barrier = Arc::clone(&barrier);
+            let client = Client::new(&addr);
+            let text = text.clone();
+            std::thread::spawn(move || {
+                let submission = JobSubmission {
+                    algo: Some("Borda".to_owned()),
+                    idempotency_key: Some("one-key".to_owned()),
+                    ..JobSubmission::new(text)
+                };
+                barrier.wait();
+                client.submit(&submission).expect("submit a twin")
+            })
+        })
+        .collect();
+    let submitted: Vec<_> = twins
+        .into_iter()
+        .map(|twin| twin.join().expect("twin thread"))
+        .collect();
+    let ids: BTreeSet<u64> = submitted.iter().map(|s| s.id).collect();
+    assert_eq!(ids.len(), 1, "one key, one job: {submitted:?}");
+    assert_eq!(
+        submitted.iter().filter(|s| !s.deduplicated).count(),
+        1,
+        "exactly one twin created the job: {submitted:?}"
+    );
+    assert_eq!(
+        fresh_admissions(&client) - before,
+        1,
+        "only the winning twin entered the scheduler"
+    );
+    let status = client.wait(submitted[0].id).expect("the job finishes");
+    assert_eq!(
+        status
+            .get("report")
+            .and_then(|r| r.get("outcome"))
+            .and_then(Json::as_str),
+        Some("heuristic")
+    );
+    shutdown.shutdown();
 }
