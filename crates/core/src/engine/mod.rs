@@ -56,7 +56,7 @@ pub use scheduler::{AdmissionError, SchedulerConfig, SchedulerStats, DEFAULT_QUE
 pub use spec::{
     extended_panel, full_panel, paper_panel, registry, suggest, AlgoEntry, AlgoSpec, ExecPolicy,
     KernelLane, LanePolicy, SpecErrorKind, SpecParseError, Threading, DEFAULT_MIN_RUNS,
-    DENSE_LANE_BUDGET_BYTES,
+    DENSE_LANE_BUDGET_BYTES, MAX_BEST_OF_RUNS,
 };
 
 use crate::algorithms::{AlgoContext, ConsensusAlgorithm, MatrixCache};

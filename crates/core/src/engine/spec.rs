@@ -26,6 +26,13 @@ use std::str::FromStr;
 /// preset or alias does not specify one (the harness default).
 pub const DEFAULT_MIN_RUNS: usize = 20;
 
+/// The largest repeat count [`AlgoSpec::parse`] accepts for `BestOf`.
+/// A run plans all its repeats up front, so an unchecked count from the
+/// wire (`BestOf(Borda,2000000000)`) would ask for gigabytes before the
+/// first repeat; 100 000 is 100× the largest count the repository's own
+/// runs use (`BestOf(BioConsert,1000)`).
+pub const MAX_BEST_OF_RUNS: usize = 100_000;
+
 /// How a built algorithm may use the machine's threads.
 ///
 /// `Parallel` lets multi-start members (BioConsert, [`AlgoSpec::BestOf`])
@@ -554,6 +561,11 @@ impl AlgoSpec {
                         .map_err(|_| err(format!("bad BestOf repeat count {runs:?}")))?;
                     if runs == 0 {
                         return Err(err("BestOf needs at least one repeat".to_owned()));
+                    }
+                    if runs > MAX_BEST_OF_RUNS {
+                        return Err(err(format!(
+                            "BestOf repeat count {runs} exceeds the maximum of {MAX_BEST_OF_RUNS}"
+                        )));
                     }
                     Ok(AlgoSpec::BestOf {
                         base: Box::new(base),

@@ -11,12 +11,15 @@
 //! a batch rides one worker's single matrix build.
 //!
 //! The router stays transparent on the wire. Responses keep the worker's
-//! exact bytes except for job/batch ids, which are spliced to
-//! router-side ids so ids from different workers cannot collide (the
-//! worker-side numbers, and the `/v1/jobs/{id}`-style URLs built from
-//! them, are rewritten in place; report payloads pass through
-//! byte-identically). Event streams are re-chunked line by line,
-//! heartbeats included.
+//! exact bytes except for job/batch ids, which carry their own route:
+//! the router id of worker `k`'s id `w` among `N` workers is `w × N + k`,
+//! so ids from different workers cannot collide and the router decodes
+//! every id it is handed (`id % N` is the worker, `id / N` its own id)
+//! without keeping any table — a restarted router resolves every id an
+//! earlier one handed out. The worker-side numbers, and the
+//! `/v1/jobs/{id}`-style URLs built from them, are rewritten in place;
+//! report payloads and labels pass through byte-identically. Event
+//! streams are re-chunked line by line, heartbeats included.
 //!
 //! The router forwards every exchange, streams included, through one
 //! pooled keep-alive [`Client`] per worker, so steady traffic opens no
@@ -40,7 +43,7 @@ use rank_core::telemetry::{
 use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -52,45 +55,16 @@ const UNREACHABLE_RETRY_AFTER_SECS: u64 = 2;
 /// Configuration for [`Router::bind`].
 #[derive(Debug, Clone, Default)]
 pub struct RouterConfig {
-    /// Worker addresses (`host:port`, `http://` prefix tolerated). Order
-    /// matters only as a tie-break; routing is by rendezvous hash.
+    /// Worker addresses (`host:port`, `http://` prefix tolerated).
+    /// Placement is by rendezvous hash, but the order is part of the id
+    /// scheme: worker `k` of `N` answers for the router ids `≡ k (mod N)`,
+    /// so a router restarted over the same list in the same order
+    /// resolves every earlier id, and a reordered list re-points them.
     pub workers: Vec<String>,
     /// Bearer token: required from clients (except `GET /healthz`) and
     /// forwarded to workers on every proxied request. Never journaled —
     /// the router keeps no journal at all.
     pub token: Option<String>,
-}
-
-/// Where one router-side job id points.
-#[derive(Debug, Clone, Copy)]
-struct RoutedJob {
-    worker: usize,
-    worker_id: u64,
-}
-
-/// Where one router-side batch id points, with its sub-job id pairs
-/// (`(worker_id, router_id)`, in spec order).
-#[derive(Debug, Clone)]
-struct RoutedBatch {
-    worker: usize,
-    worker_id: u64,
-    jobs: Vec<(u64, u64)>,
-}
-
-/// Job-id translation table. The reverse index keeps ids stable when an
-/// idempotent resubmission deduplicates on the worker: the router hands
-/// back the router id it already assigned instead of minting a fresh one.
-#[derive(Default)]
-struct JobRoutes {
-    by_router: HashMap<u64, RoutedJob>,
-    by_worker: HashMap<(usize, u64), u64>,
-}
-
-/// Batch-id translation table, same shape as [`JobRoutes`].
-#[derive(Default)]
-struct BatchRoutes {
-    by_router: HashMap<u64, RoutedBatch>,
-    by_worker: HashMap<(usize, u64), u64>,
 }
 
 struct RouterState {
@@ -99,11 +73,6 @@ struct RouterState {
     clients: Vec<Client>,
     token: Option<String>,
     shutting_down: AtomicBool,
-    /// Router-side ids; jobs and batches share the counter so a router
-    /// id is unambiguous in logs.
-    next_id: AtomicU64,
-    jobs: Mutex<JobRoutes>,
-    batches: Mutex<BatchRoutes>,
     /// Dataset id → the worker index holding that live session.
     datasets: Mutex<HashMap<String, usize>>,
     /// The router's own telemetry (the router owns no engine, so it owns
@@ -113,8 +82,10 @@ struct RouterState {
 }
 
 impl RouterState {
-    fn fresh_id(&self) -> u64 {
-        self.next_id.fetch_add(1, Ordering::SeqCst)
+    /// The id encoder for answers from worker `worker` (see [`encode_id`]).
+    fn encoder(&self, worker: usize) -> impl Fn(u64) -> Option<u64> {
+        let workers = self.workers.len();
+        move |id| encode_id(id, worker, workers)
     }
 
     /// One submission fell through a dead worker to the next rendezvous
@@ -191,9 +162,6 @@ impl Router {
                 clients,
                 token: config.token,
                 shutting_down: AtomicBool::new(false),
-                next_id: AtomicU64::new(1),
-                jobs: Mutex::new(JobRoutes::default()),
-                batches: Mutex::new(BatchRoutes::default()),
                 datasets: Mutex::new(HashMap::new()),
                 metrics: Arc::new(MetricsRegistry::new()),
             }),
@@ -289,15 +257,18 @@ fn routing_key(body: &[u8]) -> String {
     format!("tx:{:016x}", fnv1a64(body))
 }
 
-/// One sized exchange with a worker over its pooled connection. Returns
-/// `(status, retry_after, body)`; only an unreachable worker is an error.
+/// A worker's sized answer: `(status, retry_after, body)`.
+type Answer = (u16, Option<String>, String);
+
+/// One sized exchange with a worker over its pooled connection; only an
+/// unreachable worker is an error.
 fn forward_sized(
     state: &RouterState,
     worker: usize,
     method: &str,
     path: &str,
     body: Option<&[u8]>,
-) -> Result<(u16, Option<String>, String), ClientError> {
+) -> Result<Answer, ClientError> {
     let proxy_start = Instant::now();
     let answer = state.clients[worker].raw_exchange(method, path, body)?;
     state
@@ -311,44 +282,69 @@ fn forward_sized(
     Ok(answer)
 }
 
-/// Splice worker-side ids to router-side ids in a response body. The
-/// scanner rewrites digits directly after the tokens `"id":`, `"job":`,
-/// `/v1/jobs/` and `/v1/batches/` — the only places numeric ids appear
-/// in the protocol — and leaves every other byte untouched, so report
-/// payloads stay byte-identical to the worker's serialization. `map`
-/// returns the replacement for `(token, worker_value)`, or `None` to
-/// keep the original.
-fn splice_ids(body: &str, mut map: impl FnMut(&str, u64) -> Option<u64>) -> String {
-    const TOKENS: [&str; 4] = ["\"id\":", "\"job\":", "/v1/jobs/", "/v1/batches/"];
+/// The router id of `worker_id` as minted by worker `worker` of
+/// `workers`: `worker_id × workers + worker`. Every router id therefore
+/// names its worker (`id % workers`) and that worker's own id
+/// (`id / workers`) — see [`decode_id`] — so the router keeps no id
+/// tables and a restarted router over the same worker list resolves every
+/// id an earlier one handed out. With one worker this is the identity.
+/// `None` when the product overflows a `u64`.
+fn encode_id(worker_id: u64, worker: usize, workers: usize) -> Option<u64> {
+    worker_id
+        .checked_mul(workers as u64)?
+        .checked_add(worker as u64)
+}
+
+/// `(worker, worker_id)` of a router id: the inverse of [`encode_id`].
+fn decode_id(router_id: u64, workers: usize) -> (usize, u64) {
+    let n = workers as u64;
+    ((router_id % n) as usize, router_id / n)
+}
+
+/// Rewrite the worker ids in a response body to router ids with
+/// `encode`, leaving every other byte untouched. Ids appear only as the
+/// digits after the keys `"id":` and `"job":` and inside the `"events"`
+/// and `"status"` URLs. Every token holds a quote that follows a letter
+/// and precedes `:`, i.e. an unescaped quote closing a key, which cannot
+/// occur inside a JSON string, where every quote is escaped. So report
+/// payloads and the user's labels pass through byte-identically, even
+/// labels spelled like ids or URLs. `None` when `encode` does (an id that
+/// does not fit).
+fn splice_ids(body: &str, encode: impl Fn(u64) -> Option<u64>) -> Option<String> {
+    const TOKENS: [&str; 6] = [
+        "\"id\":",
+        "\"job\":",
+        "\"events\":\"/v1/jobs/",
+        "\"status\":\"/v1/jobs/",
+        "\"events\":\"/v1/batches/",
+        "\"status\":\"/v1/batches/",
+    ];
     let bytes = body.as_bytes();
-    let mut out = Vec::with_capacity(bytes.len());
+    let mut out = String::with_capacity(body.len());
+    let mut copied = 0;
     let mut i = 0;
-    'scan: while i < bytes.len() {
-        for token in TOKENS {
-            if bytes[i..].starts_with(token.as_bytes()) {
-                let start = i + token.len();
-                let mut end = start;
-                while end < bytes.len() && bytes[end].is_ascii_digit() {
-                    end += 1;
-                }
-                if end > start {
-                    if let Some(new) = body[start..end]
-                        .parse::<u64>()
-                        .ok()
-                        .and_then(|value| map(token, value))
-                    {
-                        out.extend_from_slice(token.as_bytes());
-                        out.extend_from_slice(new.to_string().as_bytes());
-                        i = end;
-                        continue 'scan;
-                    }
-                }
-            }
+    while let Some(offset) = bytes[i..].iter().position(|&b| b == b'"') {
+        i += offset;
+        let Some(token) = TOKENS.iter().find(|t| bytes[i..].starts_with(t.as_bytes())) else {
+            i += 1;
+            continue;
+        };
+        let start = i + token.len();
+        let end = start
+            + bytes[start..]
+                .iter()
+                .take_while(|b| b.is_ascii_digit())
+                .count();
+        if end > start {
+            let id = encode(body[start..end].parse().ok()?)?;
+            out.push_str(&body[copied..start]);
+            out.push_str(&id.to_string());
+            copied = end;
         }
-        out.push(bytes[i]);
-        i += 1;
+        i = end;
     }
-    String::from_utf8(out).expect("splice only replaces ascii digits")
+    out.push_str(&body[copied..]);
+    Some(out)
 }
 
 fn respond_error(
@@ -447,13 +443,20 @@ fn route(
         ("GET", "/healthz") => healthz(stream, state, keep),
         ("GET", "/metrics") => metrics_exposition(stream, state, keep),
         ("GET", "/v1/algorithms") => forward_any(stream, state, "GET", "/v1/algorithms", keep),
-        ("POST", "/v1/jobs") => submit_job(stream, request, state, keep),
-        ("POST", "/v1/batches") => submit_batch(stream, request, state, keep),
+        ("POST", "/v1/jobs") => submit(stream, request, state, "/v1/jobs", keep),
+        ("POST", "/v1/batches") => submit(stream, request, state, "/v1/batches", keep),
         (_, p) if p.starts_with("/v1/jobs/") => {
-            return job_route(stream, request, state, &p["/v1/jobs/".len()..], keep);
+            return id_route(stream, request, state, "job", &p["/v1/jobs/".len()..], keep);
         }
         (_, p) if p.starts_with("/v1/batches/") => {
-            return batch_route(stream, request, state, &p["/v1/batches/".len()..], keep);
+            return id_route(
+                stream,
+                request,
+                state,
+                "batch",
+                &p["/v1/batches/".len()..],
+                keep,
+            );
         }
         (_, p) if p.starts_with("/v1/datasets/") => {
             dataset_route(stream, request, state, &p["/v1/datasets/".len()..], keep)
@@ -582,13 +585,11 @@ fn forward_submission(
     state: &RouterState,
     path: &str,
     keep: bool,
-) -> Option<(usize, u16, Option<String>, String)> {
+) -> Option<(usize, Answer)> {
     let (targets, sticky) = submission_targets(state, &request.body);
     for &worker in &targets {
         match forward_sized(state, worker, "POST", path, Some(&request.body)) {
-            Ok((status, retry_after, body)) if (200..300).contains(&status) => {
-                return Some((worker, status, retry_after, body));
-            }
+            Ok(answer) if (200..300).contains(&answer.0) => return Some((worker, answer)),
             Ok((status, retry_after, body)) => {
                 respond_passthrough(stream, status, retry_after, &body, keep);
                 return None;
@@ -610,192 +611,44 @@ fn forward_submission(
     None
 }
 
-fn submit_job(stream: &mut TcpStream, request: &Request, state: &Arc<RouterState>, keep: bool) {
-    let Some((worker, status, retry_after, body)) =
-        forward_submission(stream, request, state, "/v1/jobs", keep)
-    else {
-        return;
-    };
-    let Some(worker_id) = Json::parse(&body)
-        .ok()
-        .and_then(|doc| doc.get("id").and_then(Json::as_u64))
-    else {
-        respond_error(
-            stream,
-            502,
-            "worker returned an unparseable job id",
-            None,
-            keep,
-        );
-        return;
-    };
-    let router_id = {
-        let mut jobs = state.jobs.lock().expect("job routes poisoned");
-        match jobs.by_worker.get(&(worker, worker_id)) {
-            Some(&existing) => existing,
-            None => {
-                let fresh = state.fresh_id();
-                jobs.by_worker.insert((worker, worker_id), fresh);
-                jobs.by_router
-                    .insert(fresh, RoutedJob { worker, worker_id });
-                fresh
-            }
-        }
-    };
-    let rewritten = splice_ids(&body, |token, value| {
-        (token != "/v1/batches/" && value == worker_id).then_some(router_id)
-    });
-    respond_passthrough(stream, status, retry_after, &rewritten, keep);
-}
-
-fn submit_batch(stream: &mut TcpStream, request: &Request, state: &Arc<RouterState>, keep: bool) {
-    let Some((worker, status, retry_after, body)) =
-        forward_submission(stream, request, state, "/v1/batches", keep)
-    else {
-        return;
-    };
-    let parsed = Json::parse(&body).ok();
-    let batch_wid = parsed
-        .as_ref()
-        .and_then(|doc| doc.get("id").and_then(Json::as_u64));
-    let sub_wids: Option<Vec<u64>> = parsed.as_ref().and_then(|doc| {
-        doc.get("jobs").and_then(Json::as_array).map(|jobs| {
-            jobs.iter()
-                .filter_map(|job| job.get("id").and_then(Json::as_u64))
-                .collect()
-        })
-    });
-    let (Some(batch_wid), Some(sub_wids)) = (batch_wid, sub_wids) else {
-        respond_error(
-            stream,
-            502,
-            "worker returned an unparseable batch",
-            None,
-            keep,
-        );
-        return;
-    };
-    // Register (or re-find, for an idempotent dedup) the batch and
-    // every sub-job; sub-jobs go in the job table too, so
-    // `/v1/jobs/{id}` works on them through the router.
-    let (batch_rid, job_pairs) = {
-        let mut batches = state.batches.lock().expect("batch routes poisoned");
-        match batches.by_worker.get(&(worker, batch_wid)) {
-            Some(&existing) => {
-                let pairs = batches.by_router[&existing].jobs.clone();
-                (existing, pairs)
-            }
-            None => {
-                let mut jobs = state.jobs.lock().expect("job routes poisoned");
-                let pairs: Vec<(u64, u64)> = sub_wids
-                    .iter()
-                    .map(|&wid| {
-                        let rid = state.fresh_id();
-                        jobs.by_worker.insert((worker, wid), rid);
-                        jobs.by_router.insert(
-                            rid,
-                            RoutedJob {
-                                worker,
-                                worker_id: wid,
-                            },
-                        );
-                        (wid, rid)
-                    })
-                    .collect();
-                let rid = state.fresh_id();
-                batches.by_worker.insert((worker, batch_wid), rid);
-                batches.by_router.insert(
-                    rid,
-                    RoutedBatch {
-                        worker,
-                        worker_id: batch_wid,
-                        jobs: pairs.clone(),
-                    },
-                );
-                (rid, pairs)
-            }
-        }
-    };
-    let job_map: HashMap<u64, u64> = job_pairs.iter().copied().collect();
-    let mut first_id = true;
-    let rewritten = splice_ids(&body, |token, value| match token {
-        "/v1/batches/" => (value == batch_wid).then_some(batch_rid),
-        "\"id\":" if first_id => {
-            first_id = false;
-            (value == batch_wid).then_some(batch_rid)
-        }
-        _ => job_map.get(&value).copied(),
-    });
-    respond_passthrough(stream, status, retry_after, &rewritten, keep);
-}
-
-/// `/v1/jobs/{id}` and `/v1/jobs/{id}/events` through the id map.
-fn job_route(
+/// Answer with a worker's sized response, its ids encoded as router ids
+/// (502 if one does not fit).
+fn respond_encoded(
     stream: &mut TcpStream,
-    request: &Request,
-    state: &Arc<RouterState>,
-    rest: &str,
+    state: &RouterState,
+    worker: usize,
+    (status, retry_after, body): Answer,
     keep: bool,
-) -> Served {
-    let (id_part, tail) = rest
-        .split_once('/')
-        .map_or((rest, None), |(id, t)| (id, Some(t)));
-    let Ok(router_id) = id_part.parse::<u64>() else {
-        respond_error(stream, 400, "job id must be an integer", None, keep);
-        return Served::KeepAlive;
-    };
-    let Some(routed) = state
-        .jobs
-        .lock()
-        .expect("job routes poisoned")
-        .by_router
-        .get(&router_id)
-        .copied()
-    else {
-        respond_error(stream, 404, &format!("no job {router_id}"), None, keep);
-        return Served::KeepAlive;
-    };
-    let worker_path = match (request.method.as_str(), tail) {
-        ("GET", None) | ("DELETE", None) => format!("/v1/jobs/{}", routed.worker_id),
-        ("GET", Some("events")) => {
-            return proxy_stream(
-                stream,
-                state,
-                routed.worker,
-                &format!("/v1/jobs/{}/events", routed.worker_id),
-                keep,
-                // Plain job event lines carry no ids; pass them raw.
-                |line| line.to_owned(),
-            );
-        }
-        _ => {
-            respond_error(
-                stream,
-                405,
-                "method not allowed on this job route",
-                None,
-                keep,
-            );
-            return Served::KeepAlive;
-        }
-    };
-    match forward_sized(state, routed.worker, &request.method, &worker_path, None) {
-        Ok((status, retry_after, body)) => {
-            let rewritten = splice_ids(&body, |token, value| {
-                (token != "/v1/batches/" && value == routed.worker_id).then_some(router_id)
-            });
-            respond_passthrough(stream, status, retry_after, &rewritten, keep);
-        }
-        Err(_) => unreachable_worker(stream, state, routed.worker, keep),
+) {
+    match splice_ids(&body, state.encoder(worker)) {
+        Some(body) => respond_passthrough(stream, status, retry_after, &body, keep),
+        None => respond_error(
+            stream,
+            502,
+            "worker id does not fit the router's id space",
+            None,
+            keep,
+        ),
     }
-    Served::KeepAlive
 }
 
-/// `/v1/batches/{id}` and `/v1/batches/{id}/events` through the id map.
-fn batch_route(
+/// `POST /v1/jobs` and `POST /v1/batches`: forward down the target order
+/// and encode the ids of the accepting worker. An idempotent retry that
+/// the same worker deduplicates gets the same router id by construction.
+fn submit(stream: &mut TcpStream, request: &Request, state: &RouterState, path: &str, keep: bool) {
+    if let Some((worker, answer)) = forward_submission(stream, request, state, path, keep) {
+        respond_encoded(stream, state, worker, answer, keep);
+    }
+}
+
+/// `/v1/jobs/{id}` and `/v1/batches/{id}`, each with its `/events`
+/// stream (`kind` is `job` or `batch`): the id names its worker, so the request goes straight there
+/// with the worker's own id, and a worker 404 answers with the router id.
+fn id_route(
     stream: &mut TcpStream,
     request: &Request,
-    state: &Arc<RouterState>,
+    state: &RouterState,
+    kind: &str,
     rest: &str,
     keep: bool,
 ) -> Served {
@@ -803,67 +656,41 @@ fn batch_route(
         .split_once('/')
         .map_or((rest, None), |(id, t)| (id, Some(t)));
     let Ok(router_id) = id_part.parse::<u64>() else {
-        respond_error(stream, 400, "batch id must be an integer", None, keep);
+        respond_error(
+            stream,
+            400,
+            &format!("{kind} id must be an integer"),
+            None,
+            keep,
+        );
         return Served::KeepAlive;
     };
-    let Some(routed) = state
-        .batches
-        .lock()
-        .expect("batch routes poisoned")
-        .by_router
-        .get(&router_id)
-        .cloned()
-    else {
-        respond_error(stream, 404, &format!("no batch {router_id}"), None, keep);
-        return Served::KeepAlive;
-    };
-    let job_map: HashMap<u64, u64> = routed.jobs.iter().copied().collect();
+    let (worker, worker_id) = decode_id(router_id, state.workers.len());
+    let collection = if kind == "job" { "jobs" } else { "batches" };
+    let path = format!("/v1/{collection}/{worker_id}");
+    let not_found = format!("no {kind} {router_id}");
     match (request.method.as_str(), tail) {
-        ("GET", None) => {
-            match forward_sized(
-                state,
-                routed.worker,
-                "GET",
-                &format!("/v1/batches/{}", routed.worker_id),
-                None,
-            ) {
-                Ok((status, retry_after, body)) => {
-                    let mut first_id = true;
-                    let rewritten = splice_ids(&body, |token, value| match token {
-                        "/v1/batches/" => (value == routed.worker_id).then_some(router_id),
-                        "\"id\":" if first_id => {
-                            first_id = false;
-                            (value == routed.worker_id).then_some(router_id)
-                        }
-                        _ => job_map.get(&value).copied(),
-                    });
-                    respond_passthrough(stream, status, retry_after, &rewritten, keep);
-                }
-                Err(_) => unreachable_worker(stream, state, routed.worker, keep),
-            }
-        }
         ("GET", Some("events")) => {
             return proxy_stream(
                 stream,
                 state,
-                routed.worker,
-                &format!("/v1/batches/{}/events", routed.worker_id),
+                worker,
+                &format!("{path}/events"),
+                &not_found,
                 keep,
-                // Merged batch lines are tagged `"job":<worker id>` —
-                // splice those to router ids; everything else passes raw.
-                move |line| {
-                    splice_ids(line, |token, value| {
-                        (token == "\"job\":")
-                            .then(|| job_map.get(&value).copied())
-                            .flatten()
-                    })
-                },
             );
+        }
+        (method, None) if method == "GET" || (method == "DELETE" && kind == "job") => {
+            match forward_sized(state, worker, &request.method, &path, None) {
+                Ok((404, ..)) => respond_error(stream, 404, &not_found, None, keep),
+                Ok(answer) => respond_encoded(stream, state, worker, answer, keep),
+                Err(_) => unreachable_worker(stream, state, worker, keep),
+            }
         }
         _ => respond_error(
             stream,
             405,
-            "method not allowed on this batch route",
+            &format!("method not allowed on this {kind} route"),
             None,
             keep,
         ),
@@ -872,20 +699,24 @@ fn batch_route(
 }
 
 /// Proxy a worker's NDJSON stream line by line through a chunked
-/// response, mapping each line through `rewrite` (heartbeats included —
-/// they pass through, keeping the client's liveness view honest). A worker
-/// stream cut short closes the client connection unterminated, so the
-/// client sees the truncation too.
+/// response, encoding the ids in each line (heartbeats included — they
+/// pass through, keeping the client's liveness view honest). A worker
+/// stream cut short, or a line whose id does not fit, closes the client
+/// connection unterminated, so the client sees the truncation too.
 fn proxy_stream(
     stream: &mut TcpStream,
-    state: &Arc<RouterState>,
+    state: &RouterState,
     worker: usize,
     path: &str,
+    not_found: &str,
     keep: bool,
-    rewrite: impl Fn(&str) -> String,
 ) -> Served {
     let lines = match state.clients[worker].stream_lines(path) {
         Ok(lines) => lines,
+        Err(ClientError::Status { status: 404, .. }) => {
+            respond_error(stream, 404, not_found, None, keep);
+            return Served::KeepAlive;
+        }
         Err(ClientError::Status { status, body, .. }) => {
             respond_passthrough(stream, status, None, &body, keep);
             return Served::KeepAlive;
@@ -898,11 +729,12 @@ fn proxy_stream(
     let Ok(mut writer) = ChunkedWriter::begin(stream, "application/x-ndjson", keep) else {
         return Served::Close;
     };
+    let encode = state.encoder(worker);
     for line in lines {
-        let Ok(line) = line else {
+        let Some(line) = line.ok().and_then(|line| splice_ids(&line, &encode)) else {
             return Served::Close;
         };
-        if writer.write_line(&rewrite(&line)).is_err() {
+        if writer.write_line(&line).is_err() {
             return Served::Close;
         }
     }
@@ -1030,51 +862,69 @@ mod tests {
     }
 
     #[test]
-    fn splice_rewrites_ids_and_urls_only() {
-        let body = concat!(
-            "{\"id\":7,\"seed\":7,\"score\":7,",
-            "\"events\":\"/v1/jobs/7/events\",\"status\":\"/v1/jobs/7\"}"
-        );
-        let out = splice_ids(body, |token, value| {
-            (token != "/v1/batches/" && value == 7).then_some(41)
-        });
+    fn ids_round_trip_through_every_worker() {
+        for workers in 1..=5 {
+            for worker in 0..workers {
+                for worker_id in [0, 1, 2, 7, 1 << 40] {
+                    let router_id = encode_id(worker_id, worker, workers).expect("fits");
+                    assert_eq!(decode_id(router_id, workers), (worker, worker_id));
+                }
+            }
+        }
+        // Distinct (worker, id) pairs never share a router id.
+        let ids: std::collections::HashSet<u64> = (0..3)
+            .flat_map(|worker| (0..50).map(move |id| encode_id(id, worker, 3).expect("fits")))
+            .collect();
+        assert_eq!(ids.len(), 150);
+    }
+
+    #[test]
+    fn one_worker_is_the_identity() {
+        for id in [0, 1, 41, u64::MAX] {
+            assert_eq!(encode_id(id, 0, 1), Some(id));
+            assert_eq!(decode_id(id, 1), (0, id));
+        }
+    }
+
+    #[test]
+    fn encoding_refuses_ids_that_overflow() {
+        let top = u64::MAX / 3; // 3·top = u64::MAX, so only worker 0 fits
+        assert_eq!(encode_id(top, 0, 3), Some(top * 3));
+        assert_eq!(encode_id(top, 1, 3), None);
+        assert_eq!(encode_id(top + 1, 0, 3), None);
+        assert_eq!(decode_id(u64::MAX, 3), (0, top));
         assert_eq!(
-            out,
-            concat!(
-                "{\"id\":41,\"seed\":7,\"score\":7,",
-                "\"events\":\"/v1/jobs/41/events\",\"status\":\"/v1/jobs/41\"}"
-            ),
-            "seed and score must survive; id and URLs must move"
+            splice_ids("{\"id\":6148914691236517206}", |id| encode_id(id, 0, 3)),
+            None,
+            "an id past the encodable range must not be truncated or wrapped"
         );
     }
 
     #[test]
-    fn splice_distinguishes_batch_and_job_ids() {
-        // Worker batch id 1 collides numerically with worker job id 1 —
-        // the first-"id" rule plus URL tokens keeps them apart.
-        let body = concat!(
-            "{\"id\":1,\"jobs\":[{\"spec\":\"Borda\",\"id\":1,\"status\":\"/v1/jobs/1\"},",
-            "{\"spec\":\"Exact\",\"id\":2,\"status\":\"/v1/jobs/2\"}],",
-            "\"status\":\"/v1/batches/1\"}"
+    fn splice_encodes_protocol_ids_and_leaves_strings_alone() {
+        let encode = |id: u64| encode_id(id, 1, 2);
+        let submit = concat!(
+            "{\"id\":3,\"seed\":7,\"jobs\":[{\"spec\":\"Borda\",\"id\":4,",
+            "\"events\":\"/v1/jobs/4/events\",\"status\":\"/v1/jobs/4\"}],",
+            "\"events\":\"/v1/batches/3/events\",\"status\":\"/v1/batches/3\"}"
         );
-        let job_map: HashMap<u64, u64> = [(1, 10), (2, 11)].into_iter().collect();
-        let mut first_id = true;
-        let out = splice_ids(body, |token, value| match token {
-            "/v1/batches/" => (value == 1).then_some(50),
-            "\"id\":" if first_id => {
-                first_id = false;
-                (value == 1).then_some(50)
-            }
-            _ => job_map.get(&value).copied(),
-        });
         assert_eq!(
-            out,
+            splice_ids(submit, encode).expect("fits"),
             concat!(
-                "{\"id\":50,\"jobs\":[{\"spec\":\"Borda\",\"id\":10,\"status\":\"/v1/jobs/10\"},",
-                "{\"spec\":\"Exact\",\"id\":11,\"status\":\"/v1/jobs/11\"}],",
-                "\"status\":\"/v1/batches/50\"}"
+                "{\"id\":7,\"seed\":7,\"jobs\":[{\"spec\":\"Borda\",\"id\":9,",
+                "\"events\":\"/v1/jobs/9/events\",\"status\":\"/v1/jobs/9\"}],",
+                "\"events\":\"/v1/batches/7/events\",\"status\":\"/v1/batches/7\"}"
             )
         );
+        // Labels spelled like ids or URLs, escaped quotes included, are
+        // report bytes and must not move.
+        let labels = concat!(
+            "{\"event\":\"finished\",\"ranking\":[[\"/v1/jobs/0\",\"/v1/batches/0\"],",
+            "[\"\\\"id\\\":5\",\"\\\"job\\\":5\",\"\\\"status\\\":\\\"/v1/jobs/5\"]],",
+            "\"spec\":\"Exact\",\"job\":2}"
+        );
+        let out = splice_ids(labels, encode).expect("fits");
+        assert_eq!(out, labels.replace("\"job\":2}", "\"job\":5}"));
     }
 
     #[test]

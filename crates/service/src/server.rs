@@ -454,10 +454,14 @@ const KERNEL_PANIC: &str = "internal kernel panic";
 type DoneIds = Mutex<BTreeSet<u64>>;
 
 /// A batch sub-job's tie to its batch: the spec its merged-stream lines
-/// are tagged with, and the signal that wakes that stream.
+/// are tagged with, the signal that wakes that stream, and the batch's id
+/// and sub-job id range, so eviction can drop the batch with its last
+/// sub-job.
 struct BatchLink {
     spec: String,
     signal: Arc<Signal>,
+    batch: u64,
+    jobs: std::ops::Range<u64>,
 }
 
 /// A wake-up for a batch's merged stream: every sub-job publication moves
@@ -491,8 +495,9 @@ impl Signal {
 
 /// One accepted `POST /v1/batches`: the panel's sub-jobs in spec order.
 /// The batch holds its own `Arc`s to the records, so batch status and the
-/// merged event stream keep working even after `retain_done` eviction
-/// drops a sub-job from the job table.
+/// merged event stream keep working while `retain_done` eviction drops
+/// its sub-jobs from the job table; the batch itself goes with the last
+/// of them (see [`evict_done`]).
 struct BatchRecord {
     id: u64,
     idempotency: Option<String>,
@@ -510,9 +515,23 @@ struct BatchTable {
     keys: HashMap<String, u64>,
 }
 
+impl BatchTable {
+    /// Drop the batches [`evict_done`] evicted the last sub-job of.
+    fn remove(&mut self, ids: &[u64]) {
+        for id in ids {
+            if let Some(batch) = self.records.remove(id) {
+                if let Some(key) = &batch.idempotency {
+                    self.keys.remove(key);
+                }
+            }
+        }
+    }
+}
+
 struct ServerState {
     engine: Engine,
     jobs: Mutex<JobTable>,
+    /// Lock order: this, then `jobs`.
     batches: Mutex<BatchTable>,
     /// Live datasets by id (`PUT /v1/datasets/{id}` creates, `DELETE`
     /// removes).
@@ -1761,6 +1780,7 @@ fn submit_job(
             return respond_error(stream, status, &e.message, e.suggestion.as_deref(), keep);
         }
     };
+    let mut evicted_batches = Vec::new();
     let admitted = {
         let mut table = state.jobs.lock().expect("job table poisoned");
         // Re-check the key under the table lock, which is held through
@@ -1780,13 +1800,19 @@ fn submit_job(
                     if let Some(key) = &submission.idempotency_key {
                         table.keys.insert(key.clone(), id);
                     }
-                    evict_done(&mut table, state);
+                    evicted_batches = evict_done(&mut table, state);
                     state.metrics.jobs_accepted.inc();
                     (record, false)
                 })
             }
         }
     };
+    // The job table is released first: `submit_batch` takes the batch
+    // table before the job table.
+    if !evicted_batches.is_empty() {
+        let mut batches = state.batches.lock().expect("batch table poisoned");
+        batches.remove(&evicted_batches);
+    }
     match admitted {
         Ok((record, deduplicated)) => {
             let status = if deduplicated { 200 } else { 202 };
@@ -1907,6 +1933,8 @@ fn submit_batch(
                 let mut table = state.jobs.lock().expect("job table poisoned");
                 let signal = Arc::new(Signal::default());
                 let first_id = table.next_id;
+                let batch_id = batches.next_id;
+                let job_ids = first_id..first_id + prepared.len() as u64;
                 let (records, jobs): (Vec<_>, Vec<_>) = prepared
                     .into_iter()
                     .zip(first_id..)
@@ -1920,6 +1948,8 @@ fn submit_batch(
                         let link = BatchLink {
                             spec: spec.clone(),
                             signal: Arc::clone(&signal),
+                            batch: batch_id,
+                            jobs: job_ids.clone(),
                         };
                         let pj = PreparedJob {
                             prepared: prep,
@@ -1936,21 +1966,22 @@ fn submit_batch(
                         table.records.insert(record.id, Arc::clone(record));
                         state.metrics.jobs_accepted.inc();
                     }
-                    evict_done(&mut table, state);
-                    drop(table);
-                    let id = batches.next_id;
                     batches.next_id += 1;
                     let batch = Arc::new(BatchRecord {
-                        id,
+                        id: batch_id,
                         idempotency: submission.idempotency_key.clone(),
                         seed: submission.seed,
                         jobs: records,
                         signal,
                     });
-                    batches.records.insert(id, Arc::clone(&batch));
+                    batches.records.insert(batch_id, Arc::clone(&batch));
                     if let Some(key) = &batch.idempotency {
-                        batches.keys.insert(key.clone(), id);
+                        batches.keys.insert(key.clone(), batch_id);
                     }
+                    // Evict only once the batch is in its table, so a
+                    // sub-job that finished already cannot strand it.
+                    let evicted = evict_done(&mut table, state);
+                    batches.remove(&evicted);
                     (batch, false)
                 })
             }
@@ -2358,13 +2389,16 @@ fn recover(state: &Arc<ServerState>) -> std::io::Result<()> {
 /// An evicted job releases its idempotency key and journal segments, so
 /// the on-disk recovery set stays as bounded as the in-memory table.
 /// Each finished job is popped at most once, so a call costs O(log n)
-/// amortized, not a scan of the table.
-fn evict_done(table: &mut JobTable, state: &ServerState) {
+/// amortized, not a scan of the table. Returns the ids of the batches
+/// whose last sub-job left the table, for the caller to drop from the
+/// batch table (lock order: `batches`, then `jobs`).
+fn evict_done(table: &mut JobTable, state: &ServerState) -> Vec<u64> {
     let evicted: Vec<u64> = {
         let mut done_ids = state.done_ids.lock().expect("done ids poisoned");
         let excess = done_ids.len().saturating_sub(state.config.retain_done);
         (0..excess).filter_map(|_| done_ids.pop_first()).collect()
     };
+    let mut links = Vec::new();
     for id in evicted {
         if let Some(record) = table.records.remove(&id) {
             if let Some(key) = &record.idempotency {
@@ -2373,8 +2407,15 @@ fn evict_done(table: &mut JobTable, state: &ServerState) {
             if let Some(journal) = &state.journal {
                 journal.remove_job(id);
             }
+            links.extend(record.batch.as_ref().map(|l| (l.batch, l.jobs.clone())));
         }
     }
+    // A batch whose sub-jobs have all left the job table goes too.
+    links
+        .into_iter()
+        .filter(|(_, jobs)| !jobs.clone().any(|id| table.records.contains_key(&id)))
+        .map(|(batch, _)| batch)
+        .collect()
 }
 
 /// `GET /v1/jobs/{id}`: status + best-so-far (trace from the sink, full

@@ -441,3 +441,55 @@ fn merged_stream_ends_promptly_after_the_last_sub_job() {
     );
     shutdown.shutdown();
 }
+
+/// `retain_done` bounds batches too: a batch record goes with the last of
+/// its sub-jobs, and its idempotency key with it, so finished panels do
+/// not accumulate. The newest batches still resolve in full.
+#[test]
+fn batch_records_leave_with_their_last_sub_job() {
+    let (client, shutdown, _) = start_server(ServerConfig {
+        retain_done: 4,
+        ..ServerConfig::default()
+    });
+    let batches: Vec<_> = (0..8)
+        .map(|i| {
+            let batch = client
+                .submit_batch(&BatchSubmission {
+                    seed: i,
+                    idempotency_key: Some(format!("panel-{i}")),
+                    ..BatchSubmission::new(PAPER_EXAMPLE, vec!["Borda".into(), "Exact".into()])
+                })
+                .expect("submit batch");
+            client.wait_batch(batch.id).expect("batch finishes");
+            batch
+        })
+        .collect();
+    let gone = |id: u64| {
+        matches!(
+            client.batch_status(id),
+            Err(ClientError::Status { status: 404, .. })
+        )
+    };
+    for old in &batches[..5] {
+        assert!(gone(old.id), "batch {} must be evicted", old.id);
+    }
+    for new in &batches[6..] {
+        let status = client
+            .batch_status(new.id)
+            .expect("a recent batch resolves");
+        assert_eq!(status.get("state").and_then(Json::as_str), Some("done"));
+        for job in &new.jobs {
+            client.status(job.id).expect("its sub-jobs resolve too");
+        }
+    }
+    // An evicted batch's key is released: resubmitting it runs afresh.
+    let again = client
+        .submit_batch(&BatchSubmission {
+            seed: 0,
+            idempotency_key: Some("panel-0".into()),
+            ..BatchSubmission::new(PAPER_EXAMPLE, vec!["Borda".into(), "Exact".into()])
+        })
+        .expect("resubmit an evicted key");
+    assert!(!again.deduplicated, "an evicted batch's key must be free");
+    shutdown.shutdown();
+}

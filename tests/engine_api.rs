@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use rank_aggregation_with_ties::prelude::*;
 use rank_aggregation_with_ties::rank_core::engine::SpecErrorKind;
 use rank_aggregation_with_ties::rank_core::engine::{
-    registry, suggest, BatchBuilder, DEFAULT_MIN_RUNS,
+    registry, suggest, BatchBuilder, DEFAULT_MIN_RUNS, MAX_BEST_OF_RUNS,
 };
 use rank_aggregation_with_ties::rank_core::parse::parse_ranking;
 use std::time::Duration;
@@ -145,6 +145,29 @@ fn unknown_names_get_suggestions() {
         assert_eq!(err.kind, SpecErrorKind::InvalidArguments, "{bad}");
         assert_eq!(err.suggestion, None, "{bad}");
         assert!(err.to_string().contains("invalid algorithm spec"), "{err}");
+    }
+}
+
+#[test]
+fn best_of_repeat_counts_are_capped_at_parse_time() {
+    let at_cap = format!("BestOf(KwikSort,{MAX_BEST_OF_RUNS})");
+    assert_eq!(
+        AlgoSpec::parse(&at_cap).unwrap(),
+        AlgoSpec::BestOf {
+            base: Box::new(AlgoSpec::KwikSort),
+            runs: MAX_BEST_OF_RUNS,
+        }
+    );
+    // The largest count the repository's own runs use stays accepted.
+    AlgoSpec::parse("BestOf(BioConsert,1000)").expect("CI's long-running spec");
+    for bad in [
+        format!("BestOf(KwikSort,{})", MAX_BEST_OF_RUNS + 1),
+        "BestOf(Borda,2000000000)".to_owned(),
+        format!("BestOf(Borda,{})", usize::MAX),
+    ] {
+        let err = AlgoSpec::parse(&bad).unwrap_err();
+        assert_eq!(err.kind, SpecErrorKind::InvalidArguments, "{bad}");
+        assert!(err.to_string().contains("exceeds the maximum"), "{err}");
     }
 }
 

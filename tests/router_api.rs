@@ -500,3 +500,158 @@ fn steady_routed_traffic_opens_no_connections() {
     down_a.shutdown();
     down_b.shutdown();
 }
+
+/// One raw `GET` on a fresh connection: status and body bytes (a chunked
+/// body comes back as its lines joined by `\n`).
+fn raw_get(addr: &str, path: &str) -> (u16, String) {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    write_request(&mut stream, "GET", path, addr, None, false).expect("send");
+    let response = ClientResponse::read(stream).expect("response head");
+    let status = response.status;
+    (status, response.body_string().expect("response body"))
+}
+
+/// `doc` with the digits after every `"id":` and `"job":` key replaced by
+/// `#`: what must stay byte-identical when only ids are re-encoded.
+fn mask_ids(doc: &str) -> String {
+    let mut out = String::with_capacity(doc.len());
+    let mut rest = doc;
+    while let Some((at, len)) = ["\"id\":", "\"job\":"]
+        .iter()
+        .filter_map(|token| rest.find(token).map(|at| (at, token.len())))
+        .min()
+    {
+        out.push_str(&rest[..at + len]);
+        out.push('#');
+        rest = rest[at + len..].trim_start_matches(|c: char| c.is_ascii_digit());
+    }
+    out.push_str(rest);
+    out
+}
+
+/// Labels are the user's bytes, even when they are spelled like the
+/// protocol's URLs: through the router, a job's status, its batch's
+/// status and the merged batch stream are byte-identical to the owning
+/// worker's own documents except for the id fields, which carry router
+/// ids. (A router that spliced ids by pattern rewrote these labels.)
+#[test]
+fn labels_spelled_like_urls_pass_through_the_router_untouched() {
+    let (worker_a, down_a) = start_worker(ServerConfig::default());
+    let (worker_b, down_b) = start_worker(ServerConfig::default());
+    let workers = vec![worker_a, worker_b];
+    let (client, down_router, router_addr) = start_router(workers.clone(), None);
+    let dataset = concat!(
+        "[{/v1/jobs/0},{/v1/batches/0},{C}]\n",
+        "[{/v1/batches/0},{/v1/jobs/0,C}]\n",
+        "[{C},{/v1/jobs/0},{/v1/batches/0}]\n"
+    );
+    let batch = client
+        .submit_batch(&BatchSubmission {
+            seed: 3,
+            ..BatchSubmission::new(dataset, vec!["Exact".into(), "Borda".into()])
+        })
+        .expect("submit via router");
+    client.wait_batch(batch.id).expect("batch finishes");
+
+    // Worker k of N answers for the router ids ≡ k (mod N), under its
+    // own id id / N.
+    let n = workers.len() as u64;
+    let owner = &workers[(batch.id % n) as usize];
+    let through = |path: &str| raw_get(&router_addr, path);
+    let direct = |path: &str| raw_get(owner, path);
+
+    let (status, routed) = through(&format!("/v1/batches/{}", batch.id));
+    assert_eq!(status, 200, "{routed}");
+    let (_, own) = direct(&format!("/v1/batches/{}", batch.id / n));
+    assert!(routed.contains("/v1/batches/0") && routed.contains("/v1/jobs/0"));
+    assert_eq!(mask_ids(&routed), mask_ids(&own), "batch status");
+    let doc = Json::parse(&routed).expect("batch status JSON");
+    assert_eq!(doc.get("id").and_then(Json::as_u64), Some(batch.id));
+    let routed_ids: Vec<u64> = doc
+        .get("jobs")
+        .and_then(Json::as_array)
+        .expect("jobs")
+        .iter()
+        .map(|job| job.get("id").and_then(Json::as_u64).expect("sub-job id"))
+        .collect();
+    let sub_ids: Vec<u64> = batch.jobs.iter().map(|job| job.id).collect();
+    assert_eq!(routed_ids, sub_ids, "sub-job ids are router ids");
+
+    for id in &sub_ids {
+        assert_eq!(id % n, batch.id % n, "a batch's sub-jobs share its worker");
+        let (status, routed) = through(&format!("/v1/jobs/{id}"));
+        assert_eq!(status, 200, "{routed}");
+        assert_eq!(
+            client.status_raw(*id).expect("client raw status"),
+            routed,
+            "the client's raw status is the routed document"
+        );
+        let (_, own) = direct(&format!("/v1/jobs/{}", id / n));
+        assert!(routed.contains("/v1/jobs/0"), "{routed}");
+        assert_eq!(mask_ids(&routed), mask_ids(&own), "job {id} status");
+        let doc = Json::parse(&routed).expect("job status JSON");
+        assert_eq!(doc.get("id").and_then(Json::as_u64), Some(*id));
+    }
+
+    let (status, routed) = through(&format!("/v1/batches/{}/events", batch.id));
+    assert_eq!(status, 200, "{routed}");
+    let (_, own) = direct(&format!("/v1/batches/{}/events", batch.id / n));
+    assert_eq!(mask_ids(&routed), mask_ids(&own), "merged batch events");
+    for line in routed.lines() {
+        let event = Json::parse(line).expect("event line");
+        let job = event.get("job").and_then(Json::as_u64).expect("tagged");
+        assert!(
+            sub_ids.contains(&job),
+            "line tagged with a router id: {line}"
+        );
+    }
+
+    down_router.shutdown();
+    down_a.shutdown();
+    down_b.shutdown();
+}
+
+/// The router keeps no id state, so restarting it loses nothing: a
+/// fresh router over the same worker list resolves every job, batch and
+/// sub-job id the first one handed out, to the same documents.
+#[test]
+fn ids_survive_a_router_restart() {
+    let (worker_a, down_a) = start_worker(ServerConfig::default());
+    let (worker_b, down_b) = start_worker(ServerConfig::default());
+    let workers = vec![worker_a, worker_b];
+    let (first, down_first, first_addr) = start_router(workers.clone(), None);
+    let job = first
+        .submit(&JobSubmission {
+            algo: Some("Exact".into()),
+            ..JobSubmission::new(PAPER_EXAMPLE)
+        })
+        .expect("submit via the first router");
+    first.wait(job.id).expect("job finishes");
+    let batch = first
+        .submit_batch(&panel_submission())
+        .expect("batch via the first router");
+    first.wait_batch(batch.id).expect("batch finishes");
+
+    let mut paths = vec![
+        format!("/v1/jobs/{}", job.id),
+        format!("/v1/batches/{}", batch.id),
+        format!("/v1/batches/{}/events", batch.id),
+    ];
+    paths.extend(batch.jobs.iter().map(|sub| format!("/v1/jobs/{}", sub.id)));
+    let before: Vec<(u16, String)> = paths.iter().map(|p| raw_get(&first_addr, p)).collect();
+    down_first.shutdown();
+    drop(first);
+
+    let (_, down_second, second_addr) = start_router(workers, None);
+    for (path, before) in paths.iter().zip(&before) {
+        assert_eq!(before.0, 200, "{path} via the first router: {}", before.1);
+        assert_eq!(
+            &raw_get(&second_addr, path),
+            before,
+            "{path} must resolve the same through a restarted router"
+        );
+    }
+    down_second.shutdown();
+    down_a.shutdown();
+    down_b.shutdown();
+}

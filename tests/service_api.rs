@@ -503,6 +503,24 @@ fn malformed_submissions_get_typed_400s_and_never_kill_the_server() {
     shutdown.shutdown();
 }
 
+/// A `BestOf` repeat count past the cap is refused when the spec is
+/// parsed, before any repeat is planned: a 400 naming the cap, not a
+/// server asked for gigabytes.
+#[test]
+fn oversized_best_of_repeat_counts_get_a_400() {
+    let (client, shutdown, addr) = default_server();
+    let (status, response) = raw_post(
+        &addr,
+        "/v1/jobs",
+        r#"{"dataset":"[{A},{B}]\n[{B},{A}]","algo":"BestOf(Borda,2000000000)"}"#,
+    );
+    assert_eq!(status, 400, "{response}");
+    assert!(response.contains("exceeds the maximum"), "{response}");
+    let health = client.healthz().expect("healthz");
+    assert_eq!(health.get("status").and_then(Json::as_str), Some("ok"));
+    shutdown.shutdown();
+}
+
 /// A body of nothing but `[`: a decoder that recursed once per byte would
 /// overflow the connection thread's stack, an abort of the whole process
 /// that no `catch_unwind` can stop. Nesting is bounded, so every endpoint
