@@ -246,7 +246,7 @@ pub struct Engine {
     cache: Arc<MatrixCache>,
     workers: usize,
     /// Shape of the job scheduler ([`Engine::submit`] /
-    /// [`Engine::try_submit`]); the scheduler itself is built lazily on
+    /// [`Engine::try_submit_with`]); the scheduler itself is built lazily on
     /// the first submission so engines that only ever `run` pay nothing.
     sched_config: SchedulerConfig,
     sched: OnceLock<Scheduler>,
@@ -376,25 +376,21 @@ impl Engine {
     /// shortest declared budget first (see [`scheduler`]); `Started` is
     /// emitted when the job leaves the queue. If the admission queue is
     /// full this call **blocks** until space frees up — load-shedding
-    /// callers (the network service) use [`Engine::try_submit`] instead.
+    /// callers (the network service) use [`Engine::try_submit_with`]
+    /// instead.
     pub fn submit(&self, request: AggregationRequest) -> JobHandle {
         self.scheduler().submit(request)
     }
 
-    /// [`Engine::submit`] with load shedding: if the scheduler's admission
-    /// queue is at capacity, the request is refused with
+    /// [`Engine::submit`] with load shedding, reporting through
+    /// caller-built [`JobHooks`] — a listener on the sink that publishes
+    /// each event where it belongs, and a completion that takes the result
+    /// — instead of a [`JobHandle`]. If the scheduler's admission queue is
+    /// at capacity, the request is refused with
     /// [`AdmissionError::QueueFull`] (carrying a retry hint) instead of
-    /// blocking. Running jobs are never affected by shed submissions.
-    pub fn try_submit(&self, request: AggregationRequest) -> Result<JobHandle, AdmissionError> {
-        self.scheduler().try_submit(request)
-    }
-
-    /// [`Engine::try_submit`] for a caller that reports through its own
-    /// [`JobHooks`] — a listener on the sink that publishes each event
-    /// where it belongs, and a completion that takes the result — instead
-    /// of holding a [`JobHandle`]. On refusal the hooks are dropped unused;
-    /// an admitted job calls its completion exactly once, on the worker
-    /// that ran it (also when the kernel panics, and when
+    /// blocking; running jobs are never affected. On refusal the hooks are
+    /// dropped unused; an admitted job calls its completion exactly once,
+    /// on the worker that ran it (also when the kernel panics, and when
     /// [`Engine::shutdown_drain`] cancels it).
     pub fn try_submit_with(
         &self,
@@ -418,7 +414,8 @@ impl Engine {
         self.scheduler().try_submit_batch_with(jobs)
     }
 
-    /// [`Engine::submit`] into the scheduler's **recovered** class: the
+    /// Admission into the scheduler's **recovered** class, reporting
+    /// through caller-built hooks (see [`Engine::try_submit_with`]): the
     /// job runs before every fresh submission, FIFO among recovered jobs
     /// regardless of declared budgets. This is the restart-recovery path —
     /// a service replaying a durable journal re-admits interrupted jobs
@@ -427,14 +424,21 @@ impl Engine {
     /// can never starve the work the restart promised to finish. Blocks
     /// when the queue is full (recovery must not drop jobs); panics if the
     /// engine is shut down while waiting, like [`Engine::submit`].
-    pub fn submit_recovered(&self, request: AggregationRequest) -> JobHandle {
-        self.scheduler().submit_recovered(request)
-    }
-
-    /// [`Engine::submit_recovered`] with caller-built hooks (see
-    /// [`Engine::try_submit_with`]).
     pub fn submit_recovered_with(&self, request: AggregationRequest, hooks: JobHooks) {
         self.scheduler().submit_recovered_with(request, hooks)
+    }
+
+    /// Admit the next round of a job that already holds its place (a
+    /// service's follow job re-solving after its dataset changed): the
+    /// fresh class in budget order, never shed for a full queue, refused
+    /// only while shutting down. See [`Scheduler::resubmit_with`] for the
+    /// queue bound this keeps.
+    pub fn resubmit_with(
+        &self,
+        request: AggregationRequest,
+        hooks: JobHooks,
+    ) -> Result<(), AdmissionError> {
+        self.scheduler().resubmit_with(request, hooks)
     }
 
     /// The scheduler's shape (configured bounds, whether or not the

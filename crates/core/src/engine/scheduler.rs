@@ -10,7 +10,7 @@
 //! * **Concurrency cap** — at most `max_concurrent` jobs execute at once,
 //!   on long-lived worker threads created lazily on first submission.
 //! * **Bounded admission queue** — at most `queue_capacity` jobs wait;
-//!   beyond that, [`Scheduler::try_submit`] sheds load with
+//!   beyond that, [`Scheduler::try_submit_with`] sheds load with
 //!   [`AdmissionError::QueueFull`] carrying a retry hint (the service layer
 //!   translates it to HTTP 429 + `Retry-After`).
 //! * **Shortest-budget-first ordering** — queued jobs run in ascending
@@ -20,7 +20,7 @@
 //!   it doubles as a size estimate: letting short jobs overtake long ones
 //!   bounds queueing delay for exactly the callers that asked to be quick.
 //! * **Recovered-first re-admission** — jobs re-admitted from a durable
-//!   journal after a restart ([`Scheduler::submit_recovered`]) form a
+//!   journal after a restart ([`Scheduler::submit_recovered_with`]) form a
 //!   strictly higher admission class: they run before every fresh
 //!   submission, in plain re-admission (FIFO) order, ignoring their
 //!   declared budgets. Recovery replays the journal in ascending job-id
@@ -28,6 +28,12 @@
 //!   function of the journal alone — budget-based overtaking by new
 //!   traffic could otherwise reorder (and starve) the very jobs the
 //!   restart promised to finish.
+//! * **Never-shed rounds** — the next round of a job that already holds
+//!   its place ([`Scheduler::resubmit_with`]: a service's follow job
+//!   re-solving after an edit) joins the fresh class in budget order but
+//!   is never shed. A caller that keeps at most one round of each such job
+//!   queued or running lets the queue exceed `queue_capacity` by at most
+//!   the number of those jobs.
 //!
 //! Running jobs are never shed and never preempted — cancellation stays
 //! cooperative through each job's [`CancelToken`], exactly as in the
@@ -62,7 +68,7 @@ pub struct SchedulerConfig {
     /// Maximum number of jobs executing at once (worker-pool width, ≥ 1).
     pub max_concurrent: usize,
     /// Maximum number of *queued* (admitted but not yet running) jobs
-    /// before [`Scheduler::try_submit`] sheds load (≥ 1).
+    /// before [`Scheduler::try_submit_with`] sheds load (≥ 1).
     pub queue_capacity: usize,
 }
 
@@ -282,50 +288,29 @@ impl Scheduler {
         }
     }
 
-    /// Admit `request` if the queue has room; otherwise shed it.
-    pub fn try_submit(&self, request: AggregationRequest) -> Result<JobHandle, AdmissionError> {
-        let (handle, hooks) = JobHandle::attach();
-        self.try_submit_with(request, hooks).map(|()| handle)
-    }
-
-    /// [`Scheduler::try_submit`] reporting through caller-built `hooks`
-    /// instead of a [`JobHandle`]. On refusal the hooks are dropped and
-    /// the completion is never called; once admitted, it is called
-    /// exactly once.
+    /// Admit `request` if the queue has room; otherwise shed it. Reports
+    /// through caller-built `hooks` ([`JobHandle::attach`] builds a
+    /// handle's). On refusal the hooks are dropped and the completion is
+    /// never called; once admitted, it is called exactly once.
     pub fn try_submit_with(
         &self,
         request: AggregationRequest,
         hooks: JobHooks,
     ) -> Result<(), AdmissionError> {
-        self.admit(request, hooks, false).map_err(|(_, _, e)| {
-            if matches!(e, AdmissionError::QueueFull { .. }) {
-                self.shared.count_shed(1);
-            }
-            e
-        })
-    }
-
-    /// Admit a whole batch as one unit: either every request fits in the
-    /// queue together, or none is admitted (a partially admitted panel
-    /// would leave the caller holding half a batch with no way to retry
-    /// the rest under the same admission decision). One handle per
-    /// request, in request order.
-    pub fn try_submit_batch(
-        &self,
-        requests: Vec<AggregationRequest>,
-    ) -> Result<Vec<JobHandle>, AdmissionError> {
-        let (handles, jobs): (Vec<_>, Vec<_>) = requests
-            .into_iter()
-            .map(|request| {
-                let (handle, hooks) = JobHandle::attach();
-                (handle, (request, hooks))
+        self.admit(request, hooks, false, true)
+            .map_err(|(_, _, e)| {
+                if matches!(e, AdmissionError::QueueFull { .. }) {
+                    self.shared.count_shed(1);
+                }
+                e
             })
-            .unzip();
-        self.try_submit_batch_with(jobs).map(|()| handles)
     }
 
-    /// [`Scheduler::try_submit_batch`] with caller-built hooks per request
-    /// (see [`Scheduler::try_submit_with`]).
+    /// Admit a whole batch as one unit, one set of hooks per request:
+    /// either every request fits in the queue together, or none is
+    /// admitted (a partially admitted panel would leave the caller holding
+    /// half a batch with no way to retry the rest under the same admission
+    /// decision).
     pub fn try_submit_batch_with(
         &self,
         jobs: Vec<(AggregationRequest, JobHooks)>,
@@ -362,8 +347,23 @@ impl Scheduler {
         Ok(())
     }
 
+    /// Admit the next round of a job that already holds its place: the
+    /// fresh class, in budget order, but never shed for a full queue —
+    /// refused only while shutting down. The caller bounds the overshoot:
+    /// with at most one round of each such job queued or running, the
+    /// queue exceeds `queue_capacity` by at most the number of those jobs.
+    pub fn resubmit_with(
+        &self,
+        request: AggregationRequest,
+        hooks: JobHooks,
+    ) -> Result<(), AdmissionError> {
+        self.admit(request, hooks, false, false)
+            .map_err(|(_, _, e)| e)
+    }
+
     /// Admit one job, returning the request and hooks on rejection so the
-    /// blocking path can retry them.
+    /// blocking path can retry them. `capped` jobs are refused when the
+    /// queue is full.
     // The large Err is the point: rejection hands the request back so
     // `submit` can retry it without a clone on the admission fast path.
     #[allow(clippy::result_large_err)]
@@ -372,12 +372,13 @@ impl Scheduler {
         request: AggregationRequest,
         hooks: JobHooks,
         recovered: bool,
+        capped: bool,
     ) -> Result<(), (AggregationRequest, JobHooks, AdmissionError)> {
         let mut state = self.shared.state.lock().expect("scheduler state poisoned");
         if state.shutdown {
             return Err((request, hooks, AdmissionError::ShuttingDown));
         }
-        if state.queue.len() >= self.shared.config.queue_capacity {
+        if capped && state.queue.len() >= self.shared.config.queue_capacity {
             let err = AdmissionError::QueueFull {
                 queued: state.queue.len(),
                 capacity: self.shared.config.queue_capacity,
@@ -401,8 +402,8 @@ impl Scheduler {
     }
 
     /// Admit `request`, blocking until the queue has room (the in-process
-    /// compatibility path; remote front ends use [`Scheduler::try_submit`]
-    /// and shed instead).
+    /// compatibility path; remote front ends use
+    /// [`Scheduler::try_submit_with`] and shed instead).
     ///
     /// # Panics
     ///
@@ -414,27 +415,21 @@ impl Scheduler {
         handle
     }
 
-    /// Blocking admission into the **recovered** class: the job runs
-    /// before every fresh submission, FIFO among recovered jobs (see the
-    /// module docs). This is the restart-recovery path — the service
-    /// re-admits journaled jobs with it in ascending job-id order, which
-    /// makes the post-restart execution order a deterministic function of
-    /// the journal. Blocking (rather than shedding) is deliberate:
-    /// recovery happens before the server starts accepting traffic, and a
-    /// journal holding more interrupted jobs than the queue bound must
-    /// wait for room, not drop work it promised to finish.
+    /// Blocking admission into the **recovered** class, reporting through
+    /// caller-built hooks: the job runs before every fresh submission, FIFO
+    /// among recovered jobs (see the module docs). This is the
+    /// restart-recovery path — the service re-admits journaled jobs with
+    /// it in ascending job-id order, which makes the post-restart
+    /// execution order a deterministic function of the journal. Blocking
+    /// (rather than shedding) is deliberate: recovery happens before the
+    /// server starts accepting traffic, and a journal holding more
+    /// interrupted jobs than the queue bound must wait for room, not drop
+    /// work it promised to finish.
     ///
     /// # Panics
     ///
     /// Panics if the scheduler is shut down while waiting, exactly like
     /// [`Scheduler::submit`].
-    pub fn submit_recovered(&self, request: AggregationRequest) -> JobHandle {
-        let (handle, hooks) = JobHandle::attach();
-        self.submit_recovered_with(request, hooks);
-        handle
-    }
-
-    /// [`Scheduler::submit_recovered`] with caller-built hooks.
     pub fn submit_recovered_with(&self, request: AggregationRequest, hooks: JobHooks) {
         self.submit_class(request, hooks, true);
     }
@@ -442,7 +437,7 @@ impl Scheduler {
     fn submit_class(&self, request: AggregationRequest, hooks: JobHooks, recovered: bool) {
         let mut job = (request, hooks);
         loop {
-            match self.admit(job.0, job.1, recovered) {
+            match self.admit(job.0, job.1, recovered, true) {
                 Ok(()) => return,
                 Err((_, _, AdmissionError::ShuttingDown)) => {
                     panic!("Engine::submit on a shut-down engine")
@@ -654,11 +649,38 @@ mod tests {
         )
     }
 
+    /// Shedding admission of a job watched through a handle.
+    fn try_submit(s: &Scheduler, request: AggregationRequest) -> Result<JobHandle, AdmissionError> {
+        let (handle, hooks) = JobHandle::attach();
+        s.try_submit_with(request, hooks).map(|()| handle)
+    }
+
+    /// Recovered-class admission of a job watched through a handle.
+    fn submit_recovered(s: &Scheduler, request: AggregationRequest) -> JobHandle {
+        let (handle, hooks) = JobHandle::attach();
+        s.submit_recovered_with(request, hooks);
+        handle
+    }
+
+    /// All-or-nothing admission of a panel, one handle per request.
+    fn try_submit_batch(
+        s: &Scheduler,
+        requests: Vec<AggregationRequest>,
+    ) -> Result<Vec<JobHandle>, AdmissionError> {
+        let (handles, jobs): (Vec<_>, Vec<_>) = requests
+            .into_iter()
+            .map(|request| {
+                let (handle, hooks) = JobHandle::attach();
+                (handle, (request, hooks))
+            })
+            .unzip();
+        s.try_submit_batch_with(jobs).map(|()| handles)
+    }
+
     #[test]
     fn runs_a_job_to_completion() {
         let s = sched(1, 4);
-        let handle = s
-            .try_submit(AggregationRequest::new(tiny_dataset(), AlgoSpec::Exact))
+        let handle = try_submit(&s, AggregationRequest::new(tiny_dataset(), AlgoSpec::Exact))
             .expect("admitted");
         let report = handle.wait();
         assert_eq!(report.score, 5);
@@ -670,23 +692,24 @@ mod tests {
         let s = sched(1, 1);
         // Occupy the single worker with a long multi-start job; its
         // per-repeat checkpoints make it promptly cancellable afterwards.
-        let blocker = s
-            .try_submit(AggregationRequest::new(
+        let blocker = try_submit(
+            &s,
+            AggregationRequest::new(
                 tiny_dataset(),
                 AlgoSpec::BestOf {
                     base: Box::new(AlgoSpec::KwikSort),
                     runs: 200_000,
                 },
-            ))
-            .expect("admitted");
+            ),
+        )
+        .expect("admitted");
         // Wait until it is actually running so the next job queues.
         while s.stats().running == 0 {
             std::thread::yield_now();
         }
-        let queued = s
-            .try_submit(AggregationRequest::new(tiny_dataset(), AlgoSpec::Exact))
+        let queued = try_submit(&s, AggregationRequest::new(tiny_dataset(), AlgoSpec::Exact))
             .expect("queue has room");
-        let shed = s.try_submit(AggregationRequest::new(tiny_dataset(), AlgoSpec::Borda));
+        let shed = try_submit(&s, AggregationRequest::new(tiny_dataset(), AlgoSpec::Borda));
         match shed {
             Err(AdmissionError::QueueFull {
                 queued: q,
@@ -708,35 +731,36 @@ mod tests {
     #[test]
     fn queued_jobs_run_shortest_declared_budget_first() {
         let s = sched(1, 8);
-        let blocker = s
-            .try_submit(AggregationRequest::new(
+        let blocker = try_submit(
+            &s,
+            AggregationRequest::new(
                 tiny_dataset(),
                 AlgoSpec::BestOf {
                     base: Box::new(AlgoSpec::KwikSort),
                     runs: 200_000,
                 },
-            ))
-            .expect("admitted");
+            ),
+        )
+        .expect("admitted");
         while s.stats().running == 0 {
             std::thread::yield_now();
         }
         // Queue: no-budget first, then long, then short — they must run
         // short, long, no-budget.
-        let unbounded = s
-            .try_submit(AggregationRequest::new(tiny_dataset(), AlgoSpec::Exact))
+        let unbounded = try_submit(&s, AggregationRequest::new(tiny_dataset(), AlgoSpec::Exact))
             .expect("admitted");
-        let long = s
-            .try_submit(
-                AggregationRequest::new(tiny_dataset(), AlgoSpec::Exact)
-                    .with_budget(Duration::from_secs(600)),
-            )
-            .expect("admitted");
-        let short = s
-            .try_submit(
-                AggregationRequest::new(tiny_dataset(), AlgoSpec::Exact)
-                    .with_budget(Duration::from_secs(1)),
-            )
-            .expect("admitted");
+        let long = try_submit(
+            &s,
+            AggregationRequest::new(tiny_dataset(), AlgoSpec::Exact)
+                .with_budget(Duration::from_secs(600)),
+        )
+        .expect("admitted");
+        let short = try_submit(
+            &s,
+            AggregationRequest::new(tiny_dataset(), AlgoSpec::Exact)
+                .with_budget(Duration::from_secs(1)),
+        )
+        .expect("admitted");
         // Inspect the drain order through the queue itself: pop order is
         // determined by `next_index`, exercised by releasing the worker.
         {
@@ -758,33 +782,36 @@ mod tests {
     #[test]
     fn recovered_jobs_run_before_fresh_ones_in_fifo_order() {
         let s = sched(1, 8);
-        let blocker = s
-            .try_submit(AggregationRequest::new(
+        let blocker = try_submit(
+            &s,
+            AggregationRequest::new(
                 tiny_dataset(),
                 AlgoSpec::BestOf {
                     base: Box::new(AlgoSpec::KwikSort),
                     runs: 200_000,
                 },
-            ))
-            .expect("admitted");
+            ),
+        )
+        .expect("admitted");
         while s.stats().running == 0 {
             std::thread::yield_now();
         }
         // A fresh short-budget job would normally overtake everything;
         // recovered jobs (even budget-less ones, admitted later) must
         // still come first, in their own admission order.
-        let fresh = s
-            .try_submit(
-                AggregationRequest::new(tiny_dataset(), AlgoSpec::Exact)
-                    .with_budget(Duration::from_secs(1)),
-            )
-            .expect("admitted");
-        let recovered_a = s.submit_recovered(
+        let fresh = try_submit(
+            &s,
+            AggregationRequest::new(tiny_dataset(), AlgoSpec::Exact)
+                .with_budget(Duration::from_secs(1)),
+        )
+        .expect("admitted");
+        let recovered_a = submit_recovered(
+            &s,
             AggregationRequest::new(tiny_dataset(), AlgoSpec::Exact)
                 .with_budget(Duration::from_secs(600)),
         );
         let recovered_b =
-            s.submit_recovered(AggregationRequest::new(tiny_dataset(), AlgoSpec::Exact));
+            submit_recovered(&s, AggregationRequest::new(tiny_dataset(), AlgoSpec::Exact));
         {
             let state = s.shared.state.lock().unwrap();
             let order: Vec<u64> = {
@@ -805,32 +832,39 @@ mod tests {
     #[test]
     fn batch_admission_is_all_or_nothing() {
         let s = sched(1, 3);
-        let blocker = s
-            .try_submit(AggregationRequest::new(
+        let blocker = try_submit(
+            &s,
+            AggregationRequest::new(
                 tiny_dataset(),
                 AlgoSpec::BestOf {
                     base: Box::new(AlgoSpec::KwikSort),
                     runs: 200_000,
                 },
-            ))
-            .expect("admitted");
+            ),
+        )
+        .expect("admitted");
         while s.stats().running == 0 {
             std::thread::yield_now();
         }
         // Two slots occupied by a pair-batch: fits (2 ≤ 3).
-        let pair = s
-            .try_submit_batch(vec![
+        let pair = try_submit_batch(
+            &s,
+            vec![
                 AggregationRequest::new(tiny_dataset(), AlgoSpec::Exact),
                 AggregationRequest::new(tiny_dataset(), AlgoSpec::Exact),
-            ])
-            .expect("batch of two fits");
+            ],
+        )
+        .expect("batch of two fits");
         assert_eq!(pair.len(), 2);
         // A second pair would need 4 total slots: the *whole* batch is
         // shed, leaving the queue exactly as it was.
-        let shed = s.try_submit_batch(vec![
-            AggregationRequest::new(tiny_dataset(), AlgoSpec::Exact),
-            AggregationRequest::new(tiny_dataset(), AlgoSpec::Borda),
-        ]);
+        let shed = try_submit_batch(
+            &s,
+            vec![
+                AggregationRequest::new(tiny_dataset(), AlgoSpec::Exact),
+                AggregationRequest::new(tiny_dataset(), AlgoSpec::Borda),
+            ],
+        );
         match shed {
             Err(AdmissionError::QueueFull {
                 queued, capacity, ..
@@ -839,8 +873,7 @@ mod tests {
         }
         assert_eq!(s.stats().queued, 2, "shed batch admitted nothing");
         // A single job still fits in the remaining slot.
-        let single = s
-            .try_submit(AggregationRequest::new(tiny_dataset(), AlgoSpec::Exact))
+        let single = try_submit(&s, AggregationRequest::new(tiny_dataset(), AlgoSpec::Exact))
             .expect("one slot left");
         blocker.cancel();
         let _ = blocker.wait();
@@ -880,8 +913,7 @@ mod tests {
             faulty,
         )
         .expect("admitted");
-        let next = s
-            .try_submit(AggregationRequest::new(tiny_dataset(), AlgoSpec::Exact))
+        let next = try_submit(&s, AggregationRequest::new(tiny_dataset(), AlgoSpec::Exact))
             .expect("admitted");
         assert_eq!(next.wait().score, 5, "the worker survived both panics");
         assert_eq!(
@@ -894,27 +926,31 @@ mod tests {
     #[test]
     fn drain_cancels_queued_and_running_and_resolves_every_handle() {
         let s = sched(1, 8);
-        let running = s
-            .try_submit(AggregationRequest::new(
+        let running = try_submit(
+            &s,
+            AggregationRequest::new(
                 tiny_dataset(),
                 AlgoSpec::BestOf {
                     base: Box::new(AlgoSpec::KwikSort),
                     runs: 200_000,
                 },
-            ))
-            .expect("admitted");
+            ),
+        )
+        .expect("admitted");
         while s.stats().running == 0 {
             std::thread::yield_now();
         }
-        let queued = s
-            .try_submit(AggregationRequest::new(
+        let queued = try_submit(
+            &s,
+            AggregationRequest::new(
                 tiny_dataset(),
                 AlgoSpec::BestOf {
                     base: Box::new(AlgoSpec::KwikSort),
                     runs: 200_000,
                 },
-            ))
-            .expect("admitted");
+            ),
+        )
+        .expect("admitted");
         s.shutdown_drain();
         assert_eq!(running.wait().outcome, Outcome::Cancelled);
         // The queued job was cancelled before it started; it still
@@ -923,8 +959,63 @@ mod tests {
         assert_eq!(report.outcome, Outcome::Cancelled);
         // After a drain, new submissions are refused.
         assert_eq!(
-            s.try_submit(AggregationRequest::new(tiny_dataset(), AlgoSpec::Borda))
-                .err(),
+            try_submit(&s, AggregationRequest::new(tiny_dataset(), AlgoSpec::Borda)).err(),
+            Some(AdmissionError::ShuttingDown)
+        );
+    }
+
+    #[test]
+    fn resubmitted_rounds_pass_a_full_queue_and_stop_at_shutdown() {
+        let s = sched(1, 1);
+        let blocker = try_submit(
+            &s,
+            AggregationRequest::new(
+                tiny_dataset(),
+                AlgoSpec::BestOf {
+                    base: Box::new(AlgoSpec::KwikSort),
+                    runs: 200_000,
+                },
+            ),
+        )
+        .expect("admitted");
+        while s.stats().running == 0 {
+            std::thread::yield_now();
+        }
+        let queued = try_submit(&s, AggregationRequest::new(tiny_dataset(), AlgoSpec::Exact))
+            .expect("queue has room");
+        assert!(matches!(
+            try_submit(&s, AggregationRequest::new(tiny_dataset(), AlgoSpec::Borda)),
+            Err(AdmissionError::QueueFull { .. })
+        ));
+        // The queue is full, yet a round of a job already admitted enters
+        // it, in the fresh class (budget order: the budgeted round first).
+        let (round, hooks) = JobHandle::attach();
+        s.resubmit_with(
+            AggregationRequest::new(tiny_dataset(), AlgoSpec::Exact)
+                .with_budget(Duration::from_secs(1)),
+            hooks,
+        )
+        .expect("a round is never shed");
+        assert_eq!(s.stats().queued, 2, "one past the queue bound");
+        {
+            let state = s.shared.state.lock().unwrap();
+            let mut keys: Vec<_> = state.queue.iter().map(|j| j.key()).collect();
+            keys.sort();
+            let order: Vec<(u8, u64)> = keys.iter().map(|&(class, _, seq)| (class, seq)).collect();
+            assert_eq!(order, vec![(1, 2), (1, 1)], "fresh class, budget order");
+        }
+        blocker.cancel();
+        let _ = blocker.wait();
+        assert_eq!(round.wait().score, 5);
+        assert_eq!(queued.wait().score, 5);
+        s.shutdown_drain();
+        let (_, hooks) = JobHandle::attach();
+        assert_eq!(
+            s.resubmit_with(
+                AggregationRequest::new(tiny_dataset(), AlgoSpec::Borda),
+                hooks
+            )
+            .err(),
             Some(AdmissionError::ShuttingDown)
         );
     }

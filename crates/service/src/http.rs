@@ -180,17 +180,52 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, HttpEr
     })
 }
 
+/// One accepted connection as a handler answers on it: the socket, and
+/// whether the drain had begun when the last response's final write
+/// started. [`Conn::respond`] and [`ChunkedWriter::finish`] take that
+/// sample just before they write, so a client can never hold its answer
+/// before the sample is taken.
+pub struct Conn<'d> {
+    stream: TcpStream,
+    draining: &'d AtomicBool,
+    drained_at_write: Option<bool>,
+}
+
+impl Conn<'_> {
+    /// Write one complete response with [`write_response`], taking the
+    /// drain sample first.
+    pub fn respond(
+        &mut self,
+        status: u16,
+        content_type: &str,
+        extra_headers: &[(&str, String)],
+        body: &[u8],
+        keep_alive: bool,
+    ) -> io::Result<()> {
+        self.drained_at_write = Some(self.draining.load(Ordering::SeqCst));
+        write_response(
+            &mut self.stream,
+            status,
+            content_type,
+            extra_headers,
+            body,
+            keep_alive,
+        )
+    }
+}
+
 /// The keep-alive request loop both tiers run on each accepted
 /// connection: read a request, hand it to `handle`, repeat while both
 /// sides keep the connection. Unreadable requests are answered 413/400
-/// and closed. While `draining`, a connection that sat idle when the
-/// drain began is closed unanswered at its next request, as a dead
-/// process would, so a pooled client redials and meets the closed
-/// listener; one busy when it began may still ask for its work's outcome.
+/// and closed. While `draining`, a connection that was idle when the
+/// drain began — its last response's final write had started before it —
+/// is closed unanswered at its next request, as a dead process would, so
+/// a pooled client redials and meets the closed listener; one busy when
+/// it began (a live event stream) may still ask for its work's outcome.
 pub(crate) fn serve_connection(
-    mut stream: TcpStream,
+    stream: TcpStream,
     draining: &AtomicBool,
-    mut handle: impl FnMut(&mut TcpStream, &Request, bool) -> Served,
+    mut handle: impl FnMut(&mut Conn, &Request, bool) -> Served,
 ) {
     // A stuck or silent client may hold the socket, but not forever —
     // the same timeout also bounds how long an idle keep-alive
@@ -205,25 +240,29 @@ pub(crate) fn serve_connection(
         return;
     };
     let mut reader = BufReader::new(clone);
-    // After each exchange: whether the drain had begun by then.
-    let mut drained_by_last: Option<bool> = None;
+    let mut conn = Conn {
+        stream,
+        draining,
+        drained_at_write: None,
+    };
     loop {
         let request = match read_request(&mut reader) {
             Ok(request) => request,
             Err(HttpError::BodyTooLarge(_)) => {
-                return reject(&mut stream, 413, "request body too large");
+                return reject(&mut conn.stream, 413, "request body too large");
             }
             // Framing is no longer trustworthy: answer and close.
-            Err(HttpError::Malformed(message)) => return reject(&mut stream, 400, &message),
+            Err(HttpError::Malformed(message)) => return reject(&mut conn.stream, 400, &message),
             // A clean EOF between requests is how keep-alive ends.
             Err(HttpError::Io(_)) => return,
         };
-        if drained_by_last == Some(false) && draining.load(Ordering::SeqCst) {
+        if conn.drained_at_write == Some(false) && draining.load(Ordering::SeqCst) {
             return;
         }
         let keep = request.keep_alive();
-        match handle(&mut stream, &request, keep) {
-            Served::KeepAlive if keep => drained_by_last = Some(draining.load(Ordering::SeqCst)),
+        conn.drained_at_write = None;
+        match handle(&mut conn, &request, keep) {
+            Served::KeepAlive if keep => {}
             _ => return,
         }
     }
@@ -297,24 +336,26 @@ pub fn write_response(
 /// they land, ended with the zero-length terminator.
 pub struct ChunkedWriter<'a> {
     stream: &'a mut TcpStream,
+    draining: &'a AtomicBool,
+    drained_at_write: &'a mut Option<bool>,
 }
 
 impl<'a> ChunkedWriter<'a> {
     /// Write the response head (status 200, `Transfer-Encoding: chunked`)
     /// and return the chunk writer. `keep_alive` chooses the `Connection`
     /// header, as in [`write_response`].
-    pub fn begin(
-        stream: &'a mut TcpStream,
-        content_type: &str,
-        keep_alive: bool,
-    ) -> io::Result<Self> {
+    pub fn begin(conn: &'a mut Conn<'_>, content_type: &str, keep_alive: bool) -> io::Result<Self> {
         let connection = if keep_alive { "keep-alive" } else { "close" };
         let head = format!(
             "HTTP/1.1 200 OK\r\nContent-Type: {content_type}\r\nTransfer-Encoding: chunked\r\nConnection: {connection}\r\nCache-Control: no-store\r\n\r\n"
         );
-        stream.write_all(head.as_bytes())?;
-        stream.flush()?;
-        Ok(ChunkedWriter { stream })
+        conn.stream.write_all(head.as_bytes())?;
+        conn.stream.flush()?;
+        Ok(ChunkedWriter {
+            stream: &mut conn.stream,
+            draining: conn.draining,
+            drained_at_write: &mut conn.drained_at_write,
+        })
     }
 
     /// Write one NDJSON line (the newline is appended here) as a chunk.
@@ -325,9 +366,11 @@ impl<'a> ChunkedWriter<'a> {
         self.stream.flush()
     }
 
-    /// Terminate the chunk stream. The connection is usable again only
-    /// if the whole stream reached the peer.
+    /// Terminate the chunk stream, taking the drain sample first (see
+    /// [`Conn`]). The connection is usable again only if the whole stream
+    /// reached the peer.
     pub fn finish(self) -> Served {
+        *self.drained_at_write = Some(self.draining.load(Ordering::SeqCst));
         match self
             .stream
             .write_all(b"0\r\n\r\n")

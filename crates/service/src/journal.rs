@@ -223,6 +223,9 @@ pub struct RecoveredJob {
     /// The segment the recovery was read from; a re-run writes
     /// `segment + 1`.
     pub segment: u32,
+    /// The highest segment number of any file named for this job, usable
+    /// or not — what eviction must unlink up to.
+    pub last_segment: u32,
     /// The resolved submission as journaled (spec, seed, budget,
     /// normalization, idempotency key).
     pub submission: JobSubmission,
@@ -426,20 +429,14 @@ impl Journal {
         Ok(recovered)
     }
 
-    /// Delete every segment of `id` (called when the server evicts a
-    /// finished job past its retention bound, so the on-disk set stays
-    /// as bounded as the in-memory table).
-    pub fn remove_job(&self, id: u64) {
-        let Ok(entries) = fs::read_dir(&self.dir) else {
-            return;
-        };
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            if let Some((file_id, _)) = name.to_str().and_then(parse_file_name) {
-                if file_id == id {
-                    let _ = fs::remove_file(entry.path());
-                }
-            }
+    /// Delete segments `0..=last_segment` of `id` by name (called when
+    /// the server evicts a finished job past its retention bound, so the
+    /// on-disk set stays as bounded as the in-memory table). No directory
+    /// scan: the caller remembers the highest segment it wrote or replay
+    /// saw for the job.
+    pub fn remove_job(&self, id: u64, last_segment: u32) {
+        for segment in 0..=last_segment {
+            let _ = fs::remove_file(self.dir.join(segment_file_name(id, segment)));
         }
     }
 
@@ -463,6 +460,8 @@ impl Journal {
         // Best segment per job id: (segment, submission, events, finished).
         let mut best: std::collections::HashMap<u64, RecoveredJob> =
             std::collections::HashMap::new();
+        // Highest segment named per job id, usable or not.
+        let mut last: std::collections::HashMap<u64, u32> = std::collections::HashMap::new();
         let mut names: Vec<String> = fs::read_dir(&self.dir)?
             .flatten()
             .filter_map(|e| e.file_name().to_str().map(str::to_owned))
@@ -471,6 +470,9 @@ impl Journal {
         // Deterministic scan order (read_dir order is filesystem-defined).
         names.sort();
         for name in names {
+            let (id, segment) = parse_file_name(&name).expect("filtered above");
+            let highest = last.entry(id).or_default();
+            *highest = (*highest).max(segment);
             let content = match fs::read_to_string(self.dir.join(&name)) {
                 Ok(content) => content,
                 Err(_) => {
@@ -492,6 +494,9 @@ impl Journal {
         }
         replay.jobs = best.into_values().collect();
         replay.jobs.sort_by_key(|j| j.id);
+        for job in &mut replay.jobs {
+            job.last_segment = last[&job.id];
+        }
         if let Some(metrics) = &self.metrics {
             metrics.replay_seconds.record(replay_start.elapsed());
         }
@@ -532,6 +537,7 @@ fn read_segment(content: &str, replay: &mut Replay) -> Option<RecoveredJob> {
                 job = Some(RecoveredJob {
                     id,
                     segment,
+                    last_segment: segment,
                     submission,
                     events: Vec::new(),
                     finished: None,
@@ -842,9 +848,12 @@ mod tests {
         let mut w1 = journal.begin_job(3, 1, &sub.to_json()).unwrap();
         w1.append_event(r#"{"event":"started","spec":"Borda","seed":42}"#);
         w1.finish("heuristic", Some(r#"{"score":3}"#));
+        // s2: unusable, but still named for job 3.
+        fs::write(dir.join(segment_file_name(3, 2)), "garbage\n").unwrap();
         let replay = journal.replay().unwrap();
         assert_eq!(replay.jobs.len(), 1);
         assert_eq!(replay.jobs[0].segment, 1);
+        assert_eq!(replay.jobs[0].last_segment, 2);
         assert!(replay.jobs[0].finished.is_some());
         let _ = fs::remove_dir_all(&dir);
     }
@@ -911,7 +920,7 @@ mod tests {
         drop(journal.begin_job(5, 0, &sub.to_json()).unwrap());
         drop(journal.begin_job(5, 1, &sub.to_json()).unwrap());
         drop(journal.begin_job(6, 0, &sub.to_json()).unwrap());
-        journal.remove_job(5);
+        journal.remove_job(5, 1);
         let replay = journal.replay().unwrap();
         assert_eq!(replay.jobs.len(), 1);
         assert_eq!(replay.jobs[0].id, 6);

@@ -34,7 +34,7 @@
 //! health and reports `ok` / `degraded` / `down`.
 
 use crate::client::{Client, ClientError};
-use crate::http::{self, ChunkedWriter, Request, Served};
+use crate::http::{self, ChunkedWriter, Conn, Request, Served};
 use crate::json::{escape, Json};
 use crate::proto;
 use rank_core::telemetry::{
@@ -348,7 +348,7 @@ fn splice_ids(body: &str, encode: impl Fn(u64) -> Option<u64>) -> Option<String>
 }
 
 fn respond_error(
-    stream: &mut TcpStream,
+    stream: &mut Conn,
     status: u16,
     message: &str,
     retry_after: Option<u64>,
@@ -367,7 +367,7 @@ fn respond_error(
 /// Pass a worker's sized response through, preserving its status and
 /// `Retry-After` hint.
 fn respond_passthrough(
-    stream: &mut TcpStream,
+    stream: &mut Conn,
     status: u16,
     retry_after: Option<String>,
     body: &str,
@@ -376,17 +376,10 @@ fn respond_passthrough(
     let headers: Vec<(&str, String)> = retry_after
         .map(|secs| vec![("Retry-After", secs)])
         .unwrap_or_default();
-    let _ = http::write_response(
-        stream,
-        status,
-        "application/json",
-        &headers,
-        body.as_bytes(),
-        keep,
-    );
+    let _ = stream.respond(status, "application/json", &headers, body.as_bytes(), keep);
 }
 
-fn unreachable_worker(stream: &mut TcpStream, state: &RouterState, worker: usize, keep: bool) {
+fn unreachable_worker(stream: &mut Conn, state: &RouterState, worker: usize, keep: bool) {
     state.count_unreachable(worker);
     respond_error(
         stream,
@@ -422,12 +415,7 @@ fn authorized(request: &Request, state: &RouterState, path: &str) -> bool {
         .is_some_and(|presented| presented.trim() == token)
 }
 
-fn route(
-    stream: &mut TcpStream,
-    request: &Request,
-    state: &Arc<RouterState>,
-    keep: bool,
-) -> Served {
+fn route(stream: &mut Conn, request: &Request, state: &Arc<RouterState>, keep: bool) -> Served {
     let path = request.path.trim_end_matches('/');
     if !authorized(request, state, path) {
         respond_error(
@@ -468,7 +456,7 @@ fn route(
 
 /// Aggregate `/healthz` across every worker. Always 200 — the router
 /// itself is alive; the `status` field carries the fleet's condition.
-fn healthz(stream: &mut TcpStream, state: &Arc<RouterState>, keep: bool) {
+fn healthz(stream: &mut Conn, state: &Arc<RouterState>, keep: bool) {
     let mut alive = 0usize;
     let entries: Vec<String> = state
         .workers
@@ -502,7 +490,7 @@ fn healthz(stream: &mut TcpStream, state: &Arc<RouterState>, keep: bool) {
         state.workers.len(),
         entries.join(","),
     );
-    let _ = http::write_response(stream, 200, "application/json", &[], body.as_bytes(), keep);
+    let _ = stream.respond(200, "application/json", &[], body.as_bytes(), keep);
 }
 
 /// `GET /metrics`: one scrape sees the fleet. The router renders its own
@@ -512,7 +500,7 @@ fn healthz(stream: &mut TcpStream, state: &Arc<RouterState>, keep: bool) {
 /// keep one `# TYPE` header and per-worker series. A dead worker is
 /// simply absent from the scrape (its unreachability already shows in
 /// `rawt_router_unreachable_total`).
-fn metrics_exposition(stream: &mut TcpStream, state: &Arc<RouterState>, keep: bool) {
+fn metrics_exposition(stream: &mut Conn, state: &Arc<RouterState>, keep: bool) {
     let mut parts = vec![parse_exposition(&state.metrics.render_prometheus())];
     for (index, addr) in state.workers.iter().enumerate() {
         if let Ok((200, _, body)) = forward_sized(state, index, "GET", "/metrics", None) {
@@ -522,25 +510,12 @@ fn metrics_exposition(stream: &mut TcpStream, state: &Arc<RouterState>, keep: bo
         }
     }
     let body = render_families(&merge_families(parts));
-    let _ = http::write_response(
-        stream,
-        200,
-        "text/plain; version=0.0.4",
-        &[],
-        body.as_bytes(),
-        keep,
-    );
+    let _ = stream.respond(200, "text/plain; version=0.0.4", &[], body.as_bytes(), keep);
 }
 
 /// Forward a read-only request to the first reachable worker (used for
 /// `/v1/algorithms`, which is identical on every worker).
-fn forward_any(
-    stream: &mut TcpStream,
-    state: &Arc<RouterState>,
-    method: &str,
-    path: &str,
-    keep: bool,
-) {
+fn forward_any(stream: &mut Conn, state: &Arc<RouterState>, method: &str, path: &str, keep: bool) {
     for index in 0..state.workers.len() {
         if let Ok((status, retry_after, body)) = forward_sized(state, index, method, path, None) {
             respond_passthrough(stream, status, retry_after, &body, keep);
@@ -580,7 +555,7 @@ fn submission_targets(state: &RouterState, body: &[u8]) -> (Vec<usize>, bool) {
 /// unless it is sticky. Returns the first 2xx answer and its worker;
 /// anything else has already been answered.
 fn forward_submission(
-    stream: &mut TcpStream,
+    stream: &mut Conn,
     request: &Request,
     state: &RouterState,
     path: &str,
@@ -614,7 +589,7 @@ fn forward_submission(
 /// Answer with a worker's sized response, its ids encoded as router ids
 /// (502 if one does not fit).
 fn respond_encoded(
-    stream: &mut TcpStream,
+    stream: &mut Conn,
     state: &RouterState,
     worker: usize,
     (status, retry_after, body): Answer,
@@ -635,7 +610,7 @@ fn respond_encoded(
 /// `POST /v1/jobs` and `POST /v1/batches`: forward down the target order
 /// and encode the ids of the accepting worker. An idempotent retry that
 /// the same worker deduplicates gets the same router id by construction.
-fn submit(stream: &mut TcpStream, request: &Request, state: &RouterState, path: &str, keep: bool) {
+fn submit(stream: &mut Conn, request: &Request, state: &RouterState, path: &str, keep: bool) {
     if let Some((worker, answer)) = forward_submission(stream, request, state, path, keep) {
         respond_encoded(stream, state, worker, answer, keep);
     }
@@ -645,7 +620,7 @@ fn submit(stream: &mut TcpStream, request: &Request, state: &RouterState, path: 
 /// stream (`kind` is `job` or `batch`): the id names its worker, so the request goes straight there
 /// with the worker's own id, and a worker 404 answers with the router id.
 fn id_route(
-    stream: &mut TcpStream,
+    stream: &mut Conn,
     request: &Request,
     state: &RouterState,
     kind: &str,
@@ -704,7 +679,7 @@ fn id_route(
 /// stream cut short, or a line whose id does not fit, closes the client
 /// connection unterminated, so the client sees the truncation too.
 fn proxy_stream(
-    stream: &mut TcpStream,
+    stream: &mut Conn,
     state: &RouterState,
     worker: usize,
     path: &str,
@@ -746,7 +721,7 @@ fn proxy_stream(
 /// request follows the pin (the patched matrix is there and nowhere
 /// else). A dead pinned worker means 503 until it returns.
 fn dataset_route(
-    stream: &mut TcpStream,
+    stream: &mut Conn,
     request: &Request,
     state: &Arc<RouterState>,
     id: &str,

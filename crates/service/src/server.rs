@@ -19,7 +19,7 @@
 //! Submissions flow through [`Engine::try_submit_with`]: when the
 //! scheduler's admission queue is full the server sheds the request with
 //! **429** and a `Retry-After` header — running jobs are never affected.
-//! A one-shot job publishes itself: its sink's listener, on the kernel's
+//! Every job publishes itself: its sink's listener, on the kernel's
 //! thread, journals each event and appends it to a replayable per-job log
 //! (so `GET …/events` works for late and repeated subscribers, streaming
 //! live past the replay point), and its completion, on the scheduler
@@ -28,36 +28,41 @@
 //! A job submitted with `"dataset_id"` aggregates the live dataset's
 //! current snapshot, warm-started from the dataset's last recorded
 //! consensus; its own consensus is recorded back as the next warm hint.
-//! With `"follow": true` the job never finishes on its own: every dataset
-//! version bump re-solves (warm-started), re-emitting incumbents tagged
-//! `"dataset_version"`, until the job is cancelled or the dataset
-//! deleted.
+//! With `"follow": true` the job never finishes on its own: it runs one
+//! round per dataset version, each a one-shot admission whose events are
+//! tagged `"dataset_version"` and whose completion publishes `resolved`,
+//! then re-arms the job (the version moved during the round) or parks it
+//! on the dataset. A PATCH re-arms the parked jobs before it replies; a
+//! job DELETE, a dataset DELETE or a shutdown ends them with `finished`
+//! (outcome `cancelled`). Every such change happens under the dataset's
+//! lock, so no edit is missed and no round runs twice (DESIGN.md §13.4).
 //!
 //! Connection handling is thread-per-connection with HTTP/1.1
 //! keep-alive: every exchange, event streams included, loops on one
 //! connection (`http::serve_connection`, shared with the router, also
-//! holds the 30 s idle timeout and the rule for draining).
+//! holds the 30 s idle timeout and the rule for draining). The
+//! per-connection thread is the only one this module spawns.
 
 use crate::fault::FaultPlan;
-use crate::http::{self, ChunkedWriter, Request, Served};
+use crate::http::{self, ChunkedWriter, Conn, Request, Served};
 use crate::journal::{FsyncPolicy, Journal, JournalWriter, RecoveredDataset};
 use crate::json::Json;
 use crate::proto::{self, BatchSubmission, EventTag, JobSubmission, SubmissionError};
 use rank_core::engine::{
-    AdmissionError, AggregationRequest, AlgoSpec, CancelToken, ConsensusReport, Engine, Event,
-    IncumbentSink, JobHandle, JobHooks, Listener, Outcome, SchedulerConfig,
+    AdmissionError, AggregationRequest, AlgoSpec, CancelToken, Completion, ConsensusReport, Engine,
+    Event, IncumbentSink, JobHooks, Listener, Outcome, SchedulerConfig,
 };
 use rank_core::guidance::{recommend, DatasetFeatures, Priority};
 use rank_core::parse::{parse_dataset_lines, parse_ranking_against};
 use rank_core::session::{make_mut_counted, DatasetSession, Snapshot};
 use rank_core::telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
 use rank_core::{Dataset, Element, Universe};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// How the server is shaped.
@@ -192,9 +197,14 @@ struct JobRecord {
     id: u64,
     spec: AlgoSpec,
     seed: u64,
+    /// The submission's budget, which every follow round runs under.
+    budget: Option<Duration>,
     normalize: rank_core::engine::Normalization,
     /// The submission's idempotency key, so eviction can release it.
     idempotency: Option<String>,
+    /// The highest journal segment written or replayed for the job:
+    /// eviction unlinks `s0 ..= s{last_segment}` by name.
+    last_segment: u32,
     /// The live dataset this job aggregates, when submitted by
     /// `dataset_id` — the completion records the consensus back into it
     /// as the next warm hint.
@@ -206,12 +216,8 @@ struct JobRecord {
     /// submitter holds it while admitting, so the kernel's first event
     /// waits here until the submission record is on disk.
     writer: Mutex<Option<JournalWriter>>,
-    /// Set for `"follow": true` jobs: flipping it ends the follow loop
-    /// after the in-flight round (DELETE flips it and pokes the
-    /// dataset's condvar).
-    follow_stop: Option<AtomicBool>,
     /// The parts that change per follow round (for ordinary jobs they
-    /// are written once at submission): dataset shape, denormalization
+    /// are written once at admission): dataset shape, denormalization
     /// context, and the current round's sink + cancel token.
     live: Mutex<LiveRefs>,
     state: Mutex<JobProgress>,
@@ -239,12 +245,11 @@ impl LiveRefs {
 
 /// One live dataset (`PUT /v1/datasets/{id}`): a [`DatasetSession`]
 /// (delta-patched matrix, version counter, warm hint) plus the label
-/// universe it was parsed against and its journal writer. `changed` is
-/// notified on every edit and on deletion — follow loops sleep on it.
+/// universe it was parsed against, its journal writer, and the follow
+/// jobs parked on it.
 struct LiveDataset {
     id: String,
     state: Mutex<DatasetState>,
-    changed: Condvar,
 }
 
 struct DatasetState {
@@ -254,8 +259,11 @@ struct DatasetState {
     session: DatasetSession,
     writer: Option<JournalWriter>,
     /// Set by `DELETE /v1/datasets/{id}`: the dataset is gone from the
-    /// table; follow loops still holding an `Arc` see this and finish.
+    /// table; a follow round still running on it ends its job.
     deleted: bool,
+    /// The follow jobs waiting for the next edit, by id: each has resolved
+    /// the current version and holds no round.
+    parked: BTreeMap<u64, Arc<JobRecord>>,
 }
 
 impl LiveDataset {
@@ -265,6 +273,21 @@ impl LiveDataset {
 }
 
 impl DatasetState {
+    /// A fresh dataset state: nothing parked, not deleted.
+    fn new(
+        universe: Arc<Universe>,
+        session: DatasetSession,
+        writer: Option<JournalWriter>,
+    ) -> Self {
+        DatasetState {
+            universe,
+            session,
+            writer,
+            deleted: false,
+            parked: BTreeMap::new(),
+        }
+    }
+
     /// What a round on this dataset solves: the session's O(1) snapshot
     /// and the universe its labels resolve against. The one snapshot path
     /// of both `dataset_id` submissions and follow rounds.
@@ -357,11 +380,12 @@ impl JobRecord {
         self.wake();
     }
 
-    /// The listener of a one-shot job: runs on the kernel's thread, under
-    /// its sink's lock, so it never touches `live` (`job_status` holds
-    /// `live` while it reads the sink). `finished` is left to the
-    /// completion, which publishes it together with `done`.
-    fn publish(&self, event: &Event) {
+    /// The listener of a run: runs on the kernel's thread, under its
+    /// sink's lock, so it never touches `live` (`job_status` holds `live`
+    /// while it reads the sink). `tag` is a follow round's dataset
+    /// version. `finished` is left to the completion, which publishes it
+    /// together with `done` (or, ending a follow round, `resolved`).
+    fn publish(&self, event: &Event, tag: EventTag) {
         if matches!(event, Event::Finished(_)) {
             return;
         }
@@ -369,7 +393,46 @@ impl JobRecord {
             .batch_tag()
             .map(|tag| proto::tagged_event_json(event, tag));
         let started = matches!(event, Event::Started { .. });
-        self.push(proto::event_json(event), batch_line, started);
+        self.push(proto::tagged_event_json(event, tag), batch_line, started);
+    }
+
+    /// The hooks of one run — a one-shot job's only run, or the follow
+    /// round that solves dataset version `round` — installed as the
+    /// record's current sink and cancel token. The listener publishes
+    /// into the record, holding it weakly, so a record refused admission
+    /// is simply dropped; the completion ends the job
+    /// ([`JobRecord::complete`]) or resolves the round
+    /// ([`JobRecord::complete_round`]).
+    fn arm(self: &Arc<Self>, state: &Arc<ServerState>, round: Option<u64>) -> JobHooks {
+        let me = Arc::downgrade(self);
+        let listener: Listener = Arc::new(move |event: &Event| {
+            if let Some(record) = me.upgrade() {
+                record.publish(
+                    event,
+                    round.map_or(EventTag::None, EventTag::DatasetVersion),
+                );
+            }
+        });
+        let owner = Arc::clone(self);
+        let completion: Completion = match round {
+            None => {
+                let done_ids = Arc::clone(&state.done_ids);
+                Box::new(move |result| owner.complete(result, &done_ids))
+            }
+            Some(version) => {
+                let state = Arc::clone(state);
+                Box::new(move |result| owner.complete_round(&state, version, result))
+            }
+        };
+        let hooks = JobHooks {
+            sink: Arc::new(IncumbentSink::with_listener(listener)),
+            cancel: CancelToken::new(),
+            completion,
+        };
+        let mut live = self.live();
+        live.sink = Arc::clone(&hooks.sink);
+        live.cancel = hooks.cancel.clone();
+        hooks
     }
 
     /// The completion of a one-shot job, on the scheduler worker that ran
@@ -413,6 +476,123 @@ impl JobRecord {
                     done_ids,
                 );
             }
+        }
+    }
+
+    /// The completion of the follow round that solved dataset version
+    /// `version`: record the consensus back and publish `resolved` in
+    /// place of the engine's `finished` (subscribers read `finished` as
+    /// the end of the stream, and a follow job outlives its rounds). Then
+    /// end the job (cancelled, dataset deleted, or the server draining),
+    /// re-arm it at once (the version moved during the round; rounds
+    /// coalesce) or park it until the next edit — under the dataset's
+    /// lock, so a PATCH either sees the job parked or is seen here.
+    fn complete_round(
+        self: &Arc<Self>,
+        state: &Arc<ServerState>,
+        version: u64,
+        result: std::thread::Result<ConsensusReport>,
+    ) {
+        let Ok(report) = result else {
+            let line = proto::failed_json(KERNEL_PANIC, EventTag::None);
+            return self.end(line, None, "failed".to_owned(), None, &state.done_ids);
+        };
+        let report_json = self.live().report_json(&report);
+        let resolved = proto::resolved_json(
+            &report.outcome,
+            report.score,
+            EventTag::DatasetVersion(version),
+        );
+        let dataset = self.dataset.as_ref().expect("a follow job has a dataset");
+        let mut ds = dataset.lock();
+        if !ds.deleted {
+            let _ = ds.session.record_consensus(report.ranking);
+        }
+        self.journal(&resolved);
+        let mut progress = self.progress();
+        progress.started = true;
+        progress.events.push(resolved);
+        progress.outcome = Some(report.outcome.to_string());
+        progress.report_json = Some(report_json);
+        drop(progress);
+        self.wake();
+        let stopped = self.live().cancel.is_cancelled();
+        if stopped || ds.deleted || state.shutting_down.load(Ordering::SeqCst) {
+            drop(ds);
+            self.stop(&state.done_ids);
+        } else if ds.session.version() != version {
+            let (snapshot, universe) = ds.snapshot();
+            self.rearm(state, &snapshot, &universe);
+        } else {
+            ds.parked.insert(self.id, Arc::clone(self));
+        }
+    }
+
+    /// Start this follow job's next round, on `snapshot` — or, when the
+    /// dataset outgrew the spec's size cap, report `failed` and end the
+    /// job. Called under the dataset's lock. The round is never shed, and
+    /// the job holds no other, so the queue overshoots its bound by at
+    /// most one round per follow job; only a draining scheduler refuses
+    /// it, which ends the job.
+    fn rearm(
+        self: &Arc<Self>,
+        state: &Arc<ServerState>,
+        snapshot: &Snapshot,
+        universe: &Arc<Universe>,
+    ) {
+        let data = &snapshot.dataset;
+        if let Some(cap) = self.spec.max_n() {
+            if data.n() > cap {
+                let dataset = self.dataset.as_ref().expect("a follow job has a dataset");
+                let error = format!(
+                    "dataset {} grew to n = {} past the n = {cap} cap for {}",
+                    dataset.id,
+                    data.n(),
+                    self.spec
+                );
+                self.push(proto::failed_json(&error, EventTag::None), None, false);
+                return self.stop(&state.done_ids);
+            }
+        }
+        {
+            let mut live = self.live();
+            live.n = data.n();
+            live.m = data.m();
+            live.universe = Arc::clone(universe);
+        }
+        // The session's delta-patched matrix rides along: a follow round
+        // never pays the engine-side rebuild either.
+        let request = seeded(snapshot.request(self.spec.clone()), self.seed, self.budget);
+        let hooks = self.arm(state, Some(snapshot.version));
+        if state.engine.resubmit_with(request, hooks).is_err() {
+            self.stop(&state.done_ids);
+        }
+    }
+
+    /// End a follow job with its one real `finished`, outcome `cancelled`
+    /// — a follow job never completes on its own; something stopped it —
+    /// keeping the last round's report.
+    fn stop(&self, done_ids: &DoneIds) {
+        let line = proto::event_json(&Event::Finished(Outcome::Cancelled));
+        let report_json = self.progress().report_json.clone();
+        let outcome = Outcome::Cancelled.to_string();
+        self.end(line, None, outcome, report_json, done_ids);
+    }
+
+    /// `DELETE /v1/jobs/{id}`: cancel the job's run; a follow job parked
+    /// on its dataset has none and ends at once. The parked set is read
+    /// under the dataset's lock, the lock every re-arm holds, so the
+    /// token cancelled is the current round's.
+    fn cancel(&self, done_ids: &DoneIds) {
+        let Some(dataset) = &self.dataset else {
+            return self.live().cancel.cancel();
+        };
+        let mut ds = dataset.lock();
+        if ds.parked.remove(&self.id).is_some() {
+            drop(ds);
+            self.stop(done_ids);
+        } else {
+            self.live().cancel.cancel();
         }
     }
 
@@ -573,11 +753,29 @@ pub struct ShutdownHandle {
 
 impl ShutdownHandle {
     /// Drain the server: stop accepting, cooperatively cancel every
-    /// queued and running job, and make [`Server::serve`] return. Event
-    /// streams end naturally (each cancelled job still emits `Finished`).
+    /// queued and running job, end every follow job, and make
+    /// [`Server::serve`] return. Event streams end naturally (each
+    /// cancelled job still emits `Finished`), and every job's terminal
+    /// record is journaled before this returns.
     pub fn shutdown(&self) {
         self.state.shutting_down.store(true, Ordering::SeqCst);
         self.state.engine.shutdown_drain();
+        // The drain ended every follow job that held a round; the parked
+        // ones hold none, and no completion can park another now.
+        let datasets: Vec<Arc<LiveDataset>> = self
+            .state
+            .datasets
+            .lock()
+            .expect("dataset table poisoned")
+            .values()
+            .cloned()
+            .collect();
+        for dataset in datasets {
+            let parked = std::mem::take(&mut dataset.lock().parked);
+            for record in parked.into_values() {
+                record.stop(&self.state.done_ids);
+            }
+        }
         // Unblock the accept loop with a no-op connection to ourselves.
         let _ = TcpStream::connect(self.addr);
     }
@@ -753,33 +951,19 @@ fn observe_request(state: &ServerState, endpoint: &str, elapsed: Duration) {
 }
 
 fn respond_error(
-    stream: &mut TcpStream,
+    stream: &mut Conn,
     status: u16,
     message: &str,
     suggestion: Option<&str>,
     keep: bool,
 ) -> Served {
     let body = proto::error_json(message, suggestion);
-    let _ = http::write_response(
-        stream,
-        status,
-        "application/json",
-        &[],
-        body.as_bytes(),
-        keep,
-    );
+    let _ = stream.respond(status, "application/json", &[], body.as_bytes(), keep);
     Served::KeepAlive
 }
 
-fn respond_json(stream: &mut TcpStream, status: u16, body: &str, keep: bool) -> Served {
-    let _ = http::write_response(
-        stream,
-        status,
-        "application/json",
-        &[],
-        body.as_bytes(),
-        keep,
-    );
+fn respond_json(stream: &mut Conn, status: u16, body: &str, keep: bool) -> Served {
+    let _ = stream.respond(status, "application/json", &[], body.as_bytes(), keep);
     Served::KeepAlive
 }
 
@@ -800,12 +984,7 @@ fn authorized(request: &Request, state: &ServerState, path: &str) -> bool {
         .is_some_and(|presented| presented.trim() == token)
 }
 
-fn route(
-    stream: &mut TcpStream,
-    request: &Request,
-    state: &Arc<ServerState>,
-    keep: bool,
-) -> Served {
+fn route(stream: &mut Conn, request: &Request, state: &Arc<ServerState>, keep: bool) -> Served {
     let path = request.path.trim_end_matches('/');
     if !authorized(request, state, path) {
         return respond_error(
@@ -895,13 +1074,7 @@ fn route(
             match (method, tail) {
                 ("GET", None) => job_status(stream, &record, keep),
                 ("DELETE", None) => {
-                    record.live().cancel.cancel();
-                    if let Some(stop) = &record.follow_stop {
-                        stop.store(true, Ordering::SeqCst);
-                        if let Some(dataset) = &record.dataset {
-                            dataset.changed.notify_all();
-                        }
-                    }
+                    record.cancel(&state.done_ids);
                     respond_json(
                         stream,
                         202,
@@ -933,7 +1106,7 @@ fn route(
     }
 }
 
-fn healthz(stream: &mut TcpStream, state: &Arc<ServerState>, keep: bool) -> Served {
+fn healthz(stream: &mut Conn, state: &Arc<ServerState>, keep: bool) -> Served {
     let stats = state.engine.scheduler_stats();
     let degraded = state.degraded.load(Ordering::SeqCst);
     let journal = match (&state.journal, degraded) {
@@ -967,16 +1140,9 @@ fn healthz(stream: &mut TcpStream, state: &Arc<ServerState>, keep: bool) -> Serv
 
 /// `GET /metrics`: the engine registry — every tier hangs its families
 /// off it — rendered in Prometheus text exposition format.
-fn metrics_exposition(stream: &mut TcpStream, state: &Arc<ServerState>, keep: bool) -> Served {
+fn metrics_exposition(stream: &mut Conn, state: &Arc<ServerState>, keep: bool) -> Served {
     let body = state.engine.metrics().render_prometheus();
-    let _ = http::write_response(
-        stream,
-        200,
-        "text/plain; version=0.0.4",
-        &[],
-        body.as_bytes(),
-        keep,
-    );
+    let _ = stream.respond(200, "text/plain; version=0.0.4", &[], body.as_bytes(), keep);
     Served::KeepAlive
 }
 
@@ -1107,7 +1273,7 @@ fn build_session(text: &str) -> Result<(Arc<Universe>, DatasetSession), String> 
 /// `PUT /v1/datasets/{id}`: create-only (409 on an existing id). Body:
 /// `{"dataset":"<text>"}`.
 fn create_dataset(
-    stream: &mut TcpStream,
+    stream: &mut Conn,
     request: &Request,
     state: &Arc<ServerState>,
     id: &str,
@@ -1162,13 +1328,7 @@ fn create_dataset(
             id.to_owned(),
             Arc::new(LiveDataset {
                 id: id.to_owned(),
-                state: Mutex::new(DatasetState {
-                    universe,
-                    session,
-                    writer,
-                    deleted: false,
-                }),
-                changed: Condvar::new(),
+                state: Mutex::new(DatasetState::new(universe, session, writer)),
             }),
         );
     }
@@ -1187,9 +1347,10 @@ fn create_dataset(
 /// bump (and one journal record) per successful op. A failing op stops
 /// the sequence with a 409 that reports both the applied count and the
 /// version reached — ops before it stay applied (each is an independent,
-/// durably journaled edit).
+/// durably journaled edit). If any op applied, every follow job parked
+/// on the dataset is re-armed on the new version before the reply.
 fn edit_dataset(
-    stream: &mut TcpStream,
+    stream: &mut Conn,
     request: &Request,
     state: &Arc<ServerState>,
     id: &str,
@@ -1266,12 +1427,15 @@ fn edit_dataset(
         for (counter, delta) in state.metrics.snapshot_copies.iter().zip(deltas) {
             counter.add(delta);
         }
+        if applied > 0 && !ds.parked.is_empty() {
+            // One snapshot for every parked follower: one round each.
+            let (snapshot, universe) = ds.snapshot();
+            for record in std::mem::take(&mut ds.parked).into_values() {
+                record.rearm(state, &snapshot, &universe);
+            }
+        }
         (ds.session.version(), ds.session.n(), ds.session.m())
     };
-    if applied > 0 {
-        // Edits landed: wake every follow loop sleeping on this dataset.
-        dataset.changed.notify_all();
-    }
     match failure {
         None => respond_json(
             stream,
@@ -1295,7 +1459,7 @@ fn edit_dataset(
 }
 
 /// `GET /v1/datasets/{id}`: the current text, version, and shape.
-fn get_dataset(stream: &mut TcpStream, state: &Arc<ServerState>, id: &str, keep: bool) -> Served {
+fn get_dataset(stream: &mut Conn, state: &Arc<ServerState>, id: &str, keep: bool) -> Served {
     let dataset = state
         .datasets
         .lock()
@@ -1319,13 +1483,9 @@ fn get_dataset(stream: &mut TcpStream, state: &Arc<ServerState>, id: &str, keep:
 }
 
 /// `DELETE /v1/datasets/{id}`: drop the dataset and its journal file.
-/// Follow jobs on it observe `deleted` and finish as cancelled.
-fn delete_dataset(
-    stream: &mut TcpStream,
-    state: &Arc<ServerState>,
-    id: &str,
-    keep: bool,
-) -> Served {
+/// The follow jobs parked on it end as cancelled now; a round still
+/// running on it ends its job when it completes.
+fn delete_dataset(stream: &mut Conn, state: &Arc<ServerState>, id: &str, keep: bool) -> Served {
     let removed = state
         .datasets
         .lock()
@@ -1334,12 +1494,15 @@ fn delete_dataset(
     let Some(dataset) = removed else {
         return respond_error(stream, 404, &format!("no such dataset {id:?}"), None, keep);
     };
-    {
+    let parked = {
         let mut ds = dataset.lock();
         ds.deleted = true;
         ds.writer = None;
+        std::mem::take(&mut ds.parked)
+    };
+    for record in parked.into_values() {
+        record.stop(&state.done_ids);
     }
-    dataset.changed.notify_all();
     if let Some(journal) = &state.journal {
         journal.remove_dataset(id);
     }
@@ -1529,13 +1692,12 @@ fn submit_body(record: &JobRecord, deduplicated: bool) -> String {
 /// Build the [`JobRecord`] for a prepared job, consuming the preparation
 /// (universe and denormalization context move into the record's live
 /// half). Shared by submit, batches and both recovery paths so the
-/// record shape can never drift between them.
+/// record shape can never drift between them. The sink and cancel token
+/// are inert until [`JobRecord::arm`] installs a run's.
 fn make_record(
     id: u64,
     submission: &JobSubmission,
     pj: PreparedJob,
-    sink: Arc<IncumbentSink>,
-    cancel: CancelToken,
     progress: JobProgress,
     batch: Option<BatchLink>,
 ) -> JobRecord {
@@ -1543,64 +1705,24 @@ fn make_record(
         id,
         spec: pj.prepared.spec,
         seed: submission.seed,
+        budget: submission.budget,
         normalize: submission.normalize,
         idempotency: submission.idempotency_key.clone(),
+        last_segment: 0,
         dataset: pj.live.map(|(dataset, _)| dataset),
         batch,
         writer: Mutex::new(None),
-        follow_stop: submission.follow.then(|| AtomicBool::new(false)),
         live: Mutex::new(LiveRefs {
             n: pj.prepared.data.n(),
             m: pj.prepared.data.m(),
             universe: pj.prepared.universe,
             mapping: pj.prepared.mapping,
-            sink,
-            cancel,
+            sink: Arc::new(IncumbentSink::new()),
+            cancel: CancelToken::new(),
         }),
         state: Mutex::new(progress),
         advanced: Condvar::new(),
     }
-}
-
-/// The record of a one-shot job and the hooks it reports through: the
-/// sink's listener publishes each event into the record
-/// ([`JobRecord::publish`]) and the completion ends it
-/// ([`JobRecord::complete`]). The listener holds the record weakly, so a
-/// record refused admission is simply dropped.
-fn one_shot_record(
-    state: &ServerState,
-    id: u64,
-    submission: &JobSubmission,
-    pj: PreparedJob,
-    batch: Option<BatchLink>,
-) -> (Arc<JobRecord>, JobHooks) {
-    let cancel = CancelToken::new();
-    let record = Arc::new_cyclic(|me: &Weak<JobRecord>| {
-        let me = me.clone();
-        let listener: Listener = Arc::new(move |event: &Event| {
-            if let Some(record) = me.upgrade() {
-                record.publish(event);
-            }
-        });
-        let sink = Arc::new(IncumbentSink::with_listener(listener));
-        make_record(
-            id,
-            submission,
-            pj,
-            sink,
-            cancel.clone(),
-            JobProgress::default(),
-            batch,
-        )
-    });
-    let owner = Arc::clone(&record);
-    let done_ids = Arc::clone(&state.done_ids);
-    let hooks = JobHooks {
-        sink: Arc::clone(&record.live().sink),
-        cancel,
-        completion: Box::new(move |result| owner.complete(result, &done_ids)),
-    };
-    (record, hooks)
 }
 
 /// Which admission class a job enters, and the journal segment it
@@ -1614,14 +1736,16 @@ enum Admission {
     Recovered {
         /// The segment the re-run records into.
         segment: u32,
+        /// The highest segment replay found for the job, usable or not.
+        last_segment: u32,
     },
 }
 
-/// Admit a prepared job as `id` and journal its submission. A one-shot
-/// job's record is built first and publishes itself; a follow job keeps
-/// its own `rank-follow-{id}` thread, which consumes a [`JobHandle`].
-/// Callers hold the job table's lock, so concurrent twins of one
-/// idempotency key can never both be admitted.
+/// Admit a prepared job as `id` and journal its submission. The record is
+/// built first and publishes itself; a follow job's admission is its
+/// first round, on the version the preparation snapshotted. Callers hold
+/// the job table's lock, so concurrent twins of one idempotency key can
+/// never both be admitted.
 fn admit_job(
     state: &Arc<ServerState>,
     id: u64,
@@ -1631,35 +1755,22 @@ fn admit_job(
 ) -> Result<Arc<JobRecord>, AdmissionError> {
     let request = build_request(&pj, submission);
     let journaled = journaled_submission_json(submission, &pj.prepared.spec);
-    let begin = || {
-        let segment = match admission {
-            Admission::Fresh => 0,
-            Admission::Recovered { segment } => segment,
-        };
-        state
-            .journal
-            .as_ref()
-            .and_then(|journal| journal.begin_job(id, segment, &journaled))
+    let round = match (&pj.live, submission.follow) {
+        (Some((_, snapshot)), true) => Some(snapshot.version),
+        _ => None,
     };
-    if let Some(follow) = Follow::of(submission, &pj) {
-        let handle = match admission {
-            Admission::Fresh => state.engine.try_submit(request)?,
-            Admission::Recovered { .. } => state.engine.submit_recovered(request),
-        };
-        let record = Arc::new(make_record(
-            id,
-            submission,
-            pj,
-            Arc::clone(handle.sink()),
-            handle.cancel_token(),
-            JobProgress::default(),
-            None,
-        ));
-        *record.writer.lock().expect("job writer poisoned") = begin();
-        spawn_follow(state, &record, handle, follow);
-        return Ok(record);
-    }
-    let (record, hooks) = one_shot_record(state, id, submission, pj, None);
+    let (segment, last_segment) = match admission {
+        Admission::Fresh => (0, 0),
+        Admission::Recovered {
+            segment,
+            last_segment,
+        } => (segment, segment.max(last_segment)),
+    };
+    let record = Arc::new(JobRecord {
+        last_segment,
+        ..make_record(id, submission, pj, JobProgress::default(), None)
+    });
+    let hooks = record.arm(state, round);
     // Hold the writer slot through admission: no event can be journaled
     // before the submission record, and a refused job journals nothing.
     let mut writer = record.writer.lock().expect("job writer poisoned");
@@ -1667,14 +1778,17 @@ fn admit_job(
         Admission::Fresh => state.engine.try_submit_with(request, hooks)?,
         Admission::Recovered { .. } => state.engine.submit_recovered_with(request, hooks),
     }
-    *writer = begin();
+    *writer = state
+        .journal
+        .as_ref()
+        .and_then(|journal| journal.begin_job(id, segment, &journaled));
     drop(writer);
     Ok(record)
 }
 
 /// Answer a refused admission: 429 with a `Retry-After` hint for a full
 /// queue (`what` names what needed the room), 503 while draining.
-fn respond_refused(stream: &mut TcpStream, err: AdmissionError, what: &str, keep: bool) -> Served {
+fn respond_refused(stream: &mut Conn, err: AdmissionError, what: &str, keep: bool) -> Served {
     match err {
         AdmissionError::QueueFull {
             queued,
@@ -1685,8 +1799,7 @@ fn respond_refused(stream: &mut TcpStream, err: AdmissionError, what: &str, keep
             let body = format!(
                 "{{\"error\":\"admission queue full ({queued}/{capacity}){what}\",\"retry_after_secs\":{secs}}}"
             );
-            let _ = http::write_response(
-                stream,
+            let _ = stream.respond(
                 429,
                 "application/json",
                 &[("Retry-After", secs.to_string())],
@@ -1701,52 +1814,9 @@ fn respond_refused(stream: &mut TcpStream, err: AdmissionError, what: &str, keep
     }
 }
 
-/// What a follow job's loop needs to re-admit later rounds.
-struct Follow {
-    dataset: Arc<LiveDataset>,
-    spec: AlgoSpec,
-    seed: u64,
-    budget: Option<Duration>,
-    /// The dataset version the first round solves.
-    version: u64,
-}
-
-impl Follow {
-    /// The follow parameters of a `"follow": true` submission.
-    fn of(submission: &JobSubmission, pj: &PreparedJob) -> Option<Follow> {
-        if !submission.follow {
-            return None;
-        }
-        let (dataset, snapshot) = pj.live.as_ref().expect("proto: follow requires dataset");
-        Some(Follow {
-            dataset: Arc::clone(dataset),
-            spec: pj.prepared.spec.clone(),
-            seed: submission.seed,
-            budget: submission.budget,
-            version: snapshot.version,
-        })
-    }
-}
-
-/// Spawn the `rank-follow-{id}` thread of an admitted follow job: the
-/// only consumer of the job's engine event channel; HTTP subscribers read
-/// the record's replay log.
-fn spawn_follow(
-    state: &Arc<ServerState>,
-    record: &Arc<JobRecord>,
-    handle: JobHandle,
-    follow: Follow,
-) {
-    let record = Arc::clone(record);
-    let state = Arc::clone(state);
-    let _ = std::thread::Builder::new()
-        .name(format!("rank-follow-{}", record.id))
-        .spawn(move || follow_loop(&state, &record, handle, follow));
-}
-
 /// `POST /v1/jobs`: parse, validate, dedupe, admit, journal, record.
 fn submit_job(
-    stream: &mut TcpStream,
+    stream: &mut Conn,
     request: &Request,
     state: &Arc<ServerState>,
     keep: bool,
@@ -1870,7 +1940,7 @@ fn batch_body(batch: &BatchRecord, deduplicated: bool) -> String {
 /// panel, and its sub-jobs are cheap to resubmit as a unit — the
 /// idempotency key makes that retry safe (DESIGN.md §14.1).
 fn submit_batch(
-    stream: &mut TcpStream,
+    stream: &mut Conn,
     request: &Request,
     state: &Arc<ServerState>,
     keep: bool,
@@ -1955,8 +2025,11 @@ fn submit_batch(
                             prepared: prep,
                             live: None,
                         };
-                        let (record, hooks) =
-                            one_shot_record(state, id, &job_submission(&spec), pj, Some(link));
+                        let submission = job_submission(&spec);
+                        let progress = JobProgress::default();
+                        let record =
+                            Arc::new(make_record(id, &submission, pj, progress, Some(link)));
+                        let hooks = record.arm(state, None);
                         (record, (request, hooks))
                     })
                     .unzip();
@@ -2002,7 +2075,7 @@ fn submit_batch(
 /// `GET /v1/batches/{id}`: the panel's aggregate state plus each
 /// sub-job's state, outcome, and (once done) full report — one call reads
 /// the whole panel back.
-fn batch_status(stream: &mut TcpStream, batch: &Arc<BatchRecord>, keep: bool) -> Served {
+fn batch_status(stream: &mut Conn, batch: &Arc<BatchRecord>, keep: bool) -> Served {
     let mut all_done = true;
     let mut any_started = false;
     let jobs: Vec<String> = batch
@@ -2052,7 +2125,7 @@ fn batch_status(stream: &mut TcpStream, batch: &Arc<BatchRecord>, keep: bool) ->
 /// is done; quiet stretches are bridged with heartbeats like the per-job
 /// stream.
 fn stream_batch_events(
-    stream: &mut TcpStream,
+    stream: &mut Conn,
     state: &Arc<ServerState>,
     batch: &Arc<BatchRecord>,
     keep: bool,
@@ -2103,159 +2176,6 @@ fn stream_batch_events(
     }
 }
 
-/// The owning loop of a `"follow": true` job: run one consensus round,
-/// record it back into the dataset session as the next warm hint, then
-/// sleep on the dataset's condvar until its version moves and re-admit a
-/// fresh round warm-started from the last consensus.
-///
-/// Stream shape: per-round events are version-tagged; each round ends
-/// with a `{"event":"resolved",...}` line instead of `finished` (clients
-/// treat `finished` as end-of-stream, and a follow job survives its
-/// rounds). The single real `finished` line — outcome `cancelled` — is
-/// emitted when the follow ends: job DELETE, dataset DELETE, or server
-/// shutdown.
-fn follow_loop(
-    state: &Arc<ServerState>,
-    record: &Arc<JobRecord>,
-    mut handle: JobHandle,
-    follow: Follow,
-) {
-    let Follow {
-        dataset,
-        spec,
-        seed,
-        budget,
-        mut version,
-    } = follow;
-    let stopped = || {
-        record
-            .follow_stop
-            .as_ref()
-            .is_some_and(|stop| stop.load(Ordering::SeqCst))
-            || state.shutting_down.load(Ordering::SeqCst)
-    };
-    loop {
-        // Drain this round's events, version-tagged. The engine's
-        // per-round `finished` is suppressed — subscribers would read it
-        // as end-of-stream — and replaced by `resolved` below.
-        let tag = EventTag::DatasetVersion(version);
-        for event in handle.events() {
-            if matches!(event, Event::Finished { .. }) {
-                continue;
-            }
-            let started = matches!(event, Event::Started { .. });
-            record.push(proto::tagged_event_json(&event, tag), None, started);
-        }
-        match catch_unwind(AssertUnwindSafe(|| handle.wait())) {
-            Ok(report) => {
-                // Feed the consensus back: it becomes the warm hint for
-                // this loop's next round *and* for any other job on the
-                // dataset. Refused only if the session's universe moved
-                // past the snapshot mid-round — then it is simply stale.
-                {
-                    let mut ds = dataset.lock();
-                    if !ds.deleted {
-                        let _ = ds.session.record_consensus(report.ranking.clone());
-                    }
-                }
-                let report_json = record.live().report_json(&report);
-                let resolved = proto::resolved_json(&report.outcome, report.score, tag);
-                record.journal(&resolved);
-                let mut progress = record.progress();
-                progress.started = true;
-                progress.events.push(resolved);
-                progress.outcome = Some(report.outcome.to_string());
-                progress.report_json = Some(report_json);
-                drop(progress);
-                record.wake();
-            }
-            Err(_) => {
-                let line = proto::failed_json(KERNEL_PANIC, EventTag::None);
-                record.end(line, None, "failed".to_owned(), None, &state.done_ids);
-                return;
-            }
-        }
-        // Sleep until the dataset's version moves (or the follow ends).
-        let next = 'wait: loop {
-            if stopped() {
-                break 'wait None;
-            }
-            let ds = dataset.lock();
-            if ds.deleted {
-                break 'wait None;
-            }
-            if ds.session.version() != version {
-                break 'wait Some(ds.snapshot());
-            }
-            // Timed wait so job-DELETE and shutdown (which poke the
-            // condvar best-effort) are noticed within a bounded delay
-            // even if a notification is missed.
-            drop(
-                dataset
-                    .changed
-                    .wait_timeout(ds, Duration::from_millis(250))
-                    .expect("dataset state poisoned"),
-            );
-        };
-        let Some((snapshot, universe)) = next else {
-            break;
-        };
-        let data = &snapshot.dataset;
-        if let Some(cap) = spec.max_n() {
-            if data.n() > cap {
-                let error = format!(
-                    "dataset {} grew to n = {} past the n = {cap} cap for {spec}",
-                    dataset.id,
-                    data.n()
-                );
-                record.push(proto::failed_json(&error, EventTag::None), None, false);
-                break;
-            }
-        }
-        // Re-admit as regular traffic; a full queue backs this loop off
-        // rather than erroring the job.
-        let new_handle = 'admit: loop {
-            if stopped() {
-                break 'admit None;
-            }
-            // The session's delta-patched matrix rides along: a follow
-            // round never pays the engine-side rebuild either.
-            let request = seeded(snapshot.request(spec.clone()), seed, budget);
-            match state.engine.try_submit(request) {
-                Ok(handle) => break 'admit Some(handle),
-                Err(AdmissionError::QueueFull { retry_after, .. }) => {
-                    std::thread::sleep(retry_after.min(Duration::from_millis(250)));
-                }
-                Err(AdmissionError::ShuttingDown) => break 'admit None,
-            }
-        };
-        let Some(new_handle) = new_handle else {
-            break;
-        };
-        version = snapshot.version;
-        {
-            let mut live = record.live();
-            live.n = data.n();
-            live.m = data.m();
-            live.universe = universe;
-            live.sink = Arc::clone(new_handle.sink());
-            live.cancel = new_handle.cancel_token();
-        }
-        handle = new_handle;
-    }
-    // The follow ended. The terminal outcome is always `cancelled` —
-    // a follow job never completes on its own; something stopped it.
-    let line = proto::event_json(&Event::Finished(Outcome::Cancelled));
-    let report_json = record.progress().report_json.clone();
-    record.end(
-        line,
-        None,
-        Outcome::Cancelled.to_string(),
-        report_json,
-        &state.done_ids,
-    );
-}
-
 /// Replay the journal directory into the job table ([`Server::bind`]):
 /// finished jobs become servable records (status, report, and event
 /// replay intact); interrupted jobs are re-admitted through the
@@ -2287,13 +2207,7 @@ fn recover(state: &Arc<ServerState>) -> std::io::Result<()> {
                 );
                 let live = Arc::new(LiveDataset {
                     id: ds.id.clone(),
-                    state: Mutex::new(DatasetState {
-                        universe,
-                        session,
-                        writer,
-                        deleted: false,
-                    }),
-                    changed: Condvar::new(),
+                    state: Mutex::new(DatasetState::new(universe, session, writer)),
                 });
                 state
                     .datasets
@@ -2339,22 +2253,18 @@ fn recover(state: &Arc<ServerState>) -> std::io::Result<()> {
                 .lock()
                 .expect("done ids poisoned")
                 .insert(job.id);
-            Arc::new(make_record(
-                job.id,
-                &job.submission,
-                pj,
-                Arc::new(IncumbentSink::new()),
-                CancelToken::new(),
-                JobProgress {
-                    events: job.events,
-                    started: true,
-                    report_json: finished.report_json,
-                    outcome: Some(finished.outcome),
-                    done: true,
-                    ..JobProgress::default()
-                },
-                None,
-            ))
+            let progress = JobProgress {
+                events: job.events,
+                started: true,
+                report_json: finished.report_json,
+                outcome: Some(finished.outcome),
+                done: true,
+                ..JobProgress::default()
+            };
+            Arc::new(JobRecord {
+                last_segment: job.last_segment,
+                ..make_record(job.id, &job.submission, pj, progress, None)
+            })
         } else {
             readmitted += 1;
             // Interrupted: deterministically re-run from the journaled
@@ -2364,6 +2274,7 @@ fn recover(state: &Arc<ServerState>) -> std::io::Result<()> {
             // recovered version.
             let admission = Admission::Recovered {
                 segment: job.segment + 1,
+                last_segment: job.last_segment,
             };
             state.metrics.jobs_accepted.inc();
             admit_job(state, job.id, &job.submission, pj, admission)
@@ -2405,7 +2316,7 @@ fn evict_done(table: &mut JobTable, state: &ServerState) -> Vec<u64> {
                 table.keys.remove(key);
             }
             if let Some(journal) = &state.journal {
-                journal.remove_job(id);
+                journal.remove_job(id, record.last_segment);
             }
             links.extend(record.batch.as_ref().map(|l| (l.batch, l.jobs.clone())));
         }
@@ -2420,7 +2331,7 @@ fn evict_done(table: &mut JobTable, state: &ServerState) -> Vec<u64> {
 
 /// `GET /v1/jobs/{id}`: status + best-so-far (trace from the sink, full
 /// report once done).
-fn job_status(stream: &mut TcpStream, record: &Arc<JobRecord>, keep: bool) -> Served {
+fn job_status(stream: &mut Conn, record: &Arc<JobRecord>, keep: bool) -> Served {
     // Snapshot the round-scoped refs as one consistent set (a follow
     // round swap replaces sink and denormalization context together).
     let live = record.live();
@@ -2478,7 +2389,7 @@ fn job_status(stream: &mut TcpStream, record: &Arc<JobRecord>, keep: bool) -> Se
 /// [`ServerConfig::heartbeat_secs`] seconds of silence. A completed
 /// stream honours the request's keep-alive.
 fn stream_events(
-    stream: &mut TcpStream,
+    stream: &mut Conn,
     state: &Arc<ServerState>,
     record: &Arc<JobRecord>,
     keep: bool,

@@ -329,6 +329,56 @@ fn deleting_a_dataset_ends_its_follow_jobs() {
     shutdown.shutdown();
 }
 
+/// A follow job whose dataset grows past its algorithm's size cap
+/// reports `failed`, naming the dataset, and ends (`finished`, outcome
+/// `cancelled`) instead of starting a round it cannot run.
+#[test]
+fn a_follow_job_ends_when_its_dataset_outgrows_the_spec() {
+    let (client, shutdown) = start_server(ServerConfig::default());
+    client
+        .create_dataset("growing", PAPER_EXAMPLE)
+        .expect("PUT");
+    let job = client
+        .submit(&JobSubmission {
+            algo: Some("Exact".into()),
+            follow: true,
+            ..JobSubmission::for_dataset("growing")
+        })
+        .expect("submit follow job");
+    let mut events = client.events(job.id).expect("event stream");
+    resolved_score(&mut events, 1);
+    // Exact handles at most n = 64: 61 new labels make n = 65.
+    let labels: Vec<String> = (0..61).map(|i| format!("{{x{i}}}")).collect();
+    let ranking = format!("[{{A}},{{B}},{{C}},{{D}},{}]", labels.join(","));
+    client
+        .patch_dataset(
+            "growing",
+            &format!("{{\"ops\":[{{\"op\":\"add\",\"ranking\":\"{ranking}\"}}]}}"),
+        )
+        .expect("PATCH past the cap");
+    let lines: Vec<Json> = events
+        .map(|e| e.expect("event parses"))
+        .filter(|e| e.get("event").and_then(Json::as_str) != Some("heartbeat"))
+        .collect();
+    let kinds: Vec<&str> = lines
+        .iter()
+        .filter_map(|e| e.get("event").and_then(Json::as_str))
+        .collect();
+    assert_eq!(kinds, ["failed", "finished"], "{lines:?}");
+    let error = lines[0].get("error").and_then(Json::as_str).expect("error");
+    assert!(
+        error.contains("growing") && error.contains("n = 65"),
+        "{error}"
+    );
+    assert_eq!(
+        lines[1].get("outcome").and_then(Json::as_str),
+        Some("cancelled")
+    );
+    let done = client.wait(job.id).expect("job ended");
+    assert_eq!(done.get("state").and_then(Json::as_str), Some("done"));
+    shutdown.shutdown();
+}
+
 // ------------------------------------------------- copy-on-write rounds
 
 /// `m` uniformly drawn rankings with ties over the labels `0..n`, one per
@@ -617,6 +667,67 @@ fn datasets_recover_across_restart_with_consolidated_journals() {
         )
         .expect("PATCH after restart");
     assert_eq!(u64_field(&patched, "version"), 4);
+    shutdown.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A graceful shutdown ends a parked follow job and journals its
+/// terminal `cancelled` before `shutdown` returns: after a restart on the
+/// same journal the job reads done, and nothing is re-admitted.
+#[test]
+fn graceful_shutdown_journals_the_follow_jobs_terminal_cancelled() {
+    let dir = scratch_dir("follow-drain");
+    let (client, shutdown) = start_server(journaled_config(&dir));
+    client
+        .create_dataset("drained", PAPER_EXAMPLE)
+        .expect("PUT");
+    let job = client
+        .submit(&JobSubmission {
+            algo: Some("Borda".into()),
+            follow: true,
+            ..JobSubmission::for_dataset("drained")
+        })
+        .expect("submit follow job");
+    let mut events = client.events(job.id).expect("event stream");
+    let score = resolved_score(&mut events, 1);
+    shutdown.shutdown();
+    // The journal already holds the terminal record, with the last
+    // round's report.
+    let replay = Journal::open(&dir, FsyncPolicy::Never)
+        .expect("open journal")
+        .replay()
+        .expect("replay");
+    assert_eq!(replay.jobs.len(), 1);
+    let finished = replay.jobs[0]
+        .finished
+        .as_ref()
+        .expect("the drain journaled the follow job's terminal record");
+    assert_eq!(finished.outcome, "cancelled");
+    let report =
+        Json::parse(finished.report_json.as_deref().expect("last report")).expect("report parses");
+    assert_eq!(u64_field(&report, "score"), score);
+    // The live stream ended with the one real `finished`.
+    let last = events
+        .filter_map(Result::ok)
+        .filter(|e| e.get("event").and_then(Json::as_str) != Some("heartbeat"))
+        .last()
+        .expect("a terminal line");
+    assert_eq!(last.get("event").and_then(Json::as_str), Some("finished"));
+    assert_eq!(
+        last.get("outcome").and_then(Json::as_str),
+        Some("cancelled")
+    );
+
+    let (client, shutdown) = start_server(journaled_config(&dir));
+    let status = client.status(job.id).expect("status after restart");
+    assert_eq!(status.get("state").and_then(Json::as_str), Some("done"));
+    assert_eq!(
+        status.get("outcome").and_then(Json::as_str),
+        Some("cancelled")
+    );
+    // Recovery re-admitted nothing: no interrupted job.
+    let health = client.healthz().expect("healthz");
+    assert_eq!(u64_field(&health, "jobs_accepted"), 0, "{health}");
     shutdown.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -574,3 +574,59 @@ fn retain_done_evicts_the_oldest_finished_jobs_and_spares_live_ones() {
     shutdown.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Eviction unlinks a recovered job's segments by name, up to the highest
+/// one replay found for it — unusable ones included — without listing the
+/// journal directory. The job below left a valid interrupted `s0` and
+/// garbage `s1` and `s2`; its re-run writes `s1`, and once it is evicted
+/// no `job-0-*` file remains.
+#[test]
+fn evicting_a_recovered_job_unlinks_every_segment_replay_found() {
+    let dir = scratch_dir("evict-segments");
+    {
+        let journal = Journal::open(&dir, FsyncPolicy::Always).expect("open");
+        let submission = JobSubmission {
+            algo: Some("Borda".into()),
+            ..JobSubmission::new(PAPER_EXAMPLE)
+        };
+        journal
+            .begin_job(0, 0, &submission.to_json())
+            .expect("begin job");
+    }
+    for segment in [1, 2] {
+        std::fs::write(dir.join(format!("job-0-s{segment}.ndjson")), "garbage\n")
+            .expect("garbage segment");
+    }
+    let (client, shutdown) = start_server(ServerConfig {
+        retain_done: 1,
+        ..journaled_config(&dir)
+    });
+    let recovered = client.wait(0).expect("the recovered job finishes");
+    assert_eq!(recovered.get("state").and_then(Json::as_str), Some("done"));
+    // Finished jobs after it push job 0 past `retain_done` (the last
+    // submit finds at least two finished jobs ahead of it).
+    for _ in 0..3 {
+        let job = client
+            .submit(&JobSubmission {
+                algo: Some("Borda".into()),
+                ..JobSubmission::new(PAPER_EXAMPLE)
+            })
+            .expect("submit");
+        client.wait(job.id).expect("job finishes");
+    }
+    assert!(
+        matches!(
+            client.status(0),
+            Err(ClientError::Status { status: 404, .. })
+        ),
+        "job 0 was evicted"
+    );
+    let left: Vec<String> = std::fs::read_dir(&dir)
+        .expect("list journal")
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter(|name| name.starts_with("job-0-"))
+        .collect();
+    assert!(left.is_empty(), "segments left behind: {left:?}");
+    shutdown.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}

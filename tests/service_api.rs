@@ -752,6 +752,40 @@ fn stream_live_at_drain_still_reads_its_final_status() {
     );
 }
 
+/// A connection whose last response was fully written before a drain
+/// began was idle when it began: its next request is closed unanswered,
+/// however soon after its answer the client starts the drain. Looped,
+/// because the window is narrow: a drain sample taken after the handler
+/// returns lets a client that already holds its answer start the drain
+/// first, and the connection then counts as busy.
+#[test]
+fn a_request_after_a_drain_on_an_answered_connection_is_closed_unanswered() {
+    use std::io::BufReader;
+    for round in 0..30 {
+        let (_, shutdown, addr) = default_server();
+        let mut stream = TcpStream::connect(&addr).expect("connect");
+        let reader = BufReader::new(stream.try_clone().expect("clone"));
+        write_request(&mut stream, "GET", "/healthz", &addr, None, true).expect("first request");
+        let response = ClientResponse::read_from(reader).expect("first response head");
+        assert_eq!(response.status, 200);
+        let (_, reader) = response.into_body_and_reader().expect("sized body");
+        let reader = reader.expect("a kept-alive connection");
+        shutdown.shutdown();
+        // The server may already have closed the socket: a refused write
+        // is as good as an unanswered request.
+        if write_request(&mut stream, "GET", "/healthz", &addr, None, true).is_err() {
+            continue;
+        }
+        match ClientResponse::read_from(reader) {
+            Err(_) => {}
+            Ok(response) => panic!(
+                "round {round}: the request after the drain was answered {}",
+                response.status
+            ),
+        }
+    }
+}
+
 // ------------------------------------------------------------ idempotency
 
 /// `rawt_jobs_admitted_total{class="fresh"}`, read from `GET /metrics`.
