@@ -14,11 +14,6 @@
 //!   read off each report's incumbent trace — responsiveness, not just
 //!   throughput, so future PRs can see when a kernel goes quiet for too
 //!   long before its first answer;
-//! * a **service** section: an in-process `service::Server` under
-//!   concurrent remote clients, measuring submit-to-first-incumbent
-//!   latency (what a waiting *network* caller experiences: HTTP framing +
-//!   admission queue + job startup + first streamed event) and
-//!   submit-to-finished time;
 //! * an **exact** section: the parallel proof search (DESIGN.md §11.1)
 //!   sequential vs parallel over a family of uniform instances at the
 //!   hardness knee (n = 21 explodes past ~n = 22), with a
@@ -38,20 +33,6 @@
 //!   the same edited dataset (the hint descent converges sooner); and the
 //!   wire-level win of HTTP keep-alive — the same status read hammered
 //!   over one pooled connection vs a fresh TCP dial per request;
-//! * a **load** section (DESIGN.md §14): an open-loop generator — jobs
-//!   fire on a fixed arrival clock, never waiting for completions, the
-//!   way real traffic does — swept over arrival rates against a
-//!   router-fronted fleet of 1 vs [`LOAD_FLEET`] workers, recording
-//!   p50/p99 submit-to-finished latency and the shed rate; plus the
-//!   batching claim at the fleet level: one panel as a single
-//!   `POST /v1/batches` (one cost-matrix build) vs the same panel as
-//!   scattered individual submissions (one build per worker hit);
-//! * a **telemetry** section (DESIGN.md §15): per-op microcosts of the
-//!   registry primitives (counter inc, histogram record, mutex-guarded
-//!   handle resolve), the overhead fraction of a fully instrumented
-//!   panel run (op count read off the run's own registry × microcost ÷
-//!   wall time; budgeted ≤ 2%), and the cross-check that the registry's
-//!   time-to-first-incumbent buckets agree with the PR 3 trace data;
 //! * a **large-n** section (DESIGN.md §16): the positional panel on the
 //!   matrix-free kernel lane at `n ∈ {1000, 5000, 20000}` — wall time,
 //!   peak RSS (`VmHWM`), and the matrix-build counter (pinned 0) — with
@@ -84,18 +65,13 @@ use rank_core::session::DatasetSession;
 use rank_core::{CostMatrix, Dataset};
 use service::client::Client;
 use service::journal::{FsyncPolicy, Journal};
-use service::json::Json;
-use service::proto::{BatchSubmission, JobSubmission};
-use service::router::{Router, RouterConfig};
-use service::server::{Server, ServerConfig, ShutdownHandle};
+use service::proto::JobSubmission;
+use service::server::{Server, ServerConfig};
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 const M: usize = 20;
 const NS: [usize; 3] = [50, 100, 200];
-
-/// Concurrent remote clients in the service section.
-const SERVICE_CLIENTS: usize = 8;
 
 /// The exact section's instance family: n = 21 sits at the hardness knee
 /// of uniform data (proof searches run milliseconds to ~1 s; n = 22+ can
@@ -337,308 +313,6 @@ fn measure_exact() -> ExactReport {
         })
         .collect();
     ExactReport { workers, instances }
-}
-
-/// One remote client's latencies, in seconds.
-struct ClientLatency {
-    submit_to_first_incumbent_s: f64,
-    submit_to_finished_s: f64,
-}
-
-/// The service section: an in-process server, [`SERVICE_CLIENTS`]
-/// concurrent clients each submitting one BioConsert job (n = 50) and
-/// timing its own submit → first-incumbent → finished path over the wire.
-struct ServiceReport {
-    clients: usize,
-    max_jobs: usize,
-    first_incumbent_median_s: f64,
-    first_incumbent_max_s: f64,
-    finished_median_s: f64,
-    finished_max_s: f64,
-}
-
-fn measure_service(data: &Dataset) -> ServiceReport {
-    let mut text = String::new();
-    for r in data.rankings() {
-        text.push_str(&r.to_string());
-        text.push('\n');
-    }
-    let config = ServerConfig::default();
-    let max_jobs = config.max_jobs;
-    let server = Server::bind("127.0.0.1:0", config).expect("bind ephemeral port");
-    let addr = server.local_addr().expect("local addr").to_string();
-    let shutdown = server.shutdown_handle().expect("shutdown handle");
-    std::thread::spawn(move || server.serve());
-
-    let latencies: Vec<ClientLatency> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..SERVICE_CLIENTS)
-            .map(|i| {
-                let addr = addr.clone();
-                let text = text.clone();
-                scope.spawn(move || {
-                    let client = Client::new(&addr);
-                    let start = Instant::now();
-                    let job = client
-                        .submit(&JobSubmission {
-                            algo: Some("BioConsert".to_owned()),
-                            seed: 100 + i as u64,
-                            ..JobSubmission::new(text)
-                        })
-                        .expect("submit");
-                    let mut first_incumbent_s = f64::NAN;
-                    for event in client.events(job.id).expect("stream") {
-                        let event = event.expect("well-formed event");
-                        if first_incumbent_s.is_nan()
-                            && event.get("event").and_then(Json::as_str) == Some("incumbent")
-                        {
-                            first_incumbent_s = start.elapsed().as_secs_f64();
-                        }
-                    }
-                    ClientLatency {
-                        submit_to_first_incumbent_s: first_incumbent_s,
-                        submit_to_finished_s: start.elapsed().as_secs_f64(),
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("client thread"))
-            .collect()
-    });
-    shutdown.shutdown();
-
-    let stats = |values: &mut Vec<f64>| -> (f64, f64) {
-        values.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-        (values[values.len() / 2], *values.last().expect("non-empty"))
-    };
-    let mut first: Vec<f64> = latencies
-        .iter()
-        .map(|l| l.submit_to_first_incumbent_s)
-        .collect();
-    let mut finished: Vec<f64> = latencies.iter().map(|l| l.submit_to_finished_s).collect();
-    let (first_incumbent_median_s, first_incumbent_max_s) = stats(&mut first);
-    let (finished_median_s, finished_max_s) = stats(&mut finished);
-    ServiceReport {
-        clients: SERVICE_CLIENTS,
-        max_jobs,
-        first_incumbent_median_s,
-        first_incumbent_max_s,
-        finished_median_s,
-        finished_max_s,
-    }
-}
-
-/// Jobs per load cell: enough completions that p99 means something,
-/// few enough that the whole sweep stays in bench-runtime territory.
-const LOAD_JOBS: usize = 40;
-/// Open-loop arrival rates (jobs/second). The top rate is meant to push
-/// a single worker past its service rate so queueing — and, when the
-/// admission queue fills, shedding — shows up in the numbers.
-const LOAD_RATES_PER_SEC: [f64; 2] = [25.0, 100.0];
-/// The multi-worker arm's fleet size (the single-worker arm is 1).
-const LOAD_FLEET: usize = 3;
-
-/// One (fleet size, arrival rate) cell of the open-loop sweep.
-struct LoadCell {
-    workers: usize,
-    rate_per_sec: f64,
-    offered: usize,
-    completed: usize,
-    shed: usize,
-    p50_s: f64,
-    p99_s: f64,
-}
-
-struct LoadReport {
-    cells: Vec<LoadCell>,
-    /// Matrix builds for one panel as a single batch on a 1-worker fleet.
-    batch_builds: u64,
-    /// Matrix builds for the same panel as scattered individual jobs
-    /// across a [`LOAD_FLEET`]-worker fleet.
-    sequential_builds: u64,
-}
-
-fn start_fleet(n: usize) -> (Vec<String>, Vec<ShutdownHandle>) {
-    (0..n)
-        .map(|_| {
-            let server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind worker");
-            let addr = server.local_addr().expect("worker addr").to_string();
-            let shutdown = server.shutdown_handle().expect("worker shutdown");
-            std::thread::spawn(move || server.serve());
-            (addr, shutdown)
-        })
-        .unzip()
-}
-
-fn start_fronted_fleet(
-    n: usize,
-) -> (
-    Client,
-    service::router::RouterShutdown,
-    Vec<String>,
-    Vec<ShutdownHandle>,
-) {
-    let (addrs, downs) = start_fleet(n);
-    let router = Router::bind(
-        "127.0.0.1:0",
-        RouterConfig {
-            workers: addrs.clone(),
-            token: None,
-        },
-    )
-    .expect("bind router");
-    let client = Client::new(&router.local_addr().expect("router addr").to_string());
-    let shutdown = router.shutdown_handle().expect("router shutdown");
-    std::thread::spawn(move || router.serve());
-    (client, shutdown, addrs, downs)
-}
-
-fn fleet_builds(addrs: &[String]) -> u64 {
-    addrs
-        .iter()
-        .map(|addr| {
-            Client::new(addr)
-                .healthz()
-                .expect("worker healthz")
-                .get("matrix_builds")
-                .and_then(Json::as_u64)
-                .expect("matrix_builds in healthz")
-        })
-        .sum()
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
-}
-
-/// One open-loop cell: fire [`LOAD_JOBS`] submissions at a fixed arrival
-/// clock against a router-fronted fleet of `workers`, each arrival a
-/// fresh client thread (a new caller, not a recycled connection) whose
-/// dataset carries a distinct comment line so fingerprints scatter over
-/// the fleet. A 429/503 at submit is a shed arrival — the open loop
-/// does not retry; it measures what the fleet dropped.
-fn measure_load_cell(workers: usize, rate: f64, text: &str) -> LoadCell {
-    let (router_client, down_router, _addrs, downs) = start_fronted_fleet(workers);
-    let addr = router_client.addr().to_owned();
-    let (tx, rx) = std::sync::mpsc::channel::<Option<f64>>();
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for i in 0..LOAD_JOBS {
-            let due = Duration::from_secs_f64(i as f64 / rate);
-            let now = start.elapsed();
-            if due > now {
-                std::thread::sleep(due - now);
-            }
-            let tx = tx.clone();
-            let addr = addr.clone();
-            let text = format!("# arrival {i}\n{text}");
-            scope.spawn(move || {
-                let client = Client::new(&addr);
-                let t = Instant::now();
-                let submission = JobSubmission {
-                    algo: Some("BioConsert".to_owned()),
-                    seed: 1000 + i as u64,
-                    ..JobSubmission::new(text)
-                };
-                let outcome = client
-                    .submit(&submission)
-                    .and_then(|job| client.wait(job.id))
-                    .ok()
-                    .map(|_| t.elapsed().as_secs_f64());
-                let _ = tx.send(outcome);
-            });
-        }
-    });
-    drop(tx);
-    let mut latencies = Vec::new();
-    let mut shed = 0usize;
-    for outcome in rx {
-        match outcome {
-            Some(s) => latencies.push(s),
-            None => shed += 1,
-        }
-    }
-    latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let cell = LoadCell {
-        workers,
-        rate_per_sec: rate,
-        offered: LOAD_JOBS,
-        completed: latencies.len(),
-        shed,
-        p50_s: percentile(&latencies, 0.50),
-        p99_s: percentile(&latencies, 0.99),
-    };
-    down_router.shutdown();
-    for down in downs {
-        down.shutdown();
-    }
-    cell
-}
-
-/// The load section: the arrival-rate sweep for 1 vs [`LOAD_FLEET`]
-/// workers, then the fleet-level batching claim — the same heuristic
-/// panel once as a single batch (one matrix build on its worker) and
-/// once as scattered individual submissions (every worker that gets a
-/// shard pays its own build; the healthz counters sum the difference).
-fn measure_load(text: &str) -> LoadReport {
-    let mut cells = Vec::new();
-    for workers in [1, LOAD_FLEET] {
-        for rate in LOAD_RATES_PER_SEC {
-            cells.push(measure_load_cell(workers, rate, text));
-        }
-    }
-
-    let panel: Vec<String> = ["BioConsert", "Borda", "KwikSort", "Chanas"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-
-    // Batched arm: one worker, one POST /v1/batches, one build.
-    let (client, down_router, addrs, downs) = start_fronted_fleet(1);
-    let before = fleet_builds(&addrs);
-    let batch = client
-        .submit_batch(&BatchSubmission {
-            seed: 7,
-            ..BatchSubmission::new(text, panel.clone())
-        })
-        .expect("submit batch");
-    client.wait_batch(batch.id).expect("wait batch");
-    let batch_builds = fleet_builds(&addrs) - before;
-    down_router.shutdown();
-    for down in downs {
-        down.shutdown();
-    }
-
-    // Scattered arm: the same specs as independent submissions whose
-    // comment lines scatter them over the fleet by fingerprint.
-    let (client, down_router, addrs, downs) = start_fronted_fleet(LOAD_FLEET);
-    let before = fleet_builds(&addrs);
-    for (i, spec) in panel.iter().enumerate() {
-        let job = client
-            .submit(&JobSubmission {
-                algo: Some(spec.clone()),
-                seed: 7,
-                ..JobSubmission::new(format!("# client {i}\n{text}"))
-            })
-            .expect("submit scattered job");
-        client.wait(job.id).expect("wait scattered job");
-    }
-    let sequential_builds = fleet_builds(&addrs) - before;
-    down_router.shutdown();
-    for down in downs {
-        down.shutdown();
-    }
-
-    LoadReport {
-        cells,
-        batch_builds,
-        sequential_builds,
-    }
 }
 
 /// The recovery section's journal shape: enough finished jobs with long
@@ -901,146 +575,6 @@ fn measure_incremental() -> IncrementalReport {
     }
 }
 
-/// One algorithm's cross-check between the registry's
-/// time-to-first-incumbent histogram and the trace value the same run
-/// reported (the PR 3 anytime data): the single observation must land
-/// in the log₂ bucket whose bound covers it within the 2× spacing.
-struct TtiRow {
-    name: String,
-    trace_s: f64,
-    bucket_bound_s: f64,
-    consistent: bool,
-}
-
-struct TelemetryReport {
-    counter_inc_s: f64,
-    histogram_record_s: f64,
-    resolve_s: f64,
-    panel_n: usize,
-    panel_wall_s: f64,
-    counter_ops: u64,
-    histogram_ops: u64,
-    overhead_fraction: f64,
-    tti: Vec<TtiRow>,
-}
-
-/// Telemetry section (DESIGN.md §15): per-op microcosts of the registry
-/// primitives, an instrumented panel run whose own registry counts how
-/// many observations it made (microcost × op count ÷ wall time = the
-/// overhead fraction, budgeted ≤ 2%), and the per-algorithm check that
-/// the registry's time-to-first-incumbent buckets agree with the trace.
-fn measure_telemetry(n: usize, data: &Dataset) -> TelemetryReport {
-    use rank_core::telemetry::{parse_exposition, MetricKind, MetricsRegistry};
-
-    // Per-op microcosts, measured on a private registry. Handle ops are
-    // relaxed atomics; `resolve` is the mutex-guarded find-or-create
-    // path label-dynamic call sites pay per call.
-    let registry = MetricsRegistry::new();
-    let counter = registry.counter("bench_ops_total", "bench", &[]);
-    const OPS: u64 = 1_000_000;
-    let counter_inc_s = time_median(5, || {
-        for _ in 0..OPS {
-            counter.inc();
-        }
-    }) / OPS as f64;
-    let histogram = registry.histogram("bench_latency_seconds", "bench", &[]);
-    let histogram_record_s = time_median(5, || {
-        for i in 0..OPS {
-            histogram.record_micros(i & 0xffff);
-        }
-    }) / OPS as f64;
-    const RESOLVES: u64 = 100_000;
-    let resolve_s = time_median(5, || {
-        for _ in 0..RESOLVES {
-            std::hint::black_box(registry.counter(
-                "bench_resolved_total",
-                "bench",
-                &[("algo", "BioConsert")],
-            ));
-        }
-    }) / RESOLVES as f64;
-
-    // The instrumented panel run: the same engine batch the sizes
-    // section times, on a fresh engine whose registry then tells us
-    // exactly how many observations the run made.
-    let specs: Vec<AlgoSpec> = paper_panel(20)
-        .into_iter()
-        .filter(|s| s.max_n().is_none_or(|cap| n <= cap))
-        .collect();
-    let requests = AggregationRequest::batch(data.clone())
-        .specs(specs)
-        .seed(5)
-        .build();
-    let engine = Engine::new();
-    let wall_start = Instant::now();
-    let reports = engine.run_batch(&requests);
-    let panel_wall_s = wall_start.elapsed().as_secs_f64();
-
-    let families = parse_exposition(&engine.metrics().render_prometheus());
-    let mut counter_ops = 0u64;
-    let mut histogram_ops = 0u64;
-    for family in &families {
-        match family.kind {
-            MetricKind::Counter => {
-                counter_ops += family.samples.iter().map(|s| s.value as u64).sum::<u64>()
-            }
-            MetricKind::Histogram => {
-                histogram_ops += family
-                    .samples
-                    .iter()
-                    .filter(|s| s.name.ends_with("_count"))
-                    .map(|s| s.value as u64)
-                    .sum::<u64>()
-            }
-            // Gauges are counted as moves below: the scheduler swings
-            // queue-depth and running twice per job.
-            MetricKind::Gauge | MetricKind::Untyped => {}
-        }
-    }
-    let gauge_ops = 4 * reports.len() as u64;
-    // Label-dynamic sites re-resolve handles; bound that by one resolve
-    // per observation (the engine's worst case, not its average).
-    let resolve_ops = counter_ops + histogram_ops;
-    let overhead_s = (counter_ops + gauge_ops) as f64 * counter_inc_s
-        + histogram_ops as f64 * histogram_record_s
-        + resolve_ops as f64 * resolve_s;
-    let overhead_fraction = overhead_s / panel_wall_s;
-
-    // Cross-check: each algorithm's registry bucket vs its own trace.
-    // `record` truncates to whole microseconds, hence the ±1 µs slack.
-    let tti: Vec<TtiRow> = reports
-        .iter()
-        .filter_map(|r| {
-            let trace_s = r.time_to_first_incumbent()?.as_secs_f64();
-            let name = r.algorithm();
-            let snap = engine
-                .metrics()
-                .histogram_snapshot("rawt_time_to_first_incumbent_seconds", &[("algo", &name)])?;
-            let bucket_bound_s = snap.quantile_secs(0.5)?;
-            let consistent = trace_s <= bucket_bound_s + 1e-6
-                && bucket_bound_s <= 2.0 * trace_s.max(1e-6) + 1e-6;
-            Some(TtiRow {
-                name,
-                trace_s,
-                bucket_bound_s,
-                consistent,
-            })
-        })
-        .collect();
-
-    TelemetryReport {
-        counter_inc_s,
-        histogram_record_s,
-        resolve_s,
-        panel_n: n,
-        panel_wall_s,
-        counter_ops,
-        histogram_ops,
-        overhead_fraction,
-        tti,
-    }
-}
-
 /// The large-n lane comparison (DESIGN.md §16): sizes where the dense
 /// `8n²` cost matrix goes from comfortable (8 MB) through heavy (200 MB)
 /// to out of the question (3.2 GB).
@@ -1298,47 +832,6 @@ fn main() {
         );
     }
 
-    // Service section: submit-to-first-incumbent over the wire, under
-    // concurrent clients, on the smallest size (latency, not throughput).
-    let mut rng = StdRng::seed_from_u64(42 + NS[0] as u64);
-    let service_data = sampler.sample_dataset(NS[0], M, &mut rng);
-    let service = measure_service(&service_data);
-    eprintln!(
-        "service: {} clients (max-jobs {}): first incumbent {:.1}ms median / {:.1}ms max, finished {:.1}ms median / {:.1}ms max",
-        service.clients,
-        service.max_jobs,
-        service.first_incumbent_median_s * 1e3,
-        service.first_incumbent_max_s * 1e3,
-        service.finished_median_s * 1e3,
-        service.finished_max_s * 1e3,
-    );
-
-    // Load section: the open-loop sweep against 1 vs LOAD_FLEET workers
-    // behind the router, plus the fleet-level batching claim.
-    let mut service_text = String::new();
-    for r in service_data.rankings() {
-        service_text.push_str(&r.to_string());
-        service_text.push('\n');
-    }
-    let load = measure_load(&service_text);
-    for cell in &load.cells {
-        eprintln!(
-            "load: {} worker{} @ {:>5.0}/s: {}/{} completed ({} shed), finished p50 {:.1}ms p99 {:.1}ms",
-            cell.workers,
-            if cell.workers == 1 { " " } else { "s" },
-            cell.rate_per_sec,
-            cell.completed,
-            cell.offered,
-            cell.shed,
-            cell.p50_s * 1e3,
-            cell.p99_s * 1e3,
-        );
-    }
-    eprintln!(
-        "load: panel builds — batched {} vs scattered-sequential {} (fleet of {})",
-        load.batch_builds, load.sequential_builds, LOAD_FLEET,
-    );
-
     // Exact section: the parallel proof search and the certified-gap
     // channel (PR 5).
     let exact = measure_exact();
@@ -1364,26 +857,6 @@ fn main() {
         recovery.replay_median_s * 1e3,
         recovery.replay_lines_per_sec / 1e3,
         recovery.restart_to_ready_median_s * 1e3,
-    );
-
-    // Telemetry section: registry per-op costs, the instrumented-panel
-    // overhead fraction, and the registry-vs-trace TTI cross-check, on
-    // the largest size (overhead is measured where solves are longest).
-    let telemetry_n = *NS.iter().max().expect("non-empty");
-    let mut rng = StdRng::seed_from_u64(42 + telemetry_n as u64);
-    let telemetry_data = sampler.sample_dataset(telemetry_n, M, &mut rng);
-    let telemetry = measure_telemetry(telemetry_n, &telemetry_data);
-    eprintln!(
-        "telemetry: counter {:.1}ns, histogram {:.1}ns, resolve {:.0}ns; panel n={} made {} counter + {} histogram obs in {:.1}ms — overhead {:.4}% (bound 2%), tti consistent={}",
-        telemetry.counter_inc_s * 1e9,
-        telemetry.histogram_record_s * 1e9,
-        telemetry.resolve_s * 1e9,
-        telemetry.panel_n,
-        telemetry.counter_ops,
-        telemetry.histogram_ops,
-        telemetry.panel_wall_s * 1e3,
-        telemetry.overhead_fraction * 1e2,
-        telemetry.tti.iter().all(|t| t.consistent),
     );
 
     // Incremental section: delta patches, warm re-solves, keep-alive.
@@ -1419,7 +892,7 @@ fn main() {
     json.push_str("{\n");
     let _ = writeln!(
         json,
-        "  \"bench\": \"parallel consensus kernel (PR 1) + engine batch front door (PR 2) + anytime incumbent traces (PR 3) + network service latency (PR 4) + parallel exact proof search with certified gaps (PR 5) + durable journal recovery (PR 6) + incremental sessions: delta patches, warm re-solves, keep-alive (PR 7) + sharded fleet under open-loop load (PR 8) + telemetry registry overhead and phase tracing (PR 9) + matrix-free large-n kernel lane (PR 10)\","
+        "  \"bench\": \"parallel consensus kernel + engine batch front door + anytime incumbent traces + parallel exact proof search with certified gaps + durable journal recovery + incremental sessions: delta patches, warm re-solves, keep-alive + matrix-free large-n kernel lane\","
     );
     let _ = writeln!(json, "  \"m\": {M},");
     let _ = writeln!(json, "  \"worker_threads\": {threads},");
@@ -1427,119 +900,6 @@ fn main() {
     let _ = writeln!(json, "  \"timestamp_unix_secs\": {timestamp_unix_secs},");
     json.push_str(&large_n_json(&large));
     json.push_str(",\n");
-    json.push_str("  \"service\": {\n");
-    let _ = writeln!(json, "    \"n\": {},", NS[0]);
-    let _ = writeln!(json, "    \"concurrent_clients\": {},", service.clients);
-    let _ = writeln!(json, "    \"max_jobs\": {},", service.max_jobs);
-    let _ = writeln!(
-        json,
-        "    \"submit_to_first_incumbent_median_secs\": {:.6},",
-        service.first_incumbent_median_s
-    );
-    let _ = writeln!(
-        json,
-        "    \"submit_to_first_incumbent_max_secs\": {:.6},",
-        service.first_incumbent_max_s
-    );
-    let _ = writeln!(
-        json,
-        "    \"submit_to_finished_median_secs\": {:.6},",
-        service.finished_median_s
-    );
-    let _ = writeln!(
-        json,
-        "    \"submit_to_finished_max_secs\": {:.6}",
-        service.finished_max_s
-    );
-    json.push_str("  },\n");
-    json.push_str("  \"load\": {\n");
-    let _ = writeln!(json, "    \"n\": {},", NS[0]);
-    let _ = writeln!(json, "    \"jobs_per_cell\": {LOAD_JOBS},");
-    json.push_str("    \"cells\": [\n");
-    for (i, cell) in load.cells.iter().enumerate() {
-        let p50 = if cell.p50_s.is_nan() {
-            "null".to_owned()
-        } else {
-            format!("{:.6}", cell.p50_s)
-        };
-        let p99 = if cell.p99_s.is_nan() {
-            "null".to_owned()
-        } else {
-            format!("{:.6}", cell.p99_s)
-        };
-        let _ = writeln!(
-            json,
-            "      {{\"workers\": {}, \"arrival_rate_per_sec\": {:.0}, \"offered\": {}, \"completed\": {}, \"shed\": {}, \"shed_rate\": {:.4}, \"finished_p50_secs\": {p50}, \"finished_p99_secs\": {p99}}}{}",
-            cell.workers,
-            cell.rate_per_sec,
-            cell.offered,
-            cell.completed,
-            cell.shed,
-            cell.shed as f64 / cell.offered as f64,
-            if i + 1 < load.cells.len() { "," } else { "" }
-        );
-    }
-    json.push_str("    ],\n");
-    let _ = writeln!(
-        json,
-        "    \"panel_batch_matrix_builds\": {},",
-        load.batch_builds
-    );
-    let _ = writeln!(
-        json,
-        "    \"panel_sequential_matrix_builds\": {},",
-        load.sequential_builds
-    );
-    let _ = writeln!(json, "    \"sequential_fleet\": {LOAD_FLEET}");
-    json.push_str("  },\n");
-    json.push_str("  \"telemetry\": {\n");
-    let _ = writeln!(
-        json,
-        "    \"counter_inc_nanos\": {:.2},",
-        telemetry.counter_inc_s * 1e9
-    );
-    let _ = writeln!(
-        json,
-        "    \"histogram_record_nanos\": {:.2},",
-        telemetry.histogram_record_s * 1e9
-    );
-    let _ = writeln!(
-        json,
-        "    \"registry_resolve_nanos\": {:.2},",
-        telemetry.resolve_s * 1e9
-    );
-    let _ = writeln!(json, "    \"panel_n\": {},", telemetry.panel_n);
-    let _ = writeln!(
-        json,
-        "    \"panel_wall_secs\": {:.6},",
-        telemetry.panel_wall_s
-    );
-    let _ = writeln!(json, "    \"counter_ops\": {},", telemetry.counter_ops);
-    let _ = writeln!(json, "    \"histogram_ops\": {},", telemetry.histogram_ops);
-    let _ = writeln!(
-        json,
-        "    \"estimated_overhead_fraction\": {:.8},",
-        telemetry.overhead_fraction
-    );
-    let _ = writeln!(
-        json,
-        "    \"within_2pct_budget\": {},",
-        telemetry.overhead_fraction <= 0.02
-    );
-    json.push_str("    \"time_to_first_incumbent\": [\n");
-    for (i, t) in telemetry.tti.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "      {{\"algorithm\": \"{}\", \"trace_secs\": {:.6}, \"registry_bucket_bound_secs\": {:.6}, \"consistent\": {}}}{}",
-            t.name,
-            t.trace_s,
-            t.bucket_bound_s,
-            t.consistent,
-            if i + 1 < telemetry.tti.len() { "," } else { "" }
-        );
-    }
-    json.push_str("    ]\n");
-    json.push_str("  },\n");
     json.push_str("  \"recovery\": {\n");
     let _ = writeln!(json, "    \"jobs\": {},", recovery.jobs);
     let _ = writeln!(json, "    \"events_per_job\": {},", recovery.events_per_job);

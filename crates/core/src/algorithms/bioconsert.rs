@@ -47,7 +47,7 @@ use crate::ranking::Ranking;
 #[derive(Debug, Clone, Default)]
 pub struct BioConsert {
     /// Additional starting rankings beyond the dataset's own inputs
-    /// (used by the ablation bench; normally empty).
+    /// (used by the ablation tests; normally empty).
     pub extra_starts: Vec<Ranking>,
     /// If `true`, skip the input rankings and use only `extra_starts`.
     pub only_extra_starts: bool,

@@ -94,7 +94,7 @@ impl ConsensusAlgorithm for KwikSort {
 
 /// The *original* two-way KwikSort, without the §4.1.2 tie adaptation —
 /// kept as an ablation so the benefit of the third (tie) pivot branch can
-/// be measured (see the `ablations` bench).
+/// be measured (see `tests/ablation_claims.rs` and DESIGN.md §7).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct KwikSortNoTies;
 

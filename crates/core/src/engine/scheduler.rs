@@ -289,7 +289,7 @@ impl Scheduler {
     }
 
     /// Admit `request` if the queue has room; otherwise shed it. Reports
-    /// through caller-built `hooks` ([`JobHandle::attach`] builds a
+    /// through caller-built `hooks` (`JobHandle::attach` builds a
     /// handle's). On refusal the hooks are dropped and the completion is
     /// never called; once admitted, it is called exactly once.
     pub fn try_submit_with(

@@ -184,10 +184,12 @@ fn segment_file_name(id: u64, segment: u32) -> String {
 /// Parse a `job-<id>-s<seg>.ndjson` file name back to `(id, segment)`.
 /// The strict `job-` prefix keeps the `dataset-…` family invisible here
 /// (and vice versa) — the two replays never read each other's files.
+/// Only the canonical spelling is accepted: eviction unlinks what replay read.
 fn parse_file_name(name: &str) -> Option<(u64, u32)> {
     let rest = name.strip_prefix("job-")?.strip_suffix(".ndjson")?;
     let (id, seg) = rest.split_once("-s")?;
-    Some((id.parse().ok()?, seg.parse().ok()?))
+    let parsed = (id.parse().ok()?, seg.parse().ok()?);
+    (segment_file_name(parsed.0, parsed.1) == name).then_some(parsed)
 }
 
 /// The journal file for a live dataset (DESIGN.md §13.5). One file per
@@ -223,9 +225,9 @@ pub struct RecoveredJob {
     /// The segment the recovery was read from; a re-run writes
     /// `segment + 1`.
     pub segment: u32,
-    /// The highest segment number of any file named for this job, usable
-    /// or not — what eviction must unlink up to.
-    pub last_segment: u32,
+    /// Every segment file named for this job, usable or not — what
+    /// eviction must unlink.
+    pub segments: Vec<u32>,
     /// The resolved submission as journaled (spec, seed, budget,
     /// normalization, idempotency key).
     pub submission: JobSubmission,
@@ -429,13 +431,12 @@ impl Journal {
         Ok(recovered)
     }
 
-    /// Delete segments `0..=last_segment` of `id` by name (called when
-    /// the server evicts a finished job past its retention bound, so the
-    /// on-disk set stays as bounded as the in-memory table). No directory
-    /// scan: the caller remembers the highest segment it wrote or replay
-    /// saw for the job.
-    pub fn remove_job(&self, id: u64, last_segment: u32) {
-        for segment in 0..=last_segment {
+    /// Delete the given segments of `id` by name (called when the server
+    /// evicts a finished job past its retention bound, so the on-disk set
+    /// stays as bounded as the in-memory table). No directory scan: the
+    /// caller remembers the segments it wrote or replay saw for the job.
+    pub fn remove_job(&self, id: u64, segments: &[u32]) {
+        for &segment in segments {
             let _ = fs::remove_file(self.dir.join(segment_file_name(id, segment)));
         }
     }
@@ -460,8 +461,8 @@ impl Journal {
         // Best segment per job id: (segment, submission, events, finished).
         let mut best: std::collections::HashMap<u64, RecoveredJob> =
             std::collections::HashMap::new();
-        // Highest segment named per job id, usable or not.
-        let mut last: std::collections::HashMap<u64, u32> = std::collections::HashMap::new();
+        // Every segment named per job id, usable or not.
+        let mut seen: std::collections::HashMap<u64, Vec<u32>> = std::collections::HashMap::new();
         let mut names: Vec<String> = fs::read_dir(&self.dir)?
             .flatten()
             .filter_map(|e| e.file_name().to_str().map(str::to_owned))
@@ -471,8 +472,7 @@ impl Journal {
         names.sort();
         for name in names {
             let (id, segment) = parse_file_name(&name).expect("filtered above");
-            let highest = last.entry(id).or_default();
-            *highest = (*highest).max(segment);
+            seen.entry(id).or_default().push(segment);
             let content = match fs::read_to_string(self.dir.join(&name)) {
                 Ok(content) => content,
                 Err(_) => {
@@ -480,7 +480,7 @@ impl Journal {
                     continue;
                 }
             };
-            match read_segment(&content, &mut replay) {
+            match read_segment(id, segment, &content, &mut replay) {
                 Some(job) => {
                     let replace = best
                         .get(&job.id)
@@ -495,7 +495,7 @@ impl Journal {
         replay.jobs = best.into_values().collect();
         replay.jobs.sort_by_key(|j| j.id);
         for job in &mut replay.jobs {
-            job.last_segment = last[&job.id];
+            job.segments = seen.remove(&job.id).unwrap_or_default();
         }
         if let Some(metrics) = &self.metrics {
             metrics.replay_seconds.record(replay_start.elapsed());
@@ -504,9 +504,10 @@ impl Journal {
     }
 }
 
-/// Parse one segment's text. `None` when no valid submission record
-/// leads the file (empty, torn-before-submit, or garbage).
-fn read_segment(content: &str, replay: &mut Replay) -> Option<RecoveredJob> {
+/// Parse the text of segment `segment` of job `id`. `None` when no valid
+/// submission record for that id and segment leads the file (empty,
+/// torn-before-submit, garbage, or a file renamed from another job).
+fn read_segment(id: u64, segment: u32, content: &str, replay: &mut Replay) -> Option<RecoveredJob> {
     let mut job: Option<RecoveredJob> = None;
     let mut lines = content.split('\n').filter(|l| !l.is_empty());
     while let Some(line) = lines.next() {
@@ -529,15 +530,18 @@ fn read_segment(content: &str, replay: &mut Replay) -> Option<RecoveredJob> {
                 if rec != Some("submit") {
                     return None;
                 }
-                let id = doc.get("id").and_then(Json::as_u64)?;
-                let segment = doc.get("segment").and_then(Json::as_u64).unwrap_or(0) as u32;
+                if doc.get("id").and_then(Json::as_u64) != Some(id)
+                    || doc.get("segment").and_then(Json::as_u64) != Some(u64::from(segment))
+                {
+                    return None;
+                }
                 let submission = doc
                     .get("submission")
                     .and_then(|s| JobSubmission::from_json(&s.to_string()).ok())?;
                 job = Some(RecoveredJob {
                     id,
                     segment,
-                    last_segment: segment,
+                    segments: Vec::new(),
                     submission,
                     events: Vec::new(),
                     finished: None,
@@ -853,7 +857,7 @@ mod tests {
         let replay = journal.replay().unwrap();
         assert_eq!(replay.jobs.len(), 1);
         assert_eq!(replay.jobs[0].segment, 1);
-        assert_eq!(replay.jobs[0].last_segment, 2);
+        assert_eq!(replay.jobs[0].segments, vec![0, 1, 2]);
         assert!(replay.jobs[0].finished.is_some());
         let _ = fs::remove_dir_all(&dir);
     }
@@ -920,7 +924,7 @@ mod tests {
         drop(journal.begin_job(5, 0, &sub.to_json()).unwrap());
         drop(journal.begin_job(5, 1, &sub.to_json()).unwrap());
         drop(journal.begin_job(6, 0, &sub.to_json()).unwrap());
-        journal.remove_job(5, 1);
+        journal.remove_job(5, &[0, 1]);
         let replay = journal.replay().unwrap();
         assert_eq!(replay.jobs.len(), 1);
         assert_eq!(replay.jobs[0].id, 6);

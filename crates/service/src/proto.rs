@@ -357,6 +357,105 @@ impl std::fmt::Display for SubmissionError {
     }
 }
 
+/// Parse a request body that must be a JSON object.
+fn parse_object(body: &str) -> Result<Json, SubmissionError> {
+    let doc = Json::parse(body).map_err(|e| SubmissionError::new(format!("request body: {e}")))?;
+    if !matches!(doc, Json::Obj(_)) {
+        return Err(SubmissionError::new("request body must be a JSON object"));
+    }
+    Ok(doc)
+}
+
+/// The run options job and batch bodies share (seed, budget,
+/// normalization, idempotency key), parsed and emitted in one place so
+/// the two wire shapes cannot drift.
+struct SharedFields {
+    seed: u64,
+    budget: Option<Duration>,
+    normalize: Normalization,
+    idempotency_key: Option<String>,
+}
+
+impl SharedFields {
+    fn parse(doc: &Json) -> Result<SharedFields, SubmissionError> {
+        let seed = match doc.get("seed") {
+            None => 42,
+            Some(v) => v
+                .as_u64()
+                .ok_or_else(|| SubmissionError::new("\"seed\" must be a non-negative integer"))?,
+        };
+        let budget = match doc.get("budget_secs").filter(|v| !v.is_null()) {
+            None => None,
+            Some(v) => {
+                let secs = v
+                    .as_f64()
+                    .ok_or_else(|| SubmissionError::new("\"budget_secs\" must be a number"))?;
+                if !(secs.is_finite() && secs > 0.0) {
+                    return Err(SubmissionError::new(format!(
+                        "\"budget_secs\" must be positive, got {secs}"
+                    )));
+                }
+                // try_from: an absurdly large value must be a 400, not a
+                // Duration-overflow panic in the connection thread.
+                Some(Duration::try_from_secs_f64(secs).map_err(|_| {
+                    SubmissionError::new(format!("\"budget_secs\" {secs} is out of range"))
+                })?)
+            }
+        };
+        let normalize = match doc.get("normalize") {
+            None => Normalization::Unification,
+            Some(v) => {
+                let text = v
+                    .as_str()
+                    .ok_or_else(|| SubmissionError::new("\"normalize\" must be a string"))?;
+                text.parse().map_err(|e: String| SubmissionError {
+                    message: e,
+                    suggestion: None,
+                })?
+            }
+        };
+        let idempotency_key = match doc.get("idempotency_key").filter(|v| !v.is_null()) {
+            None => None,
+            Some(v) => {
+                let key = v
+                    .as_str()
+                    .ok_or_else(|| SubmissionError::new("\"idempotency_key\" must be a string"))?;
+                if key.is_empty() || key.len() > 256 {
+                    return Err(SubmissionError::new(
+                        "\"idempotency_key\" must be 1..=256 characters",
+                    ));
+                }
+                Some(key.to_owned())
+            }
+        };
+        Ok(SharedFields {
+            seed,
+            budget,
+            normalize,
+            idempotency_key,
+        })
+    }
+
+    /// Append the shared fields to a body under construction and close
+    /// its object.
+    fn write(
+        out: &mut String,
+        seed: u64,
+        budget: Option<Duration>,
+        idempotency_key: Option<&str>,
+        normalize: Normalization,
+    ) {
+        let _ = write!(out, ",\"seed\":{seed}");
+        if let Some(budget) = budget {
+            let _ = write!(out, ",\"budget_secs\":{}", budget.as_secs_f64());
+        }
+        if let Some(key) = idempotency_key {
+            let _ = write!(out, ",\"idempotency_key\":\"{}\"", escape(key));
+        }
+        let _ = write!(out, ",\"normalize\":\"{normalize}\"}}");
+    }
+}
+
 impl JobSubmission {
     /// A submission with the defaults the CLI uses (seed 42, no budget,
     /// unification, guidance-picked algorithm).
@@ -388,14 +487,9 @@ impl JobSubmission {
     /// spec itself is validated later against the registry (so its
     /// rejection carries the registry's own suggestion).
     pub fn from_json(body: &str) -> Result<JobSubmission, SubmissionError> {
-        let doc =
-            Json::parse(body).map_err(|e| SubmissionError::new(format!("request body: {e}")))?;
-        if !matches!(doc, Json::Obj(_)) {
-            return Err(SubmissionError::new("request body must be a JSON object"));
-        }
-        let dataset_id = match doc.get("dataset_id") {
+        let doc = parse_object(body)?;
+        let dataset_id = match doc.get("dataset_id").filter(|v| !v.is_null()) {
             None => None,
-            Some(v) if v.is_null() => None,
             Some(v) => {
                 let id = v
                     .as_str()
@@ -430,9 +524,8 @@ impl JobSubmission {
                 text.to_owned()
             }
         };
-        let follow = match doc.get("follow") {
+        let follow = match doc.get("follow").filter(|v| !v.is_null()) {
             None => false,
-            Some(v) if v.is_null() => false,
             Some(v) => v
                 .as_bool()
                 .ok_or_else(|| SubmissionError::new("\"follow\" must be a boolean"))?,
@@ -442,76 +535,24 @@ impl JobSubmission {
                 "\"follow\":true requires \"dataset_id\" (only live datasets can be followed)",
             ));
         }
-        let algo = match doc.get("algo") {
+        let algo = match doc.get("algo").filter(|v| !v.is_null()) {
             None => None,
-            Some(v) if v.is_null() => None,
             Some(v) => Some(
                 v.as_str()
                     .ok_or_else(|| SubmissionError::new("\"algo\" must be a string"))?
                     .to_owned(),
             ),
         };
-        let seed = match doc.get("seed") {
-            None => 42,
-            Some(v) => v
-                .as_u64()
-                .ok_or_else(|| SubmissionError::new("\"seed\" must be a non-negative integer"))?,
-        };
-        let budget = match doc.get("budget_secs") {
-            None => None,
-            Some(v) if v.is_null() => None,
-            Some(v) => {
-                let secs = v
-                    .as_f64()
-                    .ok_or_else(|| SubmissionError::new("\"budget_secs\" must be a number"))?;
-                if !(secs.is_finite() && secs > 0.0) {
-                    return Err(SubmissionError::new(format!(
-                        "\"budget_secs\" must be positive, got {secs}"
-                    )));
-                }
-                // try_from: an absurdly large value must be a 400, not a
-                // Duration-overflow panic in the connection thread.
-                Some(Duration::try_from_secs_f64(secs).map_err(|_| {
-                    SubmissionError::new(format!("\"budget_secs\" {secs} is out of range"))
-                })?)
-            }
-        };
-        let normalize = match doc.get("normalize") {
-            None => Normalization::Unification,
-            Some(v) => {
-                let text = v
-                    .as_str()
-                    .ok_or_else(|| SubmissionError::new("\"normalize\" must be a string"))?;
-                text.parse().map_err(|e: String| SubmissionError {
-                    message: e,
-                    suggestion: None,
-                })?
-            }
-        };
-        let idempotency_key = match doc.get("idempotency_key") {
-            None => None,
-            Some(v) if v.is_null() => None,
-            Some(v) => {
-                let key = v
-                    .as_str()
-                    .ok_or_else(|| SubmissionError::new("\"idempotency_key\" must be a string"))?;
-                if key.is_empty() || key.len() > 256 {
-                    return Err(SubmissionError::new(
-                        "\"idempotency_key\" must be 1..=256 characters",
-                    ));
-                }
-                Some(key.to_owned())
-            }
-        };
+        let shared = SharedFields::parse(&doc)?;
         Ok(JobSubmission {
             dataset,
             dataset_id,
             follow,
             algo,
-            seed,
-            budget,
-            normalize,
-            idempotency_key,
+            seed: shared.seed,
+            budget: shared.budget,
+            normalize: shared.normalize,
+            idempotency_key: shared.idempotency_key,
         })
     }
 
@@ -527,14 +568,13 @@ impl JobSubmission {
         if let Some(algo) = &self.algo {
             let _ = write!(out, ",\"algo\":\"{}\"", escape(algo));
         }
-        let _ = write!(out, ",\"seed\":{}", self.seed);
-        if let Some(budget) = self.budget {
-            let _ = write!(out, ",\"budget_secs\":{}", budget.as_secs_f64());
-        }
-        if let Some(key) = &self.idempotency_key {
-            let _ = write!(out, ",\"idempotency_key\":\"{}\"", escape(key));
-        }
-        let _ = write!(out, ",\"normalize\":\"{}\"}}", self.normalize);
+        SharedFields::write(
+            &mut out,
+            self.seed,
+            self.budget,
+            self.idempotency_key.as_deref(),
+            self.normalize,
+        );
         out
     }
 }
@@ -585,11 +625,7 @@ impl BatchSubmission {
     /// Parse and validate a `POST /v1/batches` body; same rejection
     /// discipline as [`JobSubmission::from_json`].
     pub fn from_json(body: &str) -> Result<BatchSubmission, SubmissionError> {
-        let doc =
-            Json::parse(body).map_err(|e| SubmissionError::new(format!("request body: {e}")))?;
-        if !matches!(doc, Json::Obj(_)) {
-            return Err(SubmissionError::new("request body must be a JSON object"));
-        }
+        let doc = parse_object(body)?;
         let dataset = match doc.get("dataset").filter(|v| !v.is_null()) {
             None => {
                 return Err(SubmissionError::new(
@@ -635,63 +671,14 @@ impl BatchSubmission {
                     .collect::<Result<Vec<String>, SubmissionError>>()?
             }
         };
-        let seed = match doc.get("seed") {
-            None => 42,
-            Some(v) => v
-                .as_u64()
-                .ok_or_else(|| SubmissionError::new("\"seed\" must be a non-negative integer"))?,
-        };
-        let budget = match doc.get("budget_secs") {
-            None => None,
-            Some(v) if v.is_null() => None,
-            Some(v) => {
-                let secs = v
-                    .as_f64()
-                    .ok_or_else(|| SubmissionError::new("\"budget_secs\" must be a number"))?;
-                if !(secs.is_finite() && secs > 0.0) {
-                    return Err(SubmissionError::new(format!(
-                        "\"budget_secs\" must be positive, got {secs}"
-                    )));
-                }
-                Some(Duration::try_from_secs_f64(secs).map_err(|_| {
-                    SubmissionError::new(format!("\"budget_secs\" {secs} is out of range"))
-                })?)
-            }
-        };
-        let normalize = match doc.get("normalize") {
-            None => Normalization::Unification,
-            Some(v) => {
-                let text = v
-                    .as_str()
-                    .ok_or_else(|| SubmissionError::new("\"normalize\" must be a string"))?;
-                text.parse().map_err(|e: String| SubmissionError {
-                    message: e,
-                    suggestion: None,
-                })?
-            }
-        };
-        let idempotency_key = match doc.get("idempotency_key") {
-            None => None,
-            Some(v) if v.is_null() => None,
-            Some(v) => {
-                let key = v
-                    .as_str()
-                    .ok_or_else(|| SubmissionError::new("\"idempotency_key\" must be a string"))?;
-                if key.is_empty() || key.len() > 256 {
-                    return Err(SubmissionError::new(
-                        "\"idempotency_key\" must be 1..=256 characters",
-                    ));
-                }
-                Some(key.to_owned())
-            }
-        };
+        let shared = SharedFields::parse(&doc)?;
         Ok(BatchSubmission {
             dataset,
             specs,
-            seed,
-            budget,
-            normalize,
-            idempotency_key,
+            seed: shared.seed,
+            budget: shared.budget,
+            normalize: shared.normalize,
+            idempotency_key: shared.idempotency_key,
         })
     }
 
@@ -704,14 +691,13 @@ impl BatchSubmission {
             .map(|s| format!("\"{}\"", escape(s)))
             .collect();
         let _ = write!(out, ",\"specs\":[{}]", specs.join(","));
-        let _ = write!(out, ",\"seed\":{}", self.seed);
-        if let Some(budget) = self.budget {
-            let _ = write!(out, ",\"budget_secs\":{}", budget.as_secs_f64());
-        }
-        if let Some(key) = &self.idempotency_key {
-            let _ = write!(out, ",\"idempotency_key\":\"{}\"", escape(key));
-        }
-        let _ = write!(out, ",\"normalize\":\"{}\"}}", self.normalize);
+        SharedFields::write(
+            &mut out,
+            self.seed,
+            self.budget,
+            self.idempotency_key.as_deref(),
+            self.normalize,
+        );
         out
     }
 }

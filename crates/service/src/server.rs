@@ -202,9 +202,9 @@ struct JobRecord {
     normalize: rank_core::engine::Normalization,
     /// The submission's idempotency key, so eviction can release it.
     idempotency: Option<String>,
-    /// The highest journal segment written or replayed for the job:
-    /// eviction unlinks `s0 ..= s{last_segment}` by name.
-    last_segment: u32,
+    /// The journal segments written or replayed for the job: eviction
+    /// unlinks exactly these by name.
+    segments: Vec<u32>,
     /// The live dataset this job aggregates, when submitted by
     /// `dataset_id` — the completion records the consensus back into it
     /// as the next warm hint.
@@ -1708,7 +1708,7 @@ fn make_record(
         budget: submission.budget,
         normalize: submission.normalize,
         idempotency: submission.idempotency_key.clone(),
-        last_segment: 0,
+        segments: Vec::new(),
         dataset: pj.live.map(|(dataset, _)| dataset),
         batch,
         writer: Mutex::new(None),
@@ -1727,7 +1727,6 @@ fn make_record(
 
 /// Which admission class a job enters, and the journal segment it
 /// records into.
-#[derive(Clone, Copy)]
 enum Admission {
     /// A new submission: shed when the queue is full.
     Fresh,
@@ -1736,8 +1735,8 @@ enum Admission {
     Recovered {
         /// The segment the re-run records into.
         segment: u32,
-        /// The highest segment replay found for the job, usable or not.
-        last_segment: u32,
+        /// The segments replay found for the job, usable or not.
+        seen: Vec<u32>,
     },
 }
 
@@ -1759,15 +1758,15 @@ fn admit_job(
         (Some((_, snapshot)), true) => Some(snapshot.version),
         _ => None,
     };
-    let (segment, last_segment) = match admission {
-        Admission::Fresh => (0, 0),
-        Admission::Recovered {
-            segment,
-            last_segment,
-        } => (segment, segment.max(last_segment)),
+    let (segment, mut segments) = match &admission {
+        Admission::Fresh => (0, Vec::new()),
+        Admission::Recovered { segment, seen } => (*segment, seen.clone()),
     };
+    if !segments.contains(&segment) {
+        segments.push(segment);
+    }
     let record = Arc::new(JobRecord {
-        last_segment,
+        segments,
         ..make_record(id, submission, pj, JobProgress::default(), None)
     });
     let hooks = record.arm(state, round);
@@ -2262,19 +2261,28 @@ fn recover(state: &Arc<ServerState>) -> std::io::Result<()> {
                 ..JobProgress::default()
             };
             Arc::new(JobRecord {
-                last_segment: job.last_segment,
+                segments: job.segments,
                 ..make_record(job.id, &job.submission, pj, progress, None)
             })
         } else {
-            readmitted += 1;
             // Interrupted: deterministically re-run from the journaled
             // (spec, seed, budget). The recovered class places it ahead
             // of all fresh traffic, FIFO in this (ascending id) order.
             // A follow job resumes following from the dataset's
-            // recovered version.
+            // recovered version. A job already at the last segment number
+            // has nowhere to record a re-run: it is dropped, its files
+            // left in place, the same way on every restart.
+            let Some(segment) = job.segment.checked_add(1) else {
+                eprintln!(
+                    "rawt: journal: dropping job {} (no segment after s{})",
+                    job.id, job.segment
+                );
+                continue;
+            };
+            readmitted += 1;
             let admission = Admission::Recovered {
-                segment: job.segment + 1,
-                last_segment: job.last_segment,
+                segment,
+                seen: job.segments,
             };
             state.metrics.jobs_accepted.inc();
             admit_job(state, job.id, &job.submission, pj, admission)
@@ -2316,7 +2324,7 @@ fn evict_done(table: &mut JobTable, state: &ServerState) -> Vec<u64> {
                 table.keys.remove(key);
             }
             if let Some(journal) = &state.journal {
-                journal.remove_job(id, record.last_segment);
+                journal.remove_job(id, &record.segments);
             }
             links.extend(record.batch.as_ref().map(|l| (l.batch, l.jobs.clone())));
         }

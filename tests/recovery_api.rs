@@ -630,3 +630,176 @@ fn evicting_a_recovered_job_unlinks_every_segment_replay_found() {
     shutdown.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Run `f` on its own thread and fail the test if it takes longer than
+/// `limit` — a hang (a lock held through an unbounded loop) then shows up
+/// as a failure instead of a stuck suite.
+fn within<T: Send + 'static>(limit: Duration, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    rx.recv_timeout(limit)
+        .unwrap_or_else(|_| panic!("no result within {limit:?}"))
+}
+
+/// A segment file's name is its identity. A file renamed from another
+/// job, or from another segment of the same job, disagrees with its own
+/// submission record: replay counts it unusable, and the server boots
+/// without it instead of panicking.
+#[test]
+fn a_segment_whose_record_disagrees_with_its_name_is_unusable() {
+    for (tag, renamed) in [
+        ("other-job", "job-3-s0.ndjson"),
+        ("other-segment", "job-0-s5.ndjson"),
+    ] {
+        let dir = scratch_dir(&format!("renamed-{tag}"));
+        {
+            let journal = Journal::open(&dir, FsyncPolicy::Always).expect("open");
+            let submission = JobSubmission {
+                algo: Some("Borda".into()),
+                ..JobSubmission::new(PAPER_EXAMPLE)
+            };
+            let mut writer = journal
+                .begin_job(0, 0, &submission.to_json())
+                .expect("begin");
+            writer.append_event(r#"{"event":"started","spec":"BordaCount","seed":42}"#);
+            writer.finish("heuristic", Some(r#"{"score":5}"#));
+        }
+        std::fs::rename(dir.join("job-0-s0.ndjson"), dir.join(renamed)).expect("rename");
+        let replay = Journal::open(&dir, FsyncPolicy::Never)
+            .expect("open")
+            .replay()
+            .expect("replay");
+        assert!(replay.jobs.is_empty(), "{tag}: nothing recoverable");
+        assert_eq!(
+            replay.corrupt_files, 1,
+            "{tag}: the renamed file is unusable"
+        );
+
+        let (client, shutdown) = start_server(journaled_config(&dir));
+        let health = client.healthz().expect("healthz");
+        assert_eq!(health.get("status").and_then(Json::as_str), Some("ok"));
+        for id in [0, 3] {
+            assert!(
+                matches!(
+                    client.status(id),
+                    Err(ClientError::Status { status: 404, .. })
+                ),
+                "{tag}: job {id} must not be served"
+            );
+        }
+        shutdown.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// An interrupted job journaled at the last segment number has nowhere
+/// to record a re-run. It is dropped on every restart alike: never re-run
+/// into `s0`, its file left as it was, and fresh ids still continue above
+/// it.
+#[test]
+fn an_interrupted_job_at_the_last_segment_is_dropped_on_every_restart() {
+    let dir = scratch_dir("last-segment");
+    let last = dir.join(format!("job-0-s{}.ndjson", u32::MAX));
+    {
+        let journal = Journal::open(&dir, FsyncPolicy::Always).expect("open");
+        let submission = JobSubmission {
+            algo: Some("Borda".into()),
+            ..JobSubmission::new(PAPER_EXAMPLE)
+        };
+        let mut writer = journal
+            .begin_job(0, u32::MAX, &submission.to_json())
+            .expect("begin");
+        writer.append_event(r#"{"event":"started","spec":"BordaCount","seed":42}"#);
+        // Dropped without finish(): the crash.
+    }
+    let journaled = std::fs::read(&last).expect("the last segment");
+    for restart in 0..2 {
+        let (client, shutdown) = start_server(journaled_config(&dir));
+        assert!(
+            matches!(
+                client.status(0),
+                Err(ClientError::Status { status: 404, .. })
+            ),
+            "restart {restart}: job 0 must not be re-run"
+        );
+        let fresh = client
+            .submit(&JobSubmission {
+                algo: Some("Borda".into()),
+                ..JobSubmission::new(PAPER_EXAMPLE)
+            })
+            .expect("submit");
+        assert_eq!(
+            fresh.id,
+            1 + restart,
+            "restart {restart}: ids continue above job 0"
+        );
+        client.wait(fresh.id).expect("fresh job finishes");
+        shutdown.shutdown();
+        assert!(
+            !dir.join("job-0-s0.ndjson").exists(),
+            "restart {restart}: no wrap to s0"
+        );
+        assert_eq!(
+            std::fs::read(&last).expect("the last segment"),
+            journaled,
+            "restart {restart}: the segment is left as it was"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Eviction unlinks the segments replay saw, not every number up to the
+/// largest one named: a stray unusable `s4294967295` next to a finished
+/// `s0` costs one unlink, and evicting the job still leaves no `job-0-*`
+/// file behind.
+#[test]
+fn a_stray_last_segment_does_not_make_eviction_unbounded() {
+    let dir = scratch_dir("stray-last-segment");
+    {
+        let journal = Journal::open(&dir, FsyncPolicy::Always).expect("open");
+        let submission = JobSubmission {
+            algo: Some("Borda".into()),
+            ..JobSubmission::new(PAPER_EXAMPLE)
+        };
+        let mut writer = journal
+            .begin_job(0, 0, &submission.to_json())
+            .expect("begin");
+        writer.finish("heuristic", Some(r#"{"score":5}"#));
+    }
+    std::fs::write(dir.join(format!("job-0-s{}.ndjson", u32::MAX)), "garbage\n")
+        .expect("stray segment");
+    let (client, shutdown) = start_server(ServerConfig {
+        retain_done: 1,
+        ..journaled_config(&dir)
+    });
+    // Finished jobs after job 0 push it past `retain_done`.
+    let client = within(Duration::from_secs(60), move || {
+        for _ in 0..3 {
+            let job = client
+                .submit(&JobSubmission {
+                    algo: Some("Borda".into()),
+                    ..JobSubmission::new(PAPER_EXAMPLE)
+                })
+                .expect("submit");
+            client.wait(job.id).expect("job finishes");
+        }
+        client
+    });
+    assert!(
+        matches!(
+            client.status(0),
+            Err(ClientError::Status { status: 404, .. })
+        ),
+        "job 0 was evicted"
+    );
+    let left: Vec<String> = std::fs::read_dir(&dir)
+        .expect("list journal")
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter(|name| name.starts_with("job-0-"))
+        .collect();
+    assert!(left.is_empty(), "segments left behind: {left:?}");
+    shutdown.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}

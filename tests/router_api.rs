@@ -143,7 +143,7 @@ fn batch_through_router_matches_local_run_batch() {
     down_b.shutdown();
 }
 
-/// The sticky-session acceptance criterion: a dataset created through
+/// The sticky-session acceptance check: a dataset created through
 /// the router is PATCHed through the router repeatedly and every request
 /// lands on the same worker — versions increment (a second worker would
 /// 404 the session), jobs by `dataset_id` run against the patched state,

@@ -2,12 +2,16 @@
 //! merge algebra, the `/metrics` Prometheus exposition (parse ↔ render
 //! round-trip, tier coverage), per-job phase breakdowns summing to the
 //! reported wall clock, router fleet re-namespacing (`worker="ADDR"`),
-//! the configurable heartbeat cadence, and the rule that a journal
-//! restart starts a *fresh* registry — recovered jobs are re-served,
-//! never re-counted.
+//! the configurable heartbeat cadence, the rule that a journal restart
+//! starts a *fresh* registry — recovered jobs are re-served, never
+//! re-counted — and the agreement of the time-to-first-incumbent
+//! histogram with the reports' anytime traces.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use rank_aggregation_with_ties::prelude::*;
+use rank_aggregation_with_ties::ragen::UniformSampler;
 use rank_aggregation_with_ties::rank_core::parse::parse_dataset_lines;
 use rank_aggregation_with_ties::rank_core::telemetry::{
     bucket_bound_secs, parse_exposition, render_families, Family, Histogram, HistogramSnapshot,
@@ -482,4 +486,59 @@ fn journal_recovery_does_not_double_count_metrics() {
     );
     shutdown.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The registry's time-to-first-incumbent histogram agrees with the
+/// anytime traces of the runs it observed. The engine records each
+/// report's own `time_to_first_incumbent()`, so for every paper-panel
+/// algorithm the series holds exactly that batch's observations: each
+/// trace value sits in the log₂ bucket whose bound covers it, within the
+/// 1 µs the registry truncates to.
+#[test]
+fn time_to_first_incumbent_buckets_agree_with_the_traces() {
+    let mut rng = StdRng::seed_from_u64(11);
+    let n = 12;
+    let data = UniformSampler::new(n).sample_dataset(n, 6, &mut rng);
+    let specs: Vec<AlgoSpec> = paper_panel(5)
+        .into_iter()
+        .filter(|s| s.max_n().is_none_or(|cap| n <= cap))
+        .collect();
+    let engine = Engine::new();
+    let reports = engine.run_batch(&AggregationRequest::batch(data).specs(specs).seed(5).build());
+
+    let mut checked = 0;
+    for report in &reports {
+        let name = report.algorithm();
+        let snapshot = engine
+            .metrics()
+            .histogram_snapshot("rawt_time_to_first_incumbent_seconds", &[("algo", &name)]);
+        let Some(trace) = report.time_to_first_incumbent() else {
+            assert!(snapshot.is_none(), "{name}: no incumbent, no observation");
+            continue;
+        };
+        let snapshot = snapshot.unwrap_or_else(|| panic!("{name}: no histogram series"));
+        assert_eq!(snapshot.count, 1, "{name}: one run, one observation");
+        assert_eq!(
+            snapshot.sum_micros as u128,
+            trace.as_micros(),
+            "{name}: sum"
+        );
+        let bucket = snapshot
+            .buckets
+            .iter()
+            .position(|&c| c == 1)
+            .expect("the one observation's bucket");
+        let trace_s = trace.as_secs_f64();
+        let bound = bucket_bound_secs(bucket).unwrap_or(f64::INFINITY);
+        let below = bucket.checked_sub(1).and_then(bucket_bound_secs);
+        assert!(
+            below.is_none_or(|b| b < trace_s) && trace_s < bound + 1e-6,
+            "{name}: trace {trace_s}s outside bucket {bucket} ({below:?}s, {bound}s]"
+        );
+        checked += 1;
+    }
+    assert!(
+        checked >= 8,
+        "only {checked} reports carried a first incumbent"
+    );
 }
