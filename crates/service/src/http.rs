@@ -97,6 +97,23 @@ impl Request {
     }
 }
 
+/// Whether `request` presents the bearer `token`, the one rule of the
+/// server and the router (always, with no token configured). `/healthz`
+/// and `/metrics` are exempt so load balancers, liveness probes and
+/// metric scrapers work without credentials.
+pub fn authorized(request: &Request, token: Option<&str>, path: &str) -> bool {
+    let Some(token) = token else {
+        return true;
+    };
+    if path == "/healthz" || path == "/metrics" {
+        return true;
+    }
+    request
+        .header("authorization")
+        .and_then(|v| v.strip_prefix("Bearer "))
+        .is_some_and(|presented| presented.trim() == token)
+}
+
 /// Read one request from `reader` (a buffered connection).
 pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, HttpError> {
     let mut head = String::new();

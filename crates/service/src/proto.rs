@@ -12,13 +12,22 @@
 //! * [`event_json`] — one NDJSON line per anytime [`Event`];
 //! * [`JobSubmission`] — the `POST /v1/jobs` body, parsed and validated
 //!   ([`JobSubmission::from_json`]) with typed, suggestion-carrying
-//!   errors (HTTP 400 material, never a panicking thread).
+//!   errors (HTTP 400 material, never a panicking thread);
+//! * [`prepare_submission`], [`resolve_spec`], [`build_session`],
+//!   [`DatasetOp`], [`apply_op`] — the preparation the server and the
+//!   CLI's local runs share.
 
 use crate::json::{escape, Json};
-use rank_core::engine::{registry, ConsensusReport, Event, Normalization, Outcome, TracePoint};
+use rank_core::engine::{
+    registry, AlgoSpec, ConsensusReport, Event, Normalization, Outcome, TracePoint,
+};
+use rank_core::guidance::{recommend, DatasetFeatures, Priority};
 use rank_core::normalize::Normalized;
-use rank_core::{Element, Ranking, Universe};
+use rank_core::parse::{parse_dataset_lines, parse_ranking_against};
+use rank_core::session::{make_mut_counted, DatasetSession};
+use rank_core::{Dataset, Element, Ranking, Universe};
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// The algorithm registry as a JSON array — the single serializer behind
@@ -702,6 +711,197 @@ impl BatchSubmission {
     }
 }
 
+/// One structurally parsed `PATCH /v1/datasets/{id}` op, label text still
+/// unresolved (labels are parsed against the dataset's universe under its
+/// lock, at apply time). `rawt session` edits are these ops too.
+#[derive(Debug)]
+pub enum DatasetOp {
+    /// Append a ranking.
+    Add {
+        /// The ranking's text, `[{A},{B,C}]`.
+        ranking: String,
+    },
+    /// Drop the ranking at `index` (0-based).
+    Remove {
+        /// Which ranking.
+        index: usize,
+    },
+    /// Swap the ranking at `index` for another.
+    Replace {
+        /// Which ranking.
+        index: usize,
+        /// The new ranking's text.
+        ranking: String,
+    },
+}
+
+impl DatasetOp {
+    /// The canonical JSON of the op — what the journal records, and what
+    /// recovery feeds back through [`DatasetOp::parse`].
+    pub fn to_json(&self) -> String {
+        match self {
+            DatasetOp::Add { ranking } => {
+                format!(
+                    "{{\"op\":\"add\",\"ranking\":\"{}\"}}",
+                    crate::json::escape(ranking)
+                )
+            }
+            DatasetOp::Remove { index } => format!("{{\"op\":\"remove\",\"index\":{index}}}"),
+            DatasetOp::Replace { index, ranking } => format!(
+                "{{\"op\":\"replace\",\"index\":{index},\"ranking\":\"{}\"}}",
+                crate::json::escape(ranking)
+            ),
+        }
+    }
+
+    /// Parse one op object. Structural errors only; ranking text is
+    /// validated at apply time.
+    pub fn parse(doc: &Json) -> Result<DatasetOp, String> {
+        let kind = doc
+            .get("op")
+            .and_then(Json::as_str)
+            .ok_or("each op needs an \"op\" field (add|remove|replace)")?;
+        let index = || {
+            doc.get("index")
+                .and_then(Json::as_u64)
+                .map(|i| i as usize)
+                .ok_or_else(|| format!("op {kind:?} needs a non-negative \"index\""))
+        };
+        let ranking = || {
+            doc.get("ranking")
+                .and_then(Json::as_str)
+                .map(str::to_owned)
+                .ok_or_else(|| format!("op {kind:?} needs a \"ranking\" string"))
+        };
+        match kind {
+            "add" => Ok(DatasetOp::Add {
+                ranking: ranking()?,
+            }),
+            "remove" => Ok(DatasetOp::Remove { index: index()? }),
+            "replace" => Ok(DatasetOp::Replace {
+                index: index()?,
+                ranking: ranking()?,
+            }),
+            other => Err(format!("unknown op {other:?} (use add|remove|replace)")),
+        }
+    }
+}
+
+/// Apply one op to a dataset: parse any ranking text against the
+/// universe without changing it, patch the session, and only then intern
+/// the labels the ranking introduced — a refused op must not leak
+/// half-interned labels. Interning copies the shared universe only while
+/// a job still holds it; such copies are added to `universe_copies`.
+/// Returns the new version.
+pub fn apply_op(
+    universe: &mut Arc<Universe>,
+    session: &mut DatasetSession,
+    op: &DatasetOp,
+    universe_copies: &mut u64,
+) -> Result<u64, String> {
+    let parse =
+        |text: &str| parse_ranking_against(text, universe).map_err(|e| format!("ranking: {e}"));
+    let (version, fresh) = match op {
+        DatasetOp::Add { ranking } => {
+            let (r, fresh) = parse(ranking)?;
+            (session.add_ranking(r), fresh)
+        }
+        DatasetOp::Remove { index } => (session.remove_ranking(*index), Vec::new()),
+        DatasetOp::Replace { index, ranking } => {
+            let (r, fresh) = parse(ranking)?;
+            (session.replace_ranking(*index, r), fresh)
+        }
+    };
+    let version = version.map_err(|e| e.to_string())?;
+    if !fresh.is_empty() {
+        let grown = make_mut_counted(universe, universe_copies);
+        for label in &fresh {
+            grown.intern(label);
+        }
+    }
+    Ok(version)
+}
+
+/// Shared body of the PUT and recovery paths: dataset text → universe +
+/// unified session. Mirrors `prepare_submission`'s unification semantics,
+/// so a live dataset and a one-shot `"dataset"` job see identical inputs.
+pub fn build_session(text: &str) -> Result<(Arc<Universe>, DatasetSession), String> {
+    let mut universe = Universe::new();
+    let raw = parse_dataset_lines(text, &mut universe).map_err(|e| format!("dataset: {e}"))?;
+    if raw.is_empty() {
+        return Err("dataset contains no rankings".to_owned());
+    }
+    let norm =
+        rank_core::normalize::unification(&raw).expect("non-empty raw rankings always unify");
+    Ok((Arc::new(universe), DatasetSession::new(norm.dataset)))
+}
+
+/// A submission after parsing and validation: everything needed to build
+/// the engine request and the job record. One code path produces this for
+/// live `POST /v1/jobs` bodies, journaled submissions replayed on recovery
+/// and local `rawt aggregate` runs, so each is prepared like the others.
+pub struct Prepared {
+    /// The labels the dataset text named.
+    pub universe: Arc<Universe>,
+    /// Dense id → input element (`None`: the identity, as for live datasets).
+    pub mapping: Option<Vec<Element>>,
+    /// The normalized dense dataset.
+    pub data: Arc<Dataset>,
+    /// The resolved algorithm spec.
+    pub spec: AlgoSpec,
+}
+
+/// Resolve the algorithm spec (explicit, or §7.4 guidance) and check its
+/// size cap against the dataset.
+pub fn resolve_spec(
+    submission: &JobSubmission,
+    data: &Dataset,
+) -> Result<AlgoSpec, SubmissionError> {
+    let spec = match &submission.algo {
+        Some(name) => AlgoSpec::parse(name).map_err(|e| SubmissionError {
+            message: e.to_string(),
+            suggestion: e.suggestion.clone(),
+        })?,
+        None => {
+            let rec = recommend(&DatasetFeatures::measure(data), Priority::Balanced);
+            AlgoSpec::parse(rec.algorithm).expect("guidance names are registered")
+        }
+    };
+    if let Some(cap) = spec.max_n() {
+        if data.n() > cap {
+            return Err(SubmissionError::new(format!(
+                "{spec} handles at most n = {cap} elements; this dataset has {}",
+                data.n()
+            )));
+        }
+    }
+    Ok(spec)
+}
+
+/// Dataset text → raw rankings → normalized dense dataset → resolved
+/// spec. Parse and structural errors are typed ([`SubmissionError`], HTTP
+/// 400 material), never a panic.
+pub fn prepare_submission(submission: &JobSubmission) -> Result<Prepared, SubmissionError> {
+    let mut universe = Universe::new();
+    let raw = parse_dataset_lines(&submission.dataset, &mut universe)
+        .map_err(|e| SubmissionError::new(format!("dataset: {e}")))?;
+    if raw.is_empty() {
+        return Err(SubmissionError::new("dataset contains no rankings"));
+    }
+    let norm = submission
+        .normalize
+        .apply(&raw)
+        .ok_or_else(|| SubmissionError::new("normalization produced an empty dataset"))?;
+    let data = Arc::new(norm.dataset);
+    let spec = resolve_spec(submission, &data)?;
+    Ok(Prepared {
+        universe: Arc::new(universe),
+        mapping: Some(norm.mapping),
+        data,
+        spec,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -831,110 +1031,5 @@ mod tests {
             e.get("name").and_then(Json::as_str) == Some("BioConsert")
                 && e.get("produces_ties").and_then(Json::as_bool) == Some(true)
         }));
-    }
-
-    /// Every line kind × every tag, byte for byte. The expected strings
-    /// are the lines the server produced before tags were serialized
-    /// with the event (they were spliced into the finished line then),
-    /// so this pins the wire format across that change.
-    #[test]
-    fn tagged_event_lines_are_pinned() {
-        use rank_core::engine::AlgoSpec;
-        let events = [
-            Event::Started {
-                spec: AlgoSpec::parse("BestOf(KwikSort,7)").unwrap(),
-                seed: 42,
-            },
-            Event::Incumbent {
-                score: 17,
-                gap: None,
-                elapsed: Duration::from_micros(1500),
-            },
-            Event::Incumbent {
-                score: 5,
-                gap: Some(0),
-                elapsed: Duration::from_nanos(250_000_400),
-            },
-            Event::LowerBound {
-                lower_bound: 3,
-                gap: Some(2),
-                elapsed: Duration::from_nanos(12_345_678_901),
-            },
-            Event::LowerBound {
-                lower_bound: 8,
-                gap: None,
-                elapsed: Duration::ZERO,
-            },
-            Event::Finished(Outcome::Optimal),
-            Event::Finished(Outcome::Heuristic),
-            Event::Finished(Outcome::TimedOut),
-            Event::Finished(Outcome::Cancelled),
-        ];
-        let tags = [
-            EventTag::None,
-            EventTag::DatasetVersion(3),
-            EventTag::Batch {
-                spec: "Borda",
-                job: 12,
-            },
-            EventTag::Batch {
-                spec: "we\"ird\\spec",
-                job: 7,
-            },
-        ];
-        let mut lines = Vec::new();
-        for event in &events {
-            lines.extend(tags.map(|tag| tagged_event_json(event, tag)));
-        }
-        lines.extend(tags.map(|tag| resolved_json(&Outcome::Heuristic, 9, tag)));
-        lines.extend(tags.map(|tag| failed_json("internal kernel panic", tag)));
-        let expected = [
-            r#"{"event":"started","spec":"BestOf(KwikSort,7)","seed":42}"#,
-            r#"{"event":"started","spec":"BestOf(KwikSort,7)","seed":42,"dataset_version":3}"#,
-            r#"{"event":"started","spec":"BestOf(KwikSort,7)","seed":42,"spec":"Borda","job":12}"#,
-            r#"{"event":"started","spec":"BestOf(KwikSort,7)","seed":42,"spec":"we\"ird\\spec","job":7}"#,
-            r#"{"event":"incumbent","score":17,"gap":null,"elapsed_secs":0.001500}"#,
-            r#"{"event":"incumbent","score":17,"gap":null,"elapsed_secs":0.001500,"dataset_version":3}"#,
-            r#"{"event":"incumbent","score":17,"gap":null,"elapsed_secs":0.001500,"spec":"Borda","job":12}"#,
-            r#"{"event":"incumbent","score":17,"gap":null,"elapsed_secs":0.001500,"spec":"we\"ird\\spec","job":7}"#,
-            r#"{"event":"incumbent","score":5,"gap":0,"elapsed_secs":0.250000}"#,
-            r#"{"event":"incumbent","score":5,"gap":0,"elapsed_secs":0.250000,"dataset_version":3}"#,
-            r#"{"event":"incumbent","score":5,"gap":0,"elapsed_secs":0.250000,"spec":"Borda","job":12}"#,
-            r#"{"event":"incumbent","score":5,"gap":0,"elapsed_secs":0.250000,"spec":"we\"ird\\spec","job":7}"#,
-            r#"{"event":"lower_bound","lower_bound":3,"gap":2,"elapsed_secs":12.345679}"#,
-            r#"{"event":"lower_bound","lower_bound":3,"gap":2,"elapsed_secs":12.345679,"dataset_version":3}"#,
-            r#"{"event":"lower_bound","lower_bound":3,"gap":2,"elapsed_secs":12.345679,"spec":"Borda","job":12}"#,
-            r#"{"event":"lower_bound","lower_bound":3,"gap":2,"elapsed_secs":12.345679,"spec":"we\"ird\\spec","job":7}"#,
-            r#"{"event":"lower_bound","lower_bound":8,"gap":null,"elapsed_secs":0.000000}"#,
-            r#"{"event":"lower_bound","lower_bound":8,"gap":null,"elapsed_secs":0.000000,"dataset_version":3}"#,
-            r#"{"event":"lower_bound","lower_bound":8,"gap":null,"elapsed_secs":0.000000,"spec":"Borda","job":12}"#,
-            r#"{"event":"lower_bound","lower_bound":8,"gap":null,"elapsed_secs":0.000000,"spec":"we\"ird\\spec","job":7}"#,
-            r#"{"event":"finished","outcome":"optimal"}"#,
-            r#"{"event":"finished","outcome":"optimal","dataset_version":3}"#,
-            r#"{"event":"finished","outcome":"optimal","spec":"Borda","job":12}"#,
-            r#"{"event":"finished","outcome":"optimal","spec":"we\"ird\\spec","job":7}"#,
-            r#"{"event":"finished","outcome":"heuristic"}"#,
-            r#"{"event":"finished","outcome":"heuristic","dataset_version":3}"#,
-            r#"{"event":"finished","outcome":"heuristic","spec":"Borda","job":12}"#,
-            r#"{"event":"finished","outcome":"heuristic","spec":"we\"ird\\spec","job":7}"#,
-            r#"{"event":"finished","outcome":"timed out"}"#,
-            r#"{"event":"finished","outcome":"timed out","dataset_version":3}"#,
-            r#"{"event":"finished","outcome":"timed out","spec":"Borda","job":12}"#,
-            r#"{"event":"finished","outcome":"timed out","spec":"we\"ird\\spec","job":7}"#,
-            r#"{"event":"finished","outcome":"cancelled"}"#,
-            r#"{"event":"finished","outcome":"cancelled","dataset_version":3}"#,
-            r#"{"event":"finished","outcome":"cancelled","spec":"Borda","job":12}"#,
-            r#"{"event":"finished","outcome":"cancelled","spec":"we\"ird\\spec","job":7}"#,
-            r#"{"event":"resolved","outcome":"heuristic","score":9}"#,
-            r#"{"event":"resolved","outcome":"heuristic","score":9,"dataset_version":3}"#,
-            r#"{"event":"resolved","outcome":"heuristic","score":9,"spec":"Borda","job":12}"#,
-            r#"{"event":"resolved","outcome":"heuristic","score":9,"spec":"we\"ird\\spec","job":7}"#,
-            r#"{"event":"failed","error":"internal kernel panic"}"#,
-            r#"{"event":"failed","error":"internal kernel panic","dataset_version":3}"#,
-            r#"{"event":"failed","error":"internal kernel panic","spec":"Borda","job":12}"#,
-            r#"{"event":"failed","error":"internal kernel panic","spec":"we\"ird\\spec","job":7}"#,
-        ];
-        assert_eq!(lines, expected);
-        assert_eq!(event_json(&events[0]), expected[0]);
     }
 }

@@ -399,25 +399,9 @@ fn handle_connection(stream: TcpStream, state: &Arc<RouterState>) {
     });
 }
 
-/// Same bearer rule as the worker: `GET /healthz` and `GET /metrics`
-/// stay open for probes and scrapers, everything else needs the token
-/// when one is configured.
-fn authorized(request: &Request, state: &RouterState, path: &str) -> bool {
-    let Some(token) = &state.token else {
-        return true;
-    };
-    if path == "/healthz" || path == "/metrics" {
-        return true;
-    }
-    request
-        .header("authorization")
-        .and_then(|v| v.strip_prefix("Bearer "))
-        .is_some_and(|presented| presented.trim() == token)
-}
-
 fn route(stream: &mut Conn, request: &Request, state: &Arc<RouterState>, keep: bool) -> Served {
     let path = request.path.trim_end_matches('/');
-    if !authorized(request, state, path) {
+    if !http::authorized(request, state.token.as_deref(), path) {
         respond_error(
             stream,
             401,

@@ -52,11 +52,9 @@ use rank_core::engine::{
     AdmissionError, AggregationRequest, AlgoSpec, CancelToken, Completion, ConsensusReport, Engine,
     Event, IncumbentSink, JobHooks, Listener, Outcome, SchedulerConfig,
 };
-use rank_core::guidance::{recommend, DatasetFeatures, Priority};
-use rank_core::parse::{parse_dataset_lines, parse_ranking_against};
-use rank_core::session::{make_mut_counted, DatasetSession, Snapshot};
+use rank_core::session::{DatasetSession, Snapshot};
 use rank_core::telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
-use rank_core::{Dataset, Element, Universe};
+use rank_core::{Element, Universe};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -621,8 +619,10 @@ impl JobRecord {
         }
         progress.done = true;
         drop(progress);
-        self.wake();
+        // Evictable before anyone is woken: a client that saw this job
+        // finish and then submits must find it among the done.
         done_ids.lock().expect("done ids poisoned").insert(self.id);
+        self.wake();
     }
 }
 
@@ -967,26 +967,9 @@ fn respond_json(stream: &mut Conn, status: u16, body: &str, keep: bool) -> Serve
     Served::KeepAlive
 }
 
-/// Whether `request` presents the configured bearer token. `GET /healthz`
-/// and `GET /metrics` are exempt so load balancers, the router's liveness
-/// probes, and metric scrapers work without credentials; everything else
-/// on an authenticated server gets 401 on a missing or mismatched token.
-fn authorized(request: &Request, state: &ServerState, path: &str) -> bool {
-    let Some(token) = &state.config.token else {
-        return true;
-    };
-    if path == "/healthz" || path == "/metrics" {
-        return true;
-    }
-    request
-        .header("authorization")
-        .and_then(|v| v.strip_prefix("Bearer "))
-        .is_some_and(|presented| presented.trim() == token)
-}
-
 fn route(stream: &mut Conn, request: &Request, state: &Arc<ServerState>, keep: bool) -> Served {
     let path = request.path.trim_end_matches('/');
-    if !authorized(request, state, path) {
+    if !http::authorized(request, state.config.token.as_deref(), path) {
         return respond_error(
             stream,
             401,
@@ -1146,128 +1129,18 @@ fn metrics_exposition(stream: &mut Conn, state: &Arc<ServerState>, keep: bool) -
     Served::KeepAlive
 }
 
-/// One structurally parsed `PATCH /v1/datasets/{id}` op, label text still
-/// unresolved (labels are parsed against the dataset's universe under its
-/// lock, at apply time).
-enum DatasetOp {
-    Add { ranking: String },
-    Remove { index: usize },
-    Replace { index: usize, ranking: String },
-}
-
-impl DatasetOp {
-    /// The canonical JSON of the op — what the journal records, and what
-    /// recovery feeds back through [`DatasetOp::parse`].
-    fn to_json(&self) -> String {
-        match self {
-            DatasetOp::Add { ranking } => {
-                format!(
-                    "{{\"op\":\"add\",\"ranking\":\"{}\"}}",
-                    crate::json::escape(ranking)
-                )
-            }
-            DatasetOp::Remove { index } => format!("{{\"op\":\"remove\",\"index\":{index}}}"),
-            DatasetOp::Replace { index, ranking } => format!(
-                "{{\"op\":\"replace\",\"index\":{index},\"ranking\":\"{}\"}}",
-                crate::json::escape(ranking)
-            ),
-        }
-    }
-
-    /// Parse one op object. Structural errors only; ranking text is
-    /// validated at apply time.
-    fn parse(doc: &Json) -> Result<DatasetOp, String> {
-        let kind = doc
-            .get("op")
-            .and_then(Json::as_str)
-            .ok_or("each op needs an \"op\" field (add|remove|replace)")?;
-        let index = || {
-            doc.get("index")
-                .and_then(Json::as_u64)
-                .map(|i| i as usize)
-                .ok_or_else(|| format!("op {kind:?} needs a non-negative \"index\""))
-        };
-        let ranking = || {
-            doc.get("ranking")
-                .and_then(Json::as_str)
-                .map(str::to_owned)
-                .ok_or_else(|| format!("op {kind:?} needs a \"ranking\" string"))
-        };
-        match kind {
-            "add" => Ok(DatasetOp::Add {
-                ranking: ranking()?,
-            }),
-            "remove" => Ok(DatasetOp::Remove { index: index()? }),
-            "replace" => Ok(DatasetOp::Replace {
-                index: index()?,
-                ranking: ranking()?,
-            }),
-            other => Err(format!("unknown op {other:?} (use add|remove|replace)")),
-        }
-    }
-}
-
-/// Apply one op to a dataset: parse any ranking text against the
-/// universe without changing it, patch the session, and only then intern
-/// the labels the ranking introduced — a refused op must not leak
-/// half-interned labels. Interning copies the shared universe only while
-/// a job still holds it; such copies are added to `universe_copies`.
-/// Returns the new version.
-fn apply_op(
-    universe: &mut Arc<Universe>,
-    session: &mut DatasetSession,
-    op: &DatasetOp,
-    universe_copies: &mut u64,
-) -> Result<u64, String> {
-    let parse =
-        |text: &str| parse_ranking_against(text, universe).map_err(|e| format!("ranking: {e}"));
-    let (version, fresh) = match op {
-        DatasetOp::Add { ranking } => {
-            let (r, fresh) = parse(ranking)?;
-            (session.add_ranking(r), fresh)
-        }
-        DatasetOp::Remove { index } => (session.remove_ranking(*index), Vec::new()),
-        DatasetOp::Replace { index, ranking } => {
-            let (r, fresh) = parse(ranking)?;
-            (session.replace_ranking(*index, r), fresh)
-        }
-    };
-    let version = version.map_err(|e| e.to_string())?;
-    if !fresh.is_empty() {
-        let grown = make_mut_counted(universe, universe_copies);
-        for label in &fresh {
-            grown.intern(label);
-        }
-    }
-    Ok(version)
-}
-
 /// Rebuild a live dataset from its journal file: the consolidated text,
 /// then each durably recorded edit, landing at the journaled version.
 fn rebuild_dataset(ds: &RecoveredDataset) -> Result<(Arc<Universe>, DatasetSession), String> {
-    let (mut universe, mut session) = build_session(&ds.dataset)?;
+    let (mut universe, mut session) = proto::build_session(&ds.dataset)?;
     session.restore_version(ds.version);
     for (version, op_json) in &ds.edits {
         let doc = Json::parse(op_json).map_err(|e| format!("edit record: {e}"))?;
-        let op = DatasetOp::parse(&doc)?;
-        apply_op(&mut universe, &mut session, &op, &mut 0)?;
+        let op = proto::DatasetOp::parse(&doc)?;
+        proto::apply_op(&mut universe, &mut session, &op, &mut 0)?;
         session.restore_version(*version);
     }
     Ok((universe, session))
-}
-
-/// Shared body of the PUT and recovery paths: dataset text → universe +
-/// unified session. Mirrors `prepare_submission`'s unification semantics,
-/// so a live dataset and a one-shot `"dataset"` job see identical inputs.
-fn build_session(text: &str) -> Result<(Arc<Universe>, DatasetSession), String> {
-    let mut universe = Universe::new();
-    let raw = parse_dataset_lines(text, &mut universe).map_err(|e| format!("dataset: {e}"))?;
-    if raw.is_empty() {
-        return Err("dataset contains no rankings".to_owned());
-    }
-    let norm =
-        rank_core::normalize::unification(&raw).expect("non-empty raw rankings always unify");
-    Ok((Arc::new(universe), DatasetSession::new(norm.dataset)))
 }
 
 /// `PUT /v1/datasets/{id}`: create-only (409 on an existing id). Body:
@@ -1300,7 +1173,7 @@ fn create_dataset(
         }
     };
     let rebuild_start = Instant::now();
-    let (universe, session) = match build_session(&text) {
+    let (universe, session) = match proto::build_session(&text) {
         Ok(built) => built,
         Err(message) => return respond_error(stream, 400, &message, None, keep),
     };
@@ -1359,7 +1232,7 @@ fn edit_dataset(
     let Ok(body) = std::str::from_utf8(&request.body) else {
         return respond_error(stream, 400, "request body is not UTF-8", None, keep);
     };
-    let ops: Vec<DatasetOp> = {
+    let ops: Vec<proto::DatasetOp> = {
         let parsed = Json::parse(body).ok();
         let list = parsed
             .as_ref()
@@ -1377,7 +1250,7 @@ fn edit_dataset(
         if list.is_empty() {
             return respond_error(stream, 400, "\"ops\" is empty", None, keep);
         }
-        match list.iter().map(DatasetOp::parse).collect() {
+        match list.iter().map(proto::DatasetOp::parse).collect() {
             Ok(ops) => ops,
             Err(message) => return respond_error(stream, 400, &message, None, keep),
         }
@@ -1400,7 +1273,8 @@ fn edit_dataset(
         let mut universe_copies = 0;
         for op in &ops {
             let patch_start = Instant::now();
-            let applied_op = apply_op(&mut ds.universe, &mut ds.session, op, &mut universe_copies);
+            let applied_op =
+                proto::apply_op(&mut ds.universe, &mut ds.session, op, &mut universe_copies);
             state
                 .metrics
                 .session_patch_seconds
@@ -1517,73 +1391,13 @@ fn delete_dataset(stream: &mut Conn, state: &Arc<ServerState>, id: &str, keep: b
     )
 }
 
-/// A submission after parsing and validation: everything needed to build
-/// the engine request and the job record. One code path produces this for
-/// both live `POST /v1/jobs` bodies and journaled submissions replayed on
-/// recovery, so a re-admitted job is prepared exactly like the original.
-struct Prepared {
-    universe: Arc<Universe>,
-    /// Dense id → input element (`None`: the identity, as for live datasets).
-    mapping: Option<Vec<Element>>,
-    data: Arc<Dataset>,
-    spec: AlgoSpec,
-}
-
 /// A prepared submission plus, for a `dataset_id` job, the live dataset
 /// (for consensus record-back) and the session snapshot the job solves:
 /// its version, delta-patched matrix — attached to the request so the
 /// engine skips its own `O(m·n²)` rebuild — and warm hint.
 struct PreparedJob {
-    prepared: Prepared,
+    prepared: proto::Prepared,
     live: Option<(Arc<LiveDataset>, Snapshot)>,
-}
-
-/// Resolve the algorithm spec (explicit, or §7.4 guidance) and check its
-/// size cap against the dataset.
-fn resolve_spec(submission: &JobSubmission, data: &Dataset) -> Result<AlgoSpec, SubmissionError> {
-    let spec = match &submission.algo {
-        Some(name) => AlgoSpec::parse(name).map_err(|e| SubmissionError {
-            message: e.to_string(),
-            suggestion: e.suggestion.clone(),
-        })?,
-        None => {
-            let rec = recommend(&DatasetFeatures::measure(data), Priority::Balanced);
-            AlgoSpec::parse(rec.algorithm).expect("guidance names are registered")
-        }
-    };
-    if let Some(cap) = spec.max_n() {
-        if data.n() > cap {
-            return Err(SubmissionError::new(format!(
-                "{spec} handles at most n = {cap} elements; this dataset has {}",
-                data.n()
-            )));
-        }
-    }
-    Ok(spec)
-}
-
-/// Dataset text → raw rankings → normalized dense dataset → resolved
-/// spec. Parse and structural errors are typed ([`SubmissionError`], HTTP
-/// 400 material), never a panic.
-fn prepare_submission(submission: &JobSubmission) -> Result<Prepared, SubmissionError> {
-    let mut universe = Universe::new();
-    let raw = parse_dataset_lines(&submission.dataset, &mut universe)
-        .map_err(|e| SubmissionError::new(format!("dataset: {e}")))?;
-    if raw.is_empty() {
-        return Err(SubmissionError::new("dataset contains no rankings"));
-    }
-    let norm = submission
-        .normalize
-        .apply(&raw)
-        .ok_or_else(|| SubmissionError::new("normalization produced an empty dataset"))?;
-    let data = Arc::new(norm.dataset);
-    let spec = resolve_spec(submission, &data)?;
-    Ok(Prepared {
-        universe: Arc::new(universe),
-        mapping: Some(norm.mapping),
-        data,
-        spec,
-    })
 }
 
 /// Prepare a `"dataset_id"` job: snapshot the live dataset (shared
@@ -1603,9 +1417,9 @@ fn prepare_dataset_job(
         .cloned()
         .ok_or_else(|| (404, SubmissionError::new(format!("no such dataset {id:?}"))))?;
     let (snapshot, universe) = dataset.lock().snapshot();
-    let spec = resolve_spec(submission, &snapshot.dataset).map_err(|e| (400, e))?;
+    let spec = proto::resolve_spec(submission, &snapshot.dataset).map_err(|e| (400, e))?;
     Ok(PreparedJob {
-        prepared: Prepared {
+        prepared: proto::Prepared {
             universe,
             mapping: None,
             data: Arc::clone(&snapshot.dataset),
@@ -1624,7 +1438,7 @@ fn prepare_any(
     if submission.dataset_id.is_some() {
         prepare_dataset_job(state, submission)
     } else {
-        prepare_submission(submission)
+        proto::prepare_submission(submission)
             .map(|prepared| PreparedJob {
                 prepared,
                 live: None,
@@ -1862,6 +1676,9 @@ fn submit_job(
         match existing {
             Some(existing) => Ok((Arc::clone(existing), true)),
             None => {
+                // Evict before admitting: the new job may finish at once,
+                // and must not count among the done it was submitted past.
+                evicted_batches = evict_done(&mut table, state);
                 let id = table.next_id;
                 admit_job(state, id, &submission, pj, Admission::Fresh).map(|record| {
                     table.next_id += 1;
@@ -1869,7 +1686,6 @@ fn submit_job(
                     if let Some(key) = &submission.idempotency_key {
                         table.keys.insert(key.clone(), id);
                     }
-                    evicted_batches = evict_done(&mut table, state);
                     state.metrics.jobs_accepted.inc();
                     (record, false)
                 })
@@ -1974,7 +1790,7 @@ fn submit_batch(
     };
     let mut prepared = Vec::with_capacity(submission.specs.len());
     for spec in &submission.specs {
-        match prepare_submission(&job_submission(spec)) {
+        match proto::prepare_submission(&job_submission(spec)) {
             Ok(pj) => prepared.push(pj),
             Err(e) => {
                 let message = format!("spec {spec:?}: {}", e.message);

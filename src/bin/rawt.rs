@@ -1,8 +1,9 @@
 //! `rawt` — rank aggregation with ties, from the command line.
 //!
-//! The CLI is a thin shell over the engine API
-//! ([`rank_core::engine::Engine`]): subcommands build
-//! [`AggregationRequest`]s and print the resulting [`ConsensusReport`]s.
+//! The CLI is a thin shell over the engine ([`rank_core::engine::Engine`])
+//! and the service protocol ([`service::proto`]). A local `aggregate` or
+//! `session` prepares its input with the server's own code, and local and
+//! `--remote` runs render one wire form: they differ only in transport.
 //!
 //! ```text
 //! rawt aggregate FILE [--algo SPEC] [--seed N] [--budget SECS]
@@ -17,13 +18,11 @@
 //!     Ctrl-C cancels cooperatively and returns the best-so-far ranking
 //!     (outcome "cancelled"). --json emits the machine-readable report,
 //!     including the outcome and the incumbent time-to-score trace.
-//!     --remote submits the job to a `rawt serve` instance instead of
-//!     running locally — same flags, same report, same rendering
-//!     (bit-identical results for a fixed seed). Transient failures (a
-//!     busy 429, a draining 503, a dropped connection) are retried with
-//!     backoff, surfaced on stderr; an idempotency key generated per
-//!     invocation guarantees retries never duplicate the job, even
-//!     across a server crash and restart (DESIGN.md §12.4).
+//!     --remote runs the job on a `rawt serve` instance: same flags, same
+//!     output (bit-identical reports for a fixed seed). Transient
+//!     failures (429, 503, a dropped connection) are retried with backoff
+//!     under a per-invocation idempotency key, so a retry never
+//!     duplicates the job, even across a server restart (DESIGN.md §12.4).
 //!     --lane picks the pairwise-cost substrate (DESIGN.md §16): auto
 //!     (default) goes matrix-free once the dense matrix would exceed its
 //!     memory budget, dense/matrix-free force a side; unsupported specs
@@ -96,8 +95,9 @@
 //!     Edits delta-patch the session's cost matrix in O(n²) instead of
 //!     rebuilding it. --remote drives the same loop against a `rawt
 //!     serve` instance over PUT/PATCH `/v1/datasets/{id}`; --id names
-//!     the server-side dataset (it persists after quit; without --id a
-//!     fresh one is created and deleted on quit).
+//!     the server-side dataset, which persists after quit and is
+//!     reopened as it stands by the next session naming it (without --id
+//!     a fresh one is created and deleted on quit).
 //!
 //! rawt similarity FILE [--normalize unify|project]
 //!     The dataset's intrinsic similarity s(R) (§6.2.2) and features.
@@ -112,18 +112,21 @@
 
 use rank_aggregation_with_ties::prelude::*;
 use rank_aggregation_with_ties::ragen::{MarkovGen, UniformSampler};
-use rank_aggregation_with_ties::rank_core::engine::{paper_panel, registry, Event};
+use rank_aggregation_with_ties::rank_core::engine::{paper_panel, registry};
 use rank_aggregation_with_ties::rank_core::normalize::Normalized;
 use rank_aggregation_with_ties::rank_core::parse::{parse_dataset_lines, parse_ranking_labeled};
+use rank_aggregation_with_ties::rank_core::session::DatasetSession;
 use rank_aggregation_with_ties::rank_core::telemetry;
-use service::client::{Client, RetryNotice, RetryPolicy};
+use service::client::{Client, ClientError, RetryNotice, RetryPolicy};
 use service::fault::FaultPlan;
 use service::journal::FsyncPolicy;
 use service::json::Json;
-use service::proto::{self, JobSubmission};
+use service::proto::{self, DatasetOp, JobSubmission};
 use service::router::{Router, RouterConfig};
 use service::server::{Server, ServerConfig};
 use std::process::exit;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn die(msg: &str) -> ! {
@@ -131,11 +134,11 @@ fn die(msg: &str) -> ! {
     exit(2);
 }
 
-/// Cooperative Ctrl-C: the handler only bumps an atomic counter; the
-/// `--progress` event loop observes it and cancels the job through its
-/// [`JobHandle`], so the process still exits through the normal
-/// best-so-far path. `rawt serve` reads the full count: the first press
-/// drains cooperatively, a second one forces an immediate exit.
+/// Cooperative Ctrl-C: the handler only bumps an atomic counter; under
+/// `--progress` a watcher thread observes it and cancels the job (its
+/// [`JobHandle`]'s token, or a `DELETE`), so the process still exits
+/// through the normal best-so-far path. `rawt serve` reads the full
+/// count: the first press drains, a second one forces an immediate exit.
 mod sigint {
     use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -310,18 +313,10 @@ fn parse_flags(args: &[String]) -> Flags {
     f
 }
 
-// ------------------------------------------------------------- JSON output
-//
-// The serializers live in `service::proto`, shared with the HTTP server
-// so the CLI's --json output and the wire protocol cannot drift apart.
-
-use proto::report_json;
-
 /// Load + normalize a dataset file; returns the dense dataset, the id
 /// mapping and the universe for display.
 fn load(path: &str, how: Normalization) -> (Normalized, Universe) {
-    let body =
-        std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
+    let body = read_file(path);
     let mut universe = Universe::new();
     let raw = parse_dataset_lines(&body, &mut universe)
         .unwrap_or_else(|e| die(&format!("parse error in {path}: {e}")));
@@ -334,78 +329,171 @@ fn load(path: &str, how: Normalization) -> (Normalized, Universe) {
     (normalized, universe)
 }
 
-/// Parse a user-supplied algorithm spec, case-insensitively, dying with a
-/// "did you mean" suggestion on unknown names.
-fn parse_spec(name: &str) -> AlgoSpec {
-    AlgoSpec::parse(name).unwrap_or_else(|e| die(&format!("{e}; run `rawt list` for the registry")))
+fn read_file(path: &str) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")))
 }
 
+/// `rawt aggregate`: one [`JobSubmission`] built from the flags, run in
+/// process (prepared by the server's own [`proto::prepare_submission`])
+/// or on a `rawt serve` instance. Either way the events and the report
+/// arrive in their wire form and go through one renderer each.
 fn cmd_aggregate(f: &Flags) {
     let path = f
         .positional
         .first()
         .unwrap_or_else(|| die("aggregate needs a FILE"));
-    if let Some(addr) = &f.remote {
-        if f.lane.is_some() {
-            die("--lane applies to local runs only (the wire protocol carries no lane)");
-        }
-        cmd_aggregate_remote(f, path, addr);
-        return;
+    if f.remote.is_some() && f.lane.is_some() {
+        die("--lane applies to local runs only (the wire protocol carries no lane)");
     }
-    let (norm, universe) = load(path, f.normalize);
-    let data = &norm.dataset;
-    let spec = match &f.algo {
-        Some(name) => parse_spec(name),
-        None => {
-            let rec = recommend(&DatasetFeatures::measure(data), Priority::Balanced);
-            AlgoSpec::parse(rec.algorithm).expect("guidance names are registered")
-        }
+    let submission = JobSubmission {
+        algo: f.algo.clone(),
+        seed: f.seed,
+        budget: f.budget,
+        normalize: f.normalize,
+        // One key per invocation: retries of a remote submission (below,
+        // or by a wrapper re-running the CLI against the same key) can
+        // never duplicate the job, even across a server crash.
+        idempotency_key: Some(invocation_key()),
+        ..JobSubmission::new(read_file(path))
     };
-    if let Some(cap) = spec.max_n() {
-        if data.n() > cap {
-            die(&format!(
-                "{spec} handles at most n = {cap} elements; this dataset has {} (try another algorithm, see `rawt list`)",
-                data.n()
-            ));
-        }
-    }
-    let mut request = AggregationRequest::new(data.clone(), spec).with_seed(f.seed);
-    if let Some(budget) = f.budget {
-        request = request.with_budget(budget);
-    }
-    if let Some(lane) = f.lane {
-        request = request.with_lane(lane);
-    }
-    let engine = Engine::new();
-    let report = if f.progress {
-        run_with_progress(&engine, request)
-    } else {
-        engine.run(&request)
+    let (n, m, report) = match &f.remote {
+        None => run_in_process(f, &submission),
+        Some(addr) => run_on_server(f, &submission, addr),
     };
     if f.json {
         println!(
-            "{{\"n\":{},\"m\":{},\"normalization\":\"{}\",\"report\":{}}}",
-            data.n(),
-            data.m(),
-            f.normalize,
-            report_json(&report, &norm, &universe)
+            "{{\"n\":{n},\"m\":{m},\"normalization\":\"{}\",\"report\":{report}}}",
+            f.normalize
         );
         return;
     }
-    println!("algorithm:  {} (spec: {})", report.algorithm(), report.spec);
-    println!(
-        "elements:   {} (m = {} rankings, {})",
-        data.n(),
-        data.m(),
-        f.normalize
-    );
-    println!(
-        "consensus:  {}",
-        norm.denormalize(&report.ranking).display_with(&universe)
-    );
-    println!("K score:    {}", report.score);
-    println!("lane:       {}", report.lane);
-    println!("outcome:    {} in {:.1?}", report.outcome, report.elapsed);
+    let report = Json::parse(&report).unwrap_or_else(|e| die(&format!("unreadable report: {e}")));
+    let [algorithm, spec, ranking, score, lane, outcome, elapsed] = [
+        "algorithm",
+        "spec",
+        "ranking",
+        "score",
+        "lane",
+        "outcome",
+        "elapsed_secs",
+    ]
+    .map(|key| report_field(&report, key));
+    println!("algorithm:  {algorithm} (spec: {spec})");
+    println!("elements:   {n} (m = {m} rankings, {})", f.normalize);
+    println!("consensus:  {ranking}");
+    println!("K score:    {score}");
+    println!("lane:       {lane}");
+    println!("outcome:    {outcome} in {elapsed}");
+}
+
+/// Run the submission on an in-process engine. Returns the dataset's
+/// shape and the report's wire bytes.
+fn run_in_process(f: &Flags, submission: &JobSubmission) -> (usize, usize, String) {
+    let prepared = proto::prepare_submission(submission).unwrap_or_else(|e| die(&e.message));
+    let request = AggregationRequest {
+        seed: submission.seed,
+        budget: submission.budget,
+        ..AggregationRequest::new(Arc::clone(&prepared.data), prepared.spec.clone())
+    };
+    let engine = Engine::new();
+    let handle = engine.submit(request.with_lane(f.lane.unwrap_or_default()));
+    let token = handle.cancel_token();
+    // The stream ends after `finished` (or a kernel panic).
+    let events = handle
+        .events()
+        .map(|event| Json::parse(&proto::event_json(&event)).expect("event lines are JSON"));
+    follow_job(f, events, move || token.cancel());
+    let report = handle.wait();
+    let json = proto::dense_report_json(&report, prepared.mapping.as_deref(), &prepared.universe);
+    (prepared.data.n(), prepared.data.m(), json)
+}
+
+/// Run the submission on the `rawt serve` instance at `addr`: submit
+/// under the retry policy, follow the event stream (reconnecting across
+/// dropped connections and server restarts), then fetch the status once
+/// and cut the report out of it byte for byte, as the server's shared
+/// serializer wrote it.
+fn run_on_server(f: &Flags, submission: &JobSubmission, addr: &str) -> (usize, usize, String) {
+    let client = make_client(f, addr);
+    let job = client
+        .submit_with_retry(submission, &RetryPolicy::default(), print_retry)
+        .unwrap_or_else(|e| die(&format!("submit to {addr}: {e}")));
+    if job.deduplicated {
+        eprintln!("rawt: job {} already submitted — reattaching", job.id);
+    }
+    let events = client
+        .follow_events(job.id, RetryPolicy::default(), print_retry)
+        .map(|event| {
+            event.unwrap_or_else(|e| die(&format!("event stream for job {}: {e}", job.id)))
+        });
+    follow_job(f, events, || {
+        let _ = client.cancel(job.id);
+    });
+    let raw = client
+        .status_raw(job.id)
+        .unwrap_or_else(|e| die(&format!("fetching job {}: {e}", job.id)));
+    // "report" is the status document's final field; its value runs to
+    // the document's closing brace.
+    let report = raw
+        .rfind("\"report\":")
+        .map(|i| &raw[i + "\"report\":".len()..raw.len() - 1])
+        .filter(|report| *report != "null")
+        .unwrap_or_else(|| die(&format!("job {} ended without a report: {raw}", job.id)));
+    (job.n, job.m, report.to_owned())
+}
+
+/// Drain a job's event stream (wire form). With `--progress` each event
+/// is rendered to stderr and Ctrl-C becomes `cancel`, a cooperative
+/// cancel whose result is the best-so-far consensus (outcome
+/// "cancelled"); the stream still runs to its end.
+fn follow_job(f: &Flags, events: impl Iterator<Item = Json>, cancel: impl FnOnce() + Send) {
+    if !f.progress {
+        return events.for_each(drop);
+    }
+    sigint::install();
+    let drained = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        // The event loop can sit in a blocking read while the job is
+        // quiet, so Ctrl-C is watched from a side thread every 100 ms.
+        scope.spawn(|| {
+            let mut cancel = Some(cancel);
+            while !drained.load(Ordering::Relaxed) {
+                if let Some(cancel) = cancel.take_if(|_| sigint::pressed()) {
+                    eprintln!("rawt: Ctrl-C — cancelling, returning the best-so-far consensus");
+                    cancel();
+                }
+                std::thread::sleep(Duration::from_millis(100));
+            }
+        });
+        events.for_each(|event| print_event(&event));
+        drained.store(true, Ordering::Relaxed);
+    });
+}
+
+/// Render one event line to stderr, for `--progress`.
+fn print_event(event: &Json) {
+    let num = |key: &str| event.get(key).and_then(Json::as_u64);
+    let text = |key: &str| event.get(key).and_then(Json::as_str).unwrap_or("?");
+    let secs = event.get("elapsed_secs").and_then(Json::as_f64);
+    let (at, gap) = (format!("at {:.3}s", secs.unwrap_or(0.0)), num("gap"));
+    match text("event") {
+        "started" => eprintln!(
+            "started:    {} (seed {})",
+            text("spec"),
+            num("seed").unwrap_or(0)
+        ),
+        "incumbent" => {
+            let score = num("score").unwrap_or(0);
+            eprintln!("incumbent:  K = {score} {at}{}", render_gap(gap, score));
+        }
+        "lower_bound" => {
+            let bound = num("lower_bound").unwrap_or(0);
+            let score = bound + gap.unwrap_or(0);
+            eprintln!("bound:      K >= {bound} {at}{}", render_gap(gap, score));
+        }
+        "finished" => eprintln!("finished:   {}", text("outcome")),
+        _ => {}
+    }
 }
 
 /// Render a certified optimality gap for the `--progress` stream: the
@@ -420,59 +508,34 @@ fn render_gap(gap: Option<u64>, score: u64) -> String {
     }
 }
 
-/// Submit the request as an anytime job, stream its incumbents and
-/// certified bounds to stderr, and translate Ctrl-C into a cooperative
-/// cancel whose result is the best-so-far consensus (outcome
-/// "cancelled").
-fn run_with_progress(engine: &Engine, request: AggregationRequest) -> ConsensusReport {
-    sigint::install();
-    let handle = engine.submit(request);
-    let mut cancelled = false;
-    loop {
-        if sigint::pressed() && !cancelled {
-            eprintln!("rawt: Ctrl-C — cancelling, returning the best-so-far consensus");
-            handle.cancel();
-            cancelled = true;
+/// One report field as a person reads it, from the report's wire form:
+/// the ranking in the paper's `[{A},{B,C}]` notation, `elapsed_secs` as a
+/// duration, anything else as its text. The one reader behind
+/// `aggregate`'s text report and `session`'s solve line, local or remote.
+fn report_field(report: &Json, key: &str) -> String {
+    let value = report
+        .get(key)
+        .unwrap_or_else(|| die(&format!("report is missing {key:?}: {report}")));
+    match (key, value) {
+        ("elapsed_secs", Json::Num(secs)) => format!("{:.1?}", Duration::from_secs_f64(*secs)),
+        ("ranking", Json::Arr(buckets)) => {
+            let buckets: Vec<String> = buckets
+                .iter()
+                .map(|bucket| {
+                    let labels: Vec<&str> = bucket
+                        .as_array()
+                        .unwrap_or_default()
+                        .iter()
+                        .filter_map(Json::as_str)
+                        .collect();
+                    format!("{{{}}}", labels.join(","))
+                })
+                .collect();
+            format!("[{}]", buckets.join(","))
         }
-        match handle.next_event(Duration::from_millis(50)) {
-            Some(Event::Started { spec, seed }) => {
-                eprintln!("started:    {spec} (seed {seed})");
-            }
-            Some(Event::Incumbent {
-                score,
-                gap,
-                elapsed,
-            }) => {
-                eprintln!(
-                    "incumbent:  K = {score} at {:.3}s{}",
-                    elapsed.as_secs_f64(),
-                    render_gap(gap, score)
-                );
-            }
-            Some(Event::LowerBound {
-                lower_bound,
-                gap,
-                elapsed,
-            }) => {
-                let against = gap.map(|g| lower_bound + g);
-                eprintln!(
-                    "bound:      K >= {lower_bound} at {:.3}s{}",
-                    elapsed.as_secs_f64(),
-                    against.map_or(String::new(), |s| render_gap(gap, s))
-                );
-            }
-            Some(Event::Finished(outcome)) => {
-                eprintln!("finished:   {outcome}");
-                break;
-            }
-            None => {
-                if handle.is_finished() {
-                    break;
-                }
-            }
-        }
+        (_, Json::Str(text)) => text.clone(),
+        (_, other) => other.to_string(),
     }
-    handle.wait()
 }
 
 // --------------------------------------------------------- remote client
@@ -506,201 +569,17 @@ fn print_retry(notice: &RetryNotice) {
     );
 }
 
-/// `aggregate --remote ADDR`: submit the dataset file to a `rawt serve`
-/// instance, optionally stream its incumbents, and render the final
-/// report exactly like the local path (the engine underneath is the same
-/// code, so a fixed seed yields a bit-identical report).
-fn cmd_aggregate_remote(f: &Flags, path: &str, addr: &str) {
-    let body =
-        std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
-    let client = make_client(f, addr);
-    let submission = JobSubmission {
-        dataset: body,
-        algo: f.algo.clone(),
-        seed: f.seed,
-        budget: f.budget,
-        normalize: f.normalize,
-        // One key per invocation: retries of this submission (below, or
-        // by a wrapper re-running the CLI against the same key) can
-        // never duplicate the job, even across a server crash.
-        idempotency_key: Some(invocation_key()),
-        dataset_id: None,
-        follow: false,
-    };
-    let job = client
-        .submit_with_retry(&submission, &RetryPolicy::default(), print_retry)
-        .unwrap_or_else(|e| die(&format!("submit to {addr}: {e}")));
-    if job.deduplicated {
-        eprintln!("rawt: job {} already submitted — reattaching", job.id);
+/// The server's own message for a refused request (the `"error"` field
+/// of its reply), which is the message the local path prints for the
+/// same refusal; other failures keep their transport detail.
+fn server_message(error: &ClientError) -> String {
+    match error {
+        ClientError::Status { body, .. } => Json::parse(body)
+            .ok()
+            .and_then(|doc| doc.get("error").and_then(Json::as_str).map(str::to_owned))
+            .unwrap_or_else(|| error.to_string()),
+        _ => error.to_string(),
     }
-    let status = if f.progress {
-        stream_remote_progress(&client, job.id);
-        client
-            .status(job.id)
-            .unwrap_or_else(|e| die(&format!("fetching job {}: {e}", job.id)))
-    } else {
-        // wait() already returns the final status document.
-        client
-            .wait(job.id)
-            .unwrap_or_else(|e| die(&format!("waiting on job {}: {e}", job.id)))
-    };
-    let report = status
-        .get("report")
-        .filter(|r| !r.is_null())
-        .unwrap_or_else(|| die(&format!("job {} ended without a report: {status}", job.id)));
-    if f.json {
-        // The same envelope as the local path. The report is spliced out
-        // of the raw response, byte-for-byte as the server's shared
-        // serializer produced it — re-serializing the parsed tree would
-        // reorder keys and reformat floats, drifting from local --json.
-        let raw = client
-            .status_raw(job.id)
-            .unwrap_or_else(|e| die(&format!("fetching job {}: {e}", job.id)));
-        let report_raw = raw
-            .rfind("\"report\":")
-            // "report" is the status document's final field; its value
-            // runs to the envelope's closing brace.
-            .map(|i| &raw[i + "\"report\":".len()..raw.len() - 1])
-            .unwrap_or_else(|| die(&format!("job {} status has no report: {raw}", job.id)));
-        println!(
-            "{{\"n\":{},\"m\":{},\"normalization\":\"{}\",\"report\":{report_raw}}}",
-            job.n, job.m, f.normalize
-        );
-        return;
-    }
-    let text = |key: &str| {
-        report
-            .get(key)
-            .and_then(Json::as_str)
-            .unwrap_or_else(|| die(&format!("report is missing {key:?}: {report}")))
-    };
-    let num = |key: &str| {
-        report
-            .get(key)
-            .and_then(Json::as_f64)
-            .unwrap_or_else(|| die(&format!("report is missing {key:?}: {report}")))
-    };
-    println!("algorithm:  {} (spec: {})", text("algorithm"), text("spec"));
-    println!(
-        "elements:   {} (m = {} rankings, {})",
-        job.n, job.m, f.normalize
-    );
-    println!(
-        "consensus:  {}",
-        render_label_ranking(report.get("ranking"))
-    );
-    println!("K score:    {}", num("score") as u64);
-    // Older servers predate the lane field; default to the only lane
-    // they had rather than dying on a missing key.
-    println!(
-        "lane:       {}",
-        report.get("lane").and_then(Json::as_str).unwrap_or("dense")
-    );
-    println!(
-        "outcome:    {} in {:.1?}",
-        text("outcome"),
-        Duration::from_secs_f64(num("elapsed_secs"))
-    );
-}
-
-/// Render the wire form of a ranking (nested label arrays,
-/// `[["A"],["B","C"]]`) back to the paper's `[{A},{B,C}]` notation —
-/// the same text the local path prints.
-fn render_label_ranking(ranking: Option<&Json>) -> String {
-    let buckets = ranking
-        .and_then(Json::as_array)
-        .unwrap_or_else(|| die("report carries no ranking"));
-    let rendered: Vec<String> = buckets
-        .iter()
-        .map(|bucket| {
-            let labels: Vec<&str> = bucket
-                .as_array()
-                .unwrap_or_default()
-                .iter()
-                .filter_map(Json::as_str)
-                .collect();
-            format!("{{{}}}", labels.join(","))
-        })
-        .collect();
-    format!("[{}]", rendered.join(","))
-}
-
-/// Stream a remote job's events to stderr with the same rendering as the
-/// local `--progress` loop; Ctrl-C becomes a `DELETE` (cooperative
-/// cancel over the wire) and the loop keeps draining until `finished`.
-///
-/// The event stream can sit in a blocking socket read while the job is
-/// quiet, so Ctrl-C is watched from a side thread polling every 100ms —
-/// the same latency the local path gets from its 50ms event poll —
-/// instead of being checked only when an event happens to arrive.
-fn stream_remote_progress(client: &Client, id: u64) {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-    sigint::install();
-    let drained = Arc::new(AtomicBool::new(false));
-    let watcher = {
-        let client = client.clone();
-        let drained = Arc::clone(&drained);
-        std::thread::spawn(move || {
-            let mut cancelled = false;
-            while !drained.load(Ordering::Relaxed) {
-                if sigint::pressed() && !cancelled {
-                    eprintln!("rawt: Ctrl-C — cancelling, returning the best-so-far consensus");
-                    let _ = client.cancel(id);
-                    cancelled = true;
-                }
-                std::thread::sleep(Duration::from_millis(100));
-            }
-        })
-    };
-    // The reconnecting follower: a dropped connection (or a server
-    // restart — the journal replay re-serves the history) resumes the
-    // stream instead of killing the render.
-    let events = client.follow_events(id, RetryPolicy::default(), print_retry);
-    for event in events {
-        let event = event.unwrap_or_else(|e| die(&format!("event stream for job {id}: {e}")));
-        match event.get("event").and_then(Json::as_str) {
-            Some("started") => {
-                eprintln!(
-                    "started:    {} (seed {})",
-                    event.get("spec").and_then(Json::as_str).unwrap_or("?"),
-                    event.get("seed").and_then(Json::as_u64).unwrap_or(0)
-                );
-            }
-            Some("incumbent") => {
-                let score = event.get("score").and_then(Json::as_u64).unwrap_or(0);
-                eprintln!(
-                    "incumbent:  K = {score} at {:.3}s{}",
-                    event
-                        .get("elapsed_secs")
-                        .and_then(Json::as_f64)
-                        .unwrap_or(0.0),
-                    render_gap(event.get("gap").and_then(Json::as_u64), score)
-                );
-            }
-            Some("lower_bound") => {
-                let lower_bound = event.get("lower_bound").and_then(Json::as_u64).unwrap_or(0);
-                let gap = event.get("gap").and_then(Json::as_u64);
-                eprintln!(
-                    "bound:      K >= {lower_bound} at {:.3}s{}",
-                    event
-                        .get("elapsed_secs")
-                        .and_then(Json::as_f64)
-                        .unwrap_or(0.0),
-                    gap.map_or(String::new(), |g| render_gap(Some(g), lower_bound + g))
-                );
-            }
-            Some("finished") => {
-                eprintln!(
-                    "finished:   {}",
-                    event.get("outcome").and_then(Json::as_str).unwrap_or("?")
-                );
-            }
-            _ => {}
-        }
-    }
-    drained.store(true, Ordering::Relaxed);
-    let _ = watcher.join();
 }
 
 /// `rawt serve`: run the aggregation service until SIGINT, then drain
@@ -916,10 +795,7 @@ fn cmd_top(f: &Flags) {
         .positional
         .first()
         .unwrap_or_else(|| die("top needs an ADDR (a rawt serve or rawt route address)"));
-    let client = match &f.token {
-        Some(token) => Client::with_token(addr, token),
-        None => Client::new(addr),
-    };
+    let client = make_client(f, addr);
     sigint::install();
     loop {
         let exposition = client
@@ -1032,7 +908,7 @@ fn cmd_compare(f: &Flags) {
     if f.json {
         let objects: Vec<String> = reports
             .iter()
-            .map(|r| report_json(r, &norm, &universe))
+            .map(|r| proto::report_json(r, &norm, &universe))
             .collect();
         println!(
             "{{\"n\":{},\"m\":{},\"similarity\":{:.6},\"normalization\":\"{}\",\"reports\":[{}]}}",
@@ -1108,283 +984,250 @@ fn cmd_list(f: &Flags) {
 
 // ------------------------------------------------------------- sessions
 
-/// One parsed `rawt session` REPL line.
-enum SessionCmd {
-    Add(String),
-    Remove(usize),
-    Replace(usize, String),
-    Show,
-    Solve,
-    Quit,
-}
-
-/// Parse one session command line; `Err` is the message to print.
-fn parse_session_cmd(line: &str) -> Result<SessionCmd, String> {
-    let line = line.trim();
-    let (verb, rest) = match line.split_once(char::is_whitespace) {
-        Some((verb, rest)) => (verb, rest.trim()),
-        None => (line, ""),
-    };
-    match (verb, rest) {
-        ("add", r) if !r.is_empty() => Ok(SessionCmd::Add(r.to_owned())),
-        ("remove", r) => r
-            .parse()
-            .map(SessionCmd::Remove)
-            .map_err(|_| "usage: remove N".to_owned()),
-        ("replace", r) => match r.split_once(char::is_whitespace) {
-            Some((index, ranking)) => index
-                .parse()
-                .map(|i| SessionCmd::Replace(i, ranking.trim().to_owned()))
-                .map_err(|_| "usage: replace N [{A},{B}]".to_owned()),
-            None => Err("usage: replace N [{A},{B}]".to_owned()),
+/// Parse one edit line (`add`, `remove`, `replace`) of `rawt session`;
+/// `Err` is the message to print.
+fn parse_edit(line: &str, verb: &str, rest: &str) -> Result<DatasetOp, String> {
+    Ok(match verb {
+        "add" if !rest.is_empty() => DatasetOp::Add {
+            ranking: rest.to_owned(),
         },
-        ("show", "") => Ok(SessionCmd::Show),
-        ("solve", "") => Ok(SessionCmd::Solve),
-        ("quit" | "exit", "") => Ok(SessionCmd::Quit),
-        _ => Err(format!(
-            "unknown command {line:?} (add/remove/replace/show/solve/quit)"
-        )),
-    }
-}
-
-/// `rawt session`: the interactive edit/re-solve loop over a
-/// [`DatasetSession`](rank_aggregation_with_ties::rank_core::session::DatasetSession)
-/// — delta-patched matrix, warm-started solves
-/// (locally in-process, or against a server's live dataset with
-/// `--remote`).
-fn cmd_session(f: &Flags) {
-    let path = f
-        .positional
-        .first()
-        .unwrap_or_else(|| die("session needs a FILE"));
-    let body =
-        std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
-    match &f.remote {
-        Some(addr) => cmd_session_remote(f, &body, addr),
-        None => cmd_session_local(f, &body),
-    }
-}
-
-fn cmd_session_local(f: &Flags, body: &str) {
-    use rank_aggregation_with_ties::rank_core::normalize::unification;
-    use rank_aggregation_with_ties::rank_core::session::DatasetSession;
-    let mut universe = Universe::new();
-    let raw = parse_dataset_lines(body, &mut universe)
-        .unwrap_or_else(|e| die(&format!("parse error: {e}")));
-    if raw.is_empty() {
-        die("the file contains no rankings");
-    }
-    // Unification over appearance-ordered interning is the identity
-    // mapping, so the session's dense element i *is* universe label i —
-    // the same invariant the server's live datasets rely on.
-    let norm = unification(&raw).unwrap_or_else(|| die("normalization produced an empty dataset"));
-    let mut session = DatasetSession::new(norm.dataset);
-    let engine = Engine::new();
-    println!(
-        "session: v{} n = {} m = {} (commands: add/remove/replace/show/solve/quit)",
-        session.version(),
-        session.n(),
-        session.m()
-    );
-    let stdin = std::io::stdin();
-    let mut line = String::new();
-    loop {
-        line.clear();
-        use std::io::BufRead as _;
-        if stdin.lock().read_line(&mut line).unwrap_or(0) == 0 {
-            break; // EOF ends the session like `quit`
-        }
-        if line.trim().is_empty() || line.trim_start().starts_with('#') {
-            continue;
-        }
-        let cmd = match parse_session_cmd(&line) {
-            Ok(cmd) => cmd,
-            Err(message) => {
-                eprintln!("rawt: {message}");
-                continue;
+        "remove" => DatasetOp::Remove {
+            index: rest.parse().map_err(|_| "usage: remove N")?,
+        },
+        "replace" => {
+            let usage = "usage: replace N [{A},{B}]";
+            let (index, ranking) = rest.split_once(char::is_whitespace).ok_or(usage)?;
+            DatasetOp::Replace {
+                index: index.parse().map_err(|_| usage)?,
+                ranking: ranking.trim().to_owned(),
             }
+        }
+        _ => {
+            return Err(format!(
+                "unknown command {line:?} (add/remove/replace/show/solve/quit)"
+            ))
+        }
+    })
+}
+
+/// Where a `rawt session`'s dataset lives: in this process, edited and
+/// solved by the same code a server runs on its live datasets, or on a
+/// `rawt serve` instance.
+enum Backend {
+    Local {
+        engine: Engine,
+        universe: Arc<Universe>,
+        session: DatasetSession,
+    },
+    Remote {
+        client: Client,
+        id: String,
+        /// Created by this session, so deleted on quit; a dataset named
+        /// with `--id` stays on the server.
+        ephemeral: bool,
+    },
+}
+
+/// A dataset's version, `n` and `m`, as the REPL prints them.
+type Shape = (u64, usize, usize);
+
+/// The shape a server reply carries.
+fn reply_shape(doc: &Json) -> Shape {
+    let num = |key: &str| doc.get(key).and_then(Json::as_u64).unwrap_or(0);
+    (num("version"), num("n") as usize, num("m") as usize)
+}
+
+impl Backend {
+    /// Load `body` into an in-process session.
+    fn local(body: &str) -> (Backend, Shape) {
+        let (universe, session) = proto::build_session(body).unwrap_or_else(|e| die(&e));
+        let (version, n, m) = (session.version(), session.n(), session.m());
+        println!(
+            "session: v{version} n = {n} m = {m} (commands: add/remove/replace/show/solve/quit)"
+        );
+        let engine = Engine::new();
+        let backend = Backend::Local {
+            engine,
+            universe,
+            session,
         };
-        // Edits parse their ranking against a scratch copy of the
-        // universe, committed only when the session accepts the edit —
-        // a refused edit must not leak freshly interned labels.
-        let mut scratch = universe.clone();
-        let result = match cmd {
-            SessionCmd::Quit => break,
-            SessionCmd::Show => {
-                println!(
-                    "v{} n = {} m = {}",
-                    session.version(),
-                    session.n(),
-                    session.m()
-                );
-                for (i, r) in session.rankings().iter().enumerate() {
-                    println!("  [{i}] {}", r.display_with(&universe));
-                }
-                continue;
+        (backend, (version, n, m))
+    }
+
+    /// Create the dataset on the server at `addr` from `body`. A dataset
+    /// named with `--id` that already exists is reopened as it stands,
+    /// so a named dataset outlives the session that made it.
+    fn remote(f: &Flags, addr: &str, path: &str, body: &str) -> (Backend, Shape) {
+        let client = make_client(f, addr);
+        let (id, ephemeral) = match &f.id {
+            Some(id) => (id.clone(), false),
+            None => (invocation_key(), true),
+        };
+        let (doc, note) = match client.create_dataset(&id, body) {
+            Ok(doc) => (doc, String::new()),
+            Err(ClientError::Status { status: 409, .. }) if !ephemeral => (
+                client
+                    .get_dataset(&id)
+                    .unwrap_or_else(|e| die(&format!("GET dataset {id:?} on {addr}: {e}"))),
+                format!(" (exists; {path} not loaded)"),
+            ),
+            Err(e) => die(&format!("PUT dataset {id:?} on {addr}: {e}")),
+        };
+        let (version, n, m) = reply_shape(&doc);
+        let display = addr.strip_prefix("http://").unwrap_or(addr);
+        println!("session: dataset {id} v{version} n = {n} m = {m} on http://{display}{note}");
+        let backend = Backend::Remote {
+            client,
+            id,
+            ephemeral,
+        };
+        (backend, (version, n, m))
+    }
+
+    /// Apply one edit; the shape it leaves.
+    fn edit(&mut self, op: &DatasetOp) -> Result<Shape, String> {
+        match self {
+            Backend::Local {
+                universe, session, ..
+            } => {
+                let version = proto::apply_op(universe, session, op, &mut 0)?;
+                Ok((version, session.n(), session.m()))
             }
-            SessionCmd::Solve => {
-                let spec = match &f.algo {
-                    Some(name) => parse_spec(name),
-                    None => {
-                        let features = DatasetFeatures::measure(&session.dataset());
-                        let rec = recommend(&features, Priority::Balanced);
-                        AlgoSpec::parse(rec.algorithm).expect("guidance names are registered")
-                    }
+            Backend::Remote { client, id, .. } => {
+                let body = format!("{{\"ops\":[{}]}}", op.to_json());
+                // A refused PATCH names its failing op by position; this
+                // one only ever carries op 0.
+                let doc = client
+                    .patch_dataset(id, &body)
+                    .map_err(|e| server_message(&e).replacen("op 0: ", "", 1))?;
+                Ok(reply_shape(&doc))
+            }
+        }
+    }
+
+    /// The current shape and rankings, one `[{A},{B,C}]` line each.
+    fn show(&mut self) -> Result<(Shape, Vec<String>), String> {
+        match self {
+            Backend::Local {
+                universe, session, ..
+            } => Ok((
+                (session.version(), session.n(), session.m()),
+                session
+                    .rankings()
+                    .iter()
+                    .map(|r| r.display_with(universe))
+                    .collect(),
+            )),
+            Backend::Remote { client, id, .. } => {
+                let doc = client.get_dataset(id).map_err(|e| server_message(&e))?;
+                let text = doc.get("dataset").and_then(Json::as_str).unwrap_or("");
+                Ok((reply_shape(&doc), text.lines().map(str::to_owned).collect()))
+            }
+        }
+    }
+
+    /// Solve the current dataset, warm-started from the previous solve's
+    /// consensus; the report's wire form.
+    fn solve(&mut self, f: &Flags) -> Result<Json, String> {
+        match self {
+            Backend::Local {
+                engine,
+                universe,
+                session,
+            } => {
+                // Spec resolution reads only the submission's algo.
+                let submission = JobSubmission {
+                    algo: f.algo.clone(),
+                    ..JobSubmission::new("")
                 };
-                if let Some(cap) = spec.max_n() {
-                    if session.n() > cap {
-                        eprintln!(
-                            "rawt: {spec} handles at most n = {cap}; the session has {}",
-                            session.n()
-                        );
-                        continue;
-                    }
-                }
-                let report = session.resolve(&engine, spec, f.seed, f.budget);
-                println!(
-                    "v{} K = {}  {}  ({} in {:.1?})",
-                    session.version(),
-                    report.score,
-                    report.ranking.display_with(&universe),
-                    report.outcome,
-                    report.elapsed
-                );
-                continue;
+                let spec =
+                    proto::resolve_spec(&submission, &session.dataset()).map_err(|e| e.message)?;
+                let report = session.resolve(engine, spec, f.seed, f.budget);
+                let json = proto::dense_report_json(&report, None, universe);
+                Ok(Json::parse(&json).expect("reports are JSON"))
             }
-            SessionCmd::Add(text) => parse_ranking_labeled(&text, &mut scratch)
-                .map_err(|e| e.to_string())
-                .and_then(|r| session.add_ranking(r).map_err(|e| e.to_string())),
-            SessionCmd::Remove(index) => session.remove_ranking(index).map_err(|e| e.to_string()),
-            SessionCmd::Replace(index, text) => parse_ranking_labeled(&text, &mut scratch)
-                .map_err(|e| e.to_string())
-                .and_then(|r| session.replace_ranking(index, r).map_err(|e| e.to_string())),
-        };
-        match result {
-            Ok(version) => {
-                universe = scratch;
-                println!("v{version} n = {} m = {}", session.n(), session.m());
-            }
-            Err(message) => eprintln!("rawt: {message}"),
-        }
-    }
-}
-
-fn cmd_session_remote(f: &Flags, body: &str, addr: &str) {
-    let client = make_client(f, addr);
-    let (id, ephemeral) = match &f.id {
-        Some(id) => (id.clone(), false),
-        None => (invocation_key(), true),
-    };
-    let created = client
-        .create_dataset(&id, body)
-        .unwrap_or_else(|e| die(&format!("PUT dataset {id:?} on {addr}: {e}")));
-    let shape = |doc: &Json| {
-        (
-            doc.get("version").and_then(Json::as_u64).unwrap_or(0),
-            doc.get("n").and_then(Json::as_u64).unwrap_or(0),
-            doc.get("m").and_then(Json::as_u64).unwrap_or(0),
-        )
-    };
-    let (version, n, m) = shape(&created);
-    let display = addr.strip_prefix("http://").unwrap_or(addr);
-    println!("session: dataset {id} v{version} n = {n} m = {m} on http://{display}");
-    let one_op = |op: &str| {
-        client
-            .patch_dataset(&id, &format!("{{\"ops\":[{op}]}}"))
-            .map_err(|e| e.to_string())
-    };
-    let stdin = std::io::stdin();
-    let mut line = String::new();
-    loop {
-        line.clear();
-        use std::io::BufRead as _;
-        if stdin.lock().read_line(&mut line).unwrap_or(0) == 0 {
-            break;
-        }
-        if line.trim().is_empty() || line.trim_start().starts_with('#') {
-            continue;
-        }
-        let cmd = match parse_session_cmd(&line) {
-            Ok(cmd) => cmd,
-            Err(message) => {
-                eprintln!("rawt: {message}");
-                continue;
-            }
-        };
-        let result = match cmd {
-            SessionCmd::Quit => break,
-            SessionCmd::Show => {
-                match client.get_dataset(&id) {
-                    Ok(doc) => {
-                        let (version, n, m) = shape(&doc);
-                        println!("v{version} n = {n} m = {m}");
-                        if let Some(text) = doc.get("dataset").and_then(Json::as_str) {
-                            for (i, r) in text.lines().enumerate() {
-                                println!("  [{i}] {r}");
-                            }
-                        }
-                    }
-                    Err(e) => eprintln!("rawt: GET dataset: {e}"),
-                }
-                continue;
-            }
-            SessionCmd::Solve => {
+            Backend::Remote { client, id, .. } => {
                 let submission = JobSubmission {
                     algo: f.algo.clone(),
                     seed: f.seed,
                     budget: f.budget,
                     idempotency_key: Some(invocation_key()),
-                    ..JobSubmission::for_dataset(&id)
+                    ..JobSubmission::for_dataset(id.as_str())
                 };
-                let job = match client.submit(&submission) {
-                    Ok(job) => job,
-                    Err(e) => {
-                        eprintln!("rawt: submit: {e}");
-                        continue;
-                    }
-                };
-                match client.wait(job.id) {
-                    Ok(done) => {
-                        let report = done.get("report").cloned().unwrap_or(Json::Null);
-                        let score = report.get("score").and_then(Json::as_u64).unwrap_or(0);
-                        let outcome = report
-                            .get("outcome")
-                            .and_then(Json::as_str)
-                            .unwrap_or("?")
-                            .to_owned();
-                        println!(
-                            "job {} K = {score}  {}  ({outcome})",
-                            job.id,
-                            render_label_ranking(report.get("ranking"))
-                        );
-                    }
-                    Err(e) => eprintln!("rawt: waiting on job {}: {e}", job.id),
-                }
-                continue;
+                let job = client.submit(&submission).map_err(|e| server_message(&e))?;
+                let done = client
+                    .wait(job.id)
+                    .map_err(|e| format!("waiting on job {}: {e}", job.id))?;
+                done.get("report")
+                    .filter(|r| !r.is_null())
+                    .cloned()
+                    .ok_or_else(|| format!("job {} ended without a report", job.id))
             }
-            SessionCmd::Add(text) => one_op(&format!(
-                "{{\"op\":\"add\",\"ranking\":\"{}\"}}",
-                service::json::escape(&text)
-            )),
-            SessionCmd::Remove(index) => {
-                one_op(&format!("{{\"op\":\"remove\",\"index\":{index}}}"))
-            }
-            SessionCmd::Replace(index, text) => one_op(&format!(
-                "{{\"op\":\"replace\",\"index\":{index},\"ranking\":\"{}\"}}",
-                service::json::escape(&text)
-            )),
+        }
+    }
+}
+
+/// `rawt session`: the interactive edit/re-solve loop over a live
+/// dataset — delta-patched matrix, warm-started solves — held in process
+/// or, with `--remote`, on a server. One loop drives both. A solve line
+/// shows the version of the last shape printed, which is the version
+/// solved while this loop is the dataset's only editor.
+fn cmd_session(f: &Flags) {
+    use std::io::BufRead as _;
+    let path = f
+        .positional
+        .first()
+        .unwrap_or_else(|| die("session needs a FILE"));
+    let body = read_file(path);
+    let (mut backend, (mut version, _, _)) = match &f.remote {
+        None => Backend::local(&body),
+        Some(addr) => Backend::remote(f, addr, path, &body),
+    };
+    for line in std::io::stdin().lock().lines() {
+        // A read error ends the session like EOF or `quit`.
+        let Ok(line) = line else { break };
+        let line = line.trim();
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let (verb, rest) = match line.split_once(char::is_whitespace) {
+            Some((verb, rest)) => (verb, rest.trim()),
+            None => (line, ""),
         };
-        match result {
-            Ok(doc) => {
-                let (version, n, m) = shape(&doc);
-                println!("v{version} n = {n} m = {m}");
+        let shown = match (verb, rest) {
+            ("quit" | "exit", "") => break,
+            ("show", "") => backend.show(),
+            ("solve", "") => match backend.solve(f) {
+                Ok(report) => {
+                    let [score, ranking, outcome, elapsed] =
+                        ["score", "ranking", "outcome", "elapsed_secs"]
+                            .map(|key| report_field(&report, key));
+                    println!("v{version} K = {score}  {ranking}  ({outcome} in {elapsed})");
+                    continue;
+                }
+                Err(message) => Err(message),
+            },
+            _ => parse_edit(line, verb, rest)
+                .and_then(|op| backend.edit(&op))
+                .map(|shape| (shape, Vec::new())),
+        };
+        match shown {
+            Ok(((v, n, m), rankings)) => {
+                version = v;
+                println!("v{v} n = {n} m = {m}");
+                for (i, r) in rankings.iter().enumerate() {
+                    println!("  [{i}] {r}");
+                }
             }
             Err(message) => eprintln!("rawt: {message}"),
         }
     }
-    if ephemeral {
-        // This invocation created the dataset; clean it up on the way out
-        // (with --id the dataset is a named, persistent resource).
+    if let Backend::Remote {
+        client,
+        id,
+        ephemeral: true,
+    } = backend
+    {
         let _ = client.delete_dataset(&id);
     }
 }

@@ -463,3 +463,138 @@ fn aggregate_reports_outcome_and_exact_proves_optimality() {
     assert!(ok);
     assert!(stdout.contains("outcome:    heuristic"), "{stdout}");
 }
+
+/// A spawned `rawt serve` and its address; the server is killed when the
+/// test ends, pass or fail.
+struct Served(std::process::Child, String);
+
+impl Drop for Served {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+fn served() -> Served {
+    let (child, addr) = spawn_server();
+    Served(child, addr)
+}
+
+/// Run `rawt session FILE ARGS` over `script` in process, then with
+/// `--remote ADDR`; both must exit 0. Returns [(stdout, stderr); 2].
+fn session_local_and_remote(addr: &str, args: &[&str], script: &str) -> [(String, String); 2] {
+    let path = write_paper_example();
+    let path = path.to_str().unwrap();
+    [vec![], vec!["--remote", addr]].map(|remote| {
+        use std::io::Write;
+        use std::process::Stdio;
+        let mut child = Command::new(env!("CARGO_BIN_EXE_rawt"))
+            .args([&["session", path], args, &remote].concat())
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        // Dropping stdin after the write is the script's EOF.
+        let mut stdin = child.stdin.take().expect("piped stdin");
+        stdin.write_all(script.as_bytes()).expect("script written");
+        drop(stdin);
+        let out = child.wait_with_output().expect("binary exits");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "{stderr}");
+        (String::from_utf8_lossy(&out.stdout).into_owned(), stderr)
+    })
+}
+
+/// A session transcript without its header line (which names where the
+/// dataset lives) and with each solve line's wall-clock time masked.
+fn session_body(stdout: &str) -> Vec<String> {
+    let (_header, body) = stdout.split_once('\n').expect("a header line");
+    body.lines()
+        .map(|line| match line.rfind(" in ") {
+            Some(i) if line.ends_with(')') => format!("{} in …)", &line[..i]),
+            _ => line.to_owned(),
+        })
+        .collect()
+}
+
+#[test]
+fn session_transcripts_are_identical_local_and_remote() {
+    let server = served();
+    // Edits of every kind (the replace adds label E), a refused edit, an
+    // unparsable one, show, and warm-started solves.
+    let script = "show\nsolve\nadd [{B},{A},{C},{D}]\nremove 0\nreplace 1 [{E},{A},{B,C,D}]\n\
+                  remove 9\nadd [{A}\nsolve\nshow\nsolve\n";
+    let [(local, local_err), (remote, remote_err)] =
+        session_local_and_remote(&server.1, &[], script);
+    assert_eq!(
+        session_body(&remote),
+        session_body(&local),
+        "{remote}\n{local}"
+    );
+    assert_eq!(remote_err, local_err);
+    assert_eq!(local_err.lines().count(), 2, "{local_err}");
+    let body = session_body(&local);
+    assert_eq!(body.iter().filter(|l| l.contains(" K = ")).count(), 3);
+    assert!(body.contains(&"v4 n = 5 m = 3".to_owned()), "{local}");
+}
+
+#[test]
+fn a_bad_algo_is_reported_at_each_solve_and_the_session_goes_on() {
+    let server = served();
+    let script = "solve\nadd [{B},{A},{C},{D}]\nsolve\n";
+    let [(local, local_err), (remote, remote_err)] =
+        session_local_and_remote(&server.1, &["--algo", "NoSuchAlgo"], script);
+    assert_eq!(session_body(&local), ["v2 n = 4 m = 4"]);
+    assert_eq!(session_body(&remote), session_body(&local));
+    assert_eq!(remote_err, local_err);
+    let error = local_err.lines().next().unwrap_or_default();
+    assert!(error.starts_with("rawt: unknown algorithm"), "{local_err}");
+    assert_eq!(
+        local_err,
+        format!("{error}\n{error}\n"),
+        "one line per solve"
+    );
+}
+
+#[test]
+fn a_named_remote_dataset_is_reopened_by_the_next_session() {
+    let server = served();
+    let remote = |script: &str| {
+        let [_, (stdout, _)] = session_local_and_remote(&server.1, &["--id", "cli-keep"], script);
+        stdout
+    };
+    assert_eq!(
+        session_body(&remote("add [{D},{C},{B},{A}]\nquit\n")),
+        ["v2 n = 4 m = 4"]
+    );
+    let second = remote("show\n");
+    let header = second.lines().next().expect("a header line");
+    let reattached = header.contains(" v2 n = 4 m = 4 on ") && header.contains("(exists; ");
+    assert!(reattached && header.ends_with(" not loaded)"), "{header}");
+    assert_eq!(session_body(&second)[0], "v2 n = 4 m = 4");
+    assert_eq!(session_body(&second)[4], "  [3] [{D},{C},{B},{A}]");
+}
+
+/// `aggregate --json` prints one envelope whichever side ran the job:
+/// byte-identical once the wall-clock `*_secs` values are masked.
+#[test]
+fn aggregate_json_envelopes_are_byte_identical_local_and_remote() {
+    let mask_secs = |json: &str| {
+        let mut parts = json.split("_secs\":");
+        let head = parts.next().unwrap_or_default().to_owned();
+        parts.fold(head, |out, part| {
+            out + "_secs\":#" + part.trim_start_matches(|c: char| c.is_ascii_digit() || c == '.')
+        })
+    };
+    let server = served();
+    let path = write_paper_example();
+    let path = path.to_str().unwrap();
+    let args = ["aggregate", path, "--algo", "Exact", "--json"];
+    let (local, stderr, ok) = rawt(&args);
+    assert!(ok, "{stderr}");
+    let (remote, stderr, ok) = rawt(&[&args[..], &["--remote", &server.1]].concat());
+    assert!(ok, "{stderr}");
+    assert!(local.contains("\"elapsed_secs\":"), "{local}");
+    assert_eq!(mask_secs(&remote), mask_secs(&local));
+}

@@ -4,13 +4,18 @@
 //! and surrogate pairs), every truncated prefix of a valid document is an
 //! error, byte-level mutations never panic, nesting is bounded by
 //! [`MAX_DEPTH`], decoding time is linear in the input, and every error
-//! case keeps its exact message and byte offset.
+//! case keeps its exact message and byte offset. The encoders' pinned
+//! bytes live here too: every event line kind under every tag, and every
+//! dataset edit op.
 
 use proptest::prelude::*;
 use proptest::TestRng;
 use rand::Rng;
+use rank_core::engine::{AlgoSpec, Event, Outcome};
 use service::json::{escape, Json, MAX_DEPTH};
-use service::proto::JobSubmission;
+use service::proto::{
+    event_json, failed_json, resolved_json, tagged_event_json, DatasetOp, EventTag, JobSubmission,
+};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
@@ -302,4 +307,124 @@ fn a_one_mebibyte_dataset_string_decodes_in_linear_time() {
     let took = started.elapsed();
     assert_eq!(submission.dataset, text);
     assert!(took < Duration::from_secs(1), "decoding took {took:?}");
+}
+
+/// Every line kind × every tag, byte for byte. The expected strings
+/// are the lines the server produced before tags were serialized
+/// with the event (they were spliced into the finished line then),
+/// so this pins the wire format across that change.
+#[test]
+fn tagged_event_lines_are_pinned() {
+    let events = [
+        Event::Started {
+            spec: AlgoSpec::parse("BestOf(KwikSort,7)").unwrap(),
+            seed: 42,
+        },
+        Event::Incumbent {
+            score: 17,
+            gap: None,
+            elapsed: Duration::from_micros(1500),
+        },
+        Event::Incumbent {
+            score: 5,
+            gap: Some(0),
+            elapsed: Duration::from_nanos(250_000_400),
+        },
+        Event::LowerBound {
+            lower_bound: 3,
+            gap: Some(2),
+            elapsed: Duration::from_nanos(12_345_678_901),
+        },
+        Event::LowerBound {
+            lower_bound: 8,
+            gap: None,
+            elapsed: Duration::ZERO,
+        },
+        Event::Finished(Outcome::Optimal),
+        Event::Finished(Outcome::Heuristic),
+        Event::Finished(Outcome::TimedOut),
+        Event::Finished(Outcome::Cancelled),
+    ];
+    let tags = [
+        EventTag::None,
+        EventTag::DatasetVersion(3),
+        EventTag::Batch {
+            spec: "Borda",
+            job: 12,
+        },
+        EventTag::Batch {
+            spec: "we\"ird\\spec",
+            job: 7,
+        },
+    ];
+    let mut lines = Vec::new();
+    for event in &events {
+        lines.extend(tags.map(|tag| tagged_event_json(event, tag)));
+    }
+    lines.extend(tags.map(|tag| resolved_json(&Outcome::Heuristic, 9, tag)));
+    lines.extend(tags.map(|tag| failed_json("internal kernel panic", tag)));
+    let expected = [
+        r#"{"event":"started","spec":"BestOf(KwikSort,7)","seed":42}"#,
+        r#"{"event":"started","spec":"BestOf(KwikSort,7)","seed":42,"dataset_version":3}"#,
+        r#"{"event":"started","spec":"BestOf(KwikSort,7)","seed":42,"spec":"Borda","job":12}"#,
+        r#"{"event":"started","spec":"BestOf(KwikSort,7)","seed":42,"spec":"we\"ird\\spec","job":7}"#,
+        r#"{"event":"incumbent","score":17,"gap":null,"elapsed_secs":0.001500}"#,
+        r#"{"event":"incumbent","score":17,"gap":null,"elapsed_secs":0.001500,"dataset_version":3}"#,
+        r#"{"event":"incumbent","score":17,"gap":null,"elapsed_secs":0.001500,"spec":"Borda","job":12}"#,
+        r#"{"event":"incumbent","score":17,"gap":null,"elapsed_secs":0.001500,"spec":"we\"ird\\spec","job":7}"#,
+        r#"{"event":"incumbent","score":5,"gap":0,"elapsed_secs":0.250000}"#,
+        r#"{"event":"incumbent","score":5,"gap":0,"elapsed_secs":0.250000,"dataset_version":3}"#,
+        r#"{"event":"incumbent","score":5,"gap":0,"elapsed_secs":0.250000,"spec":"Borda","job":12}"#,
+        r#"{"event":"incumbent","score":5,"gap":0,"elapsed_secs":0.250000,"spec":"we\"ird\\spec","job":7}"#,
+        r#"{"event":"lower_bound","lower_bound":3,"gap":2,"elapsed_secs":12.345679}"#,
+        r#"{"event":"lower_bound","lower_bound":3,"gap":2,"elapsed_secs":12.345679,"dataset_version":3}"#,
+        r#"{"event":"lower_bound","lower_bound":3,"gap":2,"elapsed_secs":12.345679,"spec":"Borda","job":12}"#,
+        r#"{"event":"lower_bound","lower_bound":3,"gap":2,"elapsed_secs":12.345679,"spec":"we\"ird\\spec","job":7}"#,
+        r#"{"event":"lower_bound","lower_bound":8,"gap":null,"elapsed_secs":0.000000}"#,
+        r#"{"event":"lower_bound","lower_bound":8,"gap":null,"elapsed_secs":0.000000,"dataset_version":3}"#,
+        r#"{"event":"lower_bound","lower_bound":8,"gap":null,"elapsed_secs":0.000000,"spec":"Borda","job":12}"#,
+        r#"{"event":"lower_bound","lower_bound":8,"gap":null,"elapsed_secs":0.000000,"spec":"we\"ird\\spec","job":7}"#,
+        r#"{"event":"finished","outcome":"optimal"}"#,
+        r#"{"event":"finished","outcome":"optimal","dataset_version":3}"#,
+        r#"{"event":"finished","outcome":"optimal","spec":"Borda","job":12}"#,
+        r#"{"event":"finished","outcome":"optimal","spec":"we\"ird\\spec","job":7}"#,
+        r#"{"event":"finished","outcome":"heuristic"}"#,
+        r#"{"event":"finished","outcome":"heuristic","dataset_version":3}"#,
+        r#"{"event":"finished","outcome":"heuristic","spec":"Borda","job":12}"#,
+        r#"{"event":"finished","outcome":"heuristic","spec":"we\"ird\\spec","job":7}"#,
+        r#"{"event":"finished","outcome":"timed out"}"#,
+        r#"{"event":"finished","outcome":"timed out","dataset_version":3}"#,
+        r#"{"event":"finished","outcome":"timed out","spec":"Borda","job":12}"#,
+        r#"{"event":"finished","outcome":"timed out","spec":"we\"ird\\spec","job":7}"#,
+        r#"{"event":"finished","outcome":"cancelled"}"#,
+        r#"{"event":"finished","outcome":"cancelled","dataset_version":3}"#,
+        r#"{"event":"finished","outcome":"cancelled","spec":"Borda","job":12}"#,
+        r#"{"event":"finished","outcome":"cancelled","spec":"we\"ird\\spec","job":7}"#,
+        r#"{"event":"resolved","outcome":"heuristic","score":9}"#,
+        r#"{"event":"resolved","outcome":"heuristic","score":9,"dataset_version":3}"#,
+        r#"{"event":"resolved","outcome":"heuristic","score":9,"spec":"Borda","job":12}"#,
+        r#"{"event":"resolved","outcome":"heuristic","score":9,"spec":"we\"ird\\spec","job":7}"#,
+        r#"{"event":"failed","error":"internal kernel panic"}"#,
+        r#"{"event":"failed","error":"internal kernel panic","dataset_version":3}"#,
+        r#"{"event":"failed","error":"internal kernel panic","spec":"Borda","job":12}"#,
+        r#"{"event":"failed","error":"internal kernel panic","spec":"we\"ird\\spec","job":7}"#,
+    ];
+    assert_eq!(lines, expected);
+    assert_eq!(event_json(&events[0]), expected[0]);
+}
+
+/// Every dataset edit op's canonical JSON, byte for byte: journal replay
+/// slices these bytes back out of each `ds-edit` record by position, from
+/// its first `"op":` key. Each pinned line parses to an op that writes it.
+#[test]
+fn dataset_op_lines_are_pinned() {
+    for line in [
+        r#"{"op":"add","ranking":"[{A},{B,C}]"}"#,
+        r#"{"op":"remove","index":3}"#,
+        r#"{"op":"replace","index":0,"ranking":"[{we\"ird},{back\\slash}]"}"#,
+    ] {
+        let doc = Json::parse(line).expect("pinned line is JSON");
+        let op = DatasetOp::parse(&doc).expect("pinned line is an op");
+        assert_eq!(op.to_json(), line);
+    }
 }
