@@ -314,10 +314,11 @@ impl ConsensusAlgorithm for AilonThreeHalves {
         // The best input ranking is the run's immediate incumbent (what
         // Pick-a-Perm would return), so a job cancelled inside the LP —
         // whose rounds are checkpointed but not preemptible — still has a
-        // harvestable consensus from the first milliseconds. Subscriber-
-        // gated: a blocking `Engine::run` must not pay the O(m·n²) input
-        // scan just for an extra trace point nobody streams.
-        if ctx.has_subscriber() {
+        // harvestable consensus from the first milliseconds. It is
+        // published whenever a sink records the trace, so `Engine::run` and
+        // a submitted job record the same trace; a bare kernel call without
+        // a sink skips the O(m·n²) input scan.
+        if ctx.has_sink() {
             if let Some(best_input) = data.rankings().iter().min_by_key(|r| pairs.score(r)) {
                 ctx.offer_incumbent(best_input, pairs.score(best_input));
             }

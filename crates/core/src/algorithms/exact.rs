@@ -546,11 +546,11 @@ impl ExactAlgorithm {
         // nonsense, so mute the sink for the decomposed solves and offer
         // only the assembled consensus below. So that a decomposed job is
         // still anytime (streams a harvestable consensus before the full
-        // proof lands), first publish a whole-dataset heuristic incumbent —
-        // but only when someone is actually streaming: a blocking
-        // `Engine::run` has no subscriber and must not pay an extra
-        // whole-dataset local search just for an early trace point.
-        if ctx.has_subscriber() {
+        // proof lands), first publish a whole-dataset heuristic incumbent.
+        // It is published whenever a sink records the trace, so a blocking
+        // `Engine::run` records the same trace as a submitted job; a bare
+        // kernel call without a sink skips the extra local search.
+        if ctx.has_sink() {
             let incumbent = bioconsert::BioConsert {
                 force_sequential: true,
                 ..bioconsert::BioConsert::default()

@@ -471,16 +471,6 @@ impl AlgoContext {
         self.sink.is_some()
     }
 
-    /// Whether the attached sink is being live-streamed (a
-    /// [`crate::engine::JobHandle`] holds its event channel). Blocking
-    /// `run`/`run_batch` record traces through a subscriber-less sink;
-    /// algorithms gate work whose *only* value is an early streamed
-    /// incumbent (not a better result) on this instead of [`Self::has_sink`].
-    #[inline]
-    pub fn has_subscriber(&self) -> bool {
-        self.sink.as_ref().is_some_and(|s| s.has_subscriber())
-    }
-
     /// Attach the incumbent sink this run should publish to. Workers
     /// derived *afterwards* share it; the engine attaches one per request.
     pub fn attach_sink(&mut self, sink: Arc<IncumbentSink>) {

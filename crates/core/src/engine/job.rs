@@ -333,20 +333,6 @@ impl IncumbentSink {
             .clone()
     }
 
-    /// Whether anyone is live-streaming this sink's events (a listener is
-    /// attached: a [`JobHandle`]'s channel or a service's event log).
-    /// Blocking `run`/`run_batch` attach a *listenerless* sink — the trace
-    /// is still recorded, but algorithms use this to skip extra work whose
-    /// only value is an early streamed incumbent (e.g. the exact solver's
-    /// pre-decomposition heuristic, Ailon's best-input scan).
-    pub fn has_subscriber(&self) -> bool {
-        self.state
-            .lock()
-            .expect("incumbent sink poisoned")
-            .listener
-            .is_some()
-    }
-
     /// Publish a lifecycle event ([`Event::Started`] / [`Event::Finished`])
     /// to the listener, if any.
     pub(crate) fn emit(&self, event: &Event) {

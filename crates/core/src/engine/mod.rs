@@ -456,10 +456,12 @@ impl Engine {
     /// from `(request seed, spec paper name)`, so — without a budget — the
     /// report is a pure function of the request, bit-identical however
     /// many other requests run concurrently. Semantically identical to
-    /// [`Engine::submit`] + [`JobHandle::wait`] (property-tested), but
-    /// executes inline on the calling thread with a subscriber-less sink:
-    /// no per-request thread, no event channel — the report still carries
-    /// the full incumbent [`ConsensusReport::trace`].
+    /// [`Engine::submit`] + [`JobHandle::wait`] (property-tested), trace
+    /// included, but executes inline on the calling thread with a
+    /// listenerless sink: no per-request thread, no event channel. The
+    /// kernels publish the same incumbents either way, so `run` also pays
+    /// for the early ones a streaming caller would watch (Exact's
+    /// pre-decomposition BioConsert, Ailon's best-input scan).
     pub fn run(&self, request: &AggregationRequest) -> ConsensusReport {
         let sink = Arc::new(IncumbentSink::new());
         Engine::execute(

@@ -29,7 +29,7 @@
 
 use crate::http::{self, ClientResponse, HttpError, NdjsonLines};
 use crate::json::Json;
-use crate::proto::{BatchSubmission, JobSubmission};
+use crate::proto::{self, BatchSubmission, JobSubmission};
 use std::fmt;
 use std::io::BufReader;
 use std::net::TcpStream;
@@ -80,6 +80,9 @@ pub enum ClientError {
     },
     /// A 2xx response that did not parse as the expected JSON.
     Malformed(String),
+    /// A request refused before it was sent (a bad dataset id), with the
+    /// message the server would have answered.
+    Invalid(String),
 }
 
 impl fmt::Display for ClientError {
@@ -102,6 +105,7 @@ impl fmt::Display for ClientError {
                 Ok(())
             }
             ClientError::Malformed(m) => write!(f, "unexpected server response: {m}"),
+            ClientError::Invalid(m) => write!(f, "{m}"),
         }
     }
 }
@@ -220,6 +224,13 @@ fn retry_hint(error: &ClientError) -> Option<u64> {
     }
 }
 
+/// The path of dataset `id`; an id the server would refuse is refused
+/// here, unsent, so it can never split the request line.
+fn dataset_path(id: &str) -> Result<String, ClientError> {
+    proto::check_dataset_id(id).map_err(ClientError::Invalid)?;
+    Ok(format!("/v1/datasets/{id}"))
+}
+
 /// A submitted job's identity, as returned by `POST /v1/jobs`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Submitted {
@@ -335,11 +346,13 @@ impl Client {
         &self,
         method: &str,
         path: &str,
+        extra_headers: &[(&str, String)],
         body: Option<&[u8]>,
     ) -> Result<ClientResponse, ClientError> {
         let pooled = self.pool.checkout();
         let had_pooled = pooled.is_some();
-        let headers = self.auth_headers();
+        let mut headers = self.auth_headers();
+        headers.extend(extra_headers.iter().cloned());
         let attempt =
             |reader: Option<BufReader<TcpStream>>| -> Result<ClientResponse, ClientError> {
                 let mut reader = match reader {
@@ -364,16 +377,18 @@ impl Client {
         }
     }
 
-    /// One sized exchange, whatever its status: `(status, Retry-After,
-    /// body)`; only transport failures are errors. The router forwards
-    /// through this, passing non-2xx answers through verbatim.
+    /// One sized exchange with `extra_headers`, whatever its status:
+    /// `(status, Retry-After, body)`; only transport failures are errors.
+    /// The router forwards through this, passing non-2xx answers through
+    /// verbatim.
     pub(crate) fn raw_exchange(
         &self,
         method: &str,
         path: &str,
+        extra_headers: &[(&str, String)],
         body: Option<&[u8]>,
     ) -> Result<(u16, Option<String>, String), ClientError> {
-        let response = self.exchange_keep_alive(method, path, body)?;
+        let response = self.exchange_keep_alive(method, path, extra_headers, body)?;
         let status = response.status;
         let retry_after = response.header("retry-after").map(str::to_owned);
         let (text, reusable) = response.into_body_and_reader()?;
@@ -386,7 +401,7 @@ impl Client {
     /// Open an NDJSON stream on a pooled connection, which returns to the
     /// pool once the stream's terminator has been read.
     pub(crate) fn stream_lines(&self, path: &str) -> Result<NdjsonLines, ClientError> {
-        let response = self.exchange_keep_alive("GET", path, None)?;
+        let response = self.exchange_keep_alive("GET", path, &[], None)?;
         if response.status != 200 {
             let status = response.status;
             let body = response.body_string()?;
@@ -422,7 +437,7 @@ impl Client {
         body: Option<&str>,
     ) -> Result<String, ClientError> {
         let (status, retry_after, text) =
-            self.raw_exchange(method, path, body.map(str::as_bytes))?;
+            self.raw_exchange(method, path, &[], body.map(str::as_bytes))?;
         if !(200..300).contains(&status) {
             return Err(ClientError::Status {
                 status,
@@ -586,7 +601,7 @@ impl Client {
     /// `{"id", "version", "n", "m"}` document.
     pub fn create_dataset(&self, id: &str, dataset: &str) -> Result<Json, ClientError> {
         let body = format!("{{\"dataset\":\"{}\"}}", crate::json::escape(dataset));
-        self.json_exchange("PUT", &format!("/v1/datasets/{id}"), Some(&body))
+        self.json_exchange("PUT", &dataset_path(id)?, Some(&body))
     }
 
     /// `PATCH /v1/datasets/{id}` with a pre-serialized `{"ops":[…]}`
@@ -595,17 +610,17 @@ impl Client {
     /// "ranking":"…"}`; ops apply in order and each success bumps the
     /// dataset version.
     pub fn patch_dataset(&self, id: &str, ops_body: &str) -> Result<Json, ClientError> {
-        self.json_exchange("PATCH", &format!("/v1/datasets/{id}"), Some(ops_body))
+        self.json_exchange("PATCH", &dataset_path(id)?, Some(ops_body))
     }
 
     /// `GET /v1/datasets/{id}`: current version, shape, and text form.
     pub fn get_dataset(&self, id: &str) -> Result<Json, ClientError> {
-        self.json_exchange("GET", &format!("/v1/datasets/{id}"), None)
+        self.json_exchange("GET", &dataset_path(id)?, None)
     }
 
     /// `DELETE /v1/datasets/{id}`.
     pub fn delete_dataset(&self, id: &str) -> Result<Json, ClientError> {
-        self.json_exchange("DELETE", &format!("/v1/datasets/{id}"), None)
+        self.json_exchange("DELETE", &dataset_path(id)?, None)
     }
 
     /// `GET /v1/algorithms`.

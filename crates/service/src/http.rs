@@ -12,10 +12,13 @@
 //! [`HttpError`] the server turns into a 4xx, never a panic.
 
 use crate::proto::error_json;
+use rank_core::telemetry::Counter;
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Largest accepted request body (1 MiB — datasets at the service's
@@ -231,6 +234,45 @@ impl Conn<'_> {
     }
 }
 
+/// The accept loop of both tiers, until `draining(state)` is set: each
+/// accepted connection is counted in `connections` and served by
+/// [`serve_connection`] with `handle` on its own thread, named
+/// `thread_name`, under `catch_unwind`, so a handler panic kills only
+/// its connection, never the process. `drop_accept` is the server's
+/// fault hook: when it says so, the connection is closed unanswered.
+pub(crate) fn serve<S: Send + Sync + 'static>(
+    listener: TcpListener,
+    state: Arc<S>,
+    draining: fn(&S) -> &AtomicBool,
+    connections: &Counter,
+    thread_name: &str,
+    drop_accept: impl Fn() -> bool,
+    handle: fn(&mut Conn, &Request, &Arc<S>, bool) -> Served,
+) -> io::Result<()> {
+    for connection in listener.incoming() {
+        if draining(&state).load(Ordering::SeqCst) {
+            break;
+        }
+        let Ok(stream) = connection else { continue };
+        connections.inc();
+        if drop_accept() {
+            drop(stream);
+            continue;
+        }
+        let state = Arc::clone(&state);
+        let _ = std::thread::Builder::new()
+            .name(thread_name.to_owned())
+            .spawn(move || {
+                let _ = catch_unwind(AssertUnwindSafe(|| {
+                    serve_connection(stream, draining(&state), |conn, request, keep| {
+                        handle(conn, request, &state, keep)
+                    })
+                }));
+            });
+    }
+    Ok(())
+}
+
 /// The keep-alive request loop both tiers run on each accepted
 /// connection: read a request, hand it to `handle`, repeat while both
 /// sides keep the connection. Unreadable requests are answered 413/400
@@ -239,7 +281,7 @@ impl Conn<'_> {
 /// is closed unanswered at its next request, as a dead process would, so
 /// a pooled client redials and meets the closed listener; one busy when
 /// it began (a live event stream) may still ask for its work's outcome.
-pub(crate) fn serve_connection(
+fn serve_connection(
     stream: TcpStream,
     draining: &AtomicBool,
     mut handle: impl FnMut(&mut Conn, &Request, bool) -> Served,

@@ -289,16 +289,25 @@ pub fn error_json(message: &str, suggestion: Option<&str>) -> String {
     )
 }
 
-/// Whether `id` is a legal live-dataset name: 1–64 characters from
+/// Check that `id` is a legal live-dataset name: 1–64 characters from
 /// `[A-Za-z0-9_-]`. The alphabet is deliberately filename-safe — each
 /// dataset journals to `dataset-{id}.ndjson`, so the id must never be
-/// able to traverse paths or collide with the `job-…` family.
-pub fn valid_dataset_id(id: &str) -> bool {
-    !id.is_empty()
+/// able to traverse paths or collide with the `job-…` family. The error
+/// is the server's 400 message; the server, the router and the
+/// [`Client`](crate::client::Client) dataset methods all answer with it.
+pub fn check_dataset_id(id: &str) -> Result<(), String> {
+    let valid = !id.is_empty()
         && id.len() <= 64
         && id
             .bytes()
-            .all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'-')
+            .all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'-');
+    if valid {
+        Ok(())
+    } else {
+        Err(format!(
+            "bad dataset id {id:?} (1-64 characters from [A-Za-z0-9_-])"
+        ))
+    }
 }
 
 /// A validated `POST /v1/jobs` body.
@@ -503,7 +512,7 @@ impl JobSubmission {
                 let id = v
                     .as_str()
                     .ok_or_else(|| SubmissionError::new("\"dataset_id\" must be a string"))?;
-                if !valid_dataset_id(id) {
+                if check_dataset_id(id).is_err() {
                     return Err(SubmissionError::new(format!(
                         "\"dataset_id\" {id:?} is invalid (1-64 characters from [A-Za-z0-9_-])"
                     )));
@@ -587,6 +596,11 @@ impl JobSubmission {
         out
     }
 }
+
+/// Upper bound on the `N` of a `Rawt-Shard: k/N` submission header, and
+/// so on a router's worker count. Each id a worker mints then skips at
+/// most this many, so the id space cannot be run out by a header.
+pub const MAX_SHARDS: u64 = 4096;
 
 /// Upper bound on the specs a single `POST /v1/batches` may carry. A
 /// panel bigger than this should be split by the caller; the cap keeps
@@ -979,8 +993,8 @@ mod tests {
                 err.message
             );
         }
-        assert!(valid_dataset_id("ok_Name-42"));
-        assert!(!valid_dataset_id(&"x".repeat(65)));
+        assert!(check_dataset_id("ok_Name-42").is_ok());
+        assert!(check_dataset_id(&"x".repeat(65)).is_err());
     }
 
     #[test]

@@ -10,16 +10,15 @@
 //! `MatrixCache` holds its delta-patched cost matrix, and every spec of
 //! a batch rides one worker's single matrix build.
 //!
-//! The router stays transparent on the wire. Responses keep the worker's
-//! exact bytes except for job/batch ids, which carry their own route:
-//! the router id of worker `k`'s id `w` among `N` workers is `w × N + k`,
-//! so ids from different workers cannot collide and the router decodes
-//! every id it is handed (`id % N` is the worker, `id / N` its own id)
-//! without keeping any table — a restarted router resolves every id an
-//! earlier one handed out. The worker-side numbers, and the
-//! `/v1/jobs/{id}`-style URLs built from them, are rewritten in place;
-//! report payloads and labels pass through byte-identically. Event
-//! streams are re-chunked line by line, heartbeats included.
+//! The router keeps no state of its own and forwards worker bytes
+//! untouched, stream lines included, so a client cannot tell a router
+//! from a worker. Ids carry their own route: a submission forwarded to
+//! worker `k` of `N` carries `Rawt-Shard: k/N`, and the worker mints its
+//! job, batch and sub-job ids ≡ k (mod N), so `id % N` names the owner
+//! and a restarted router resolves every id an earlier one handed out.
+//! Dataset routes and `dataset_id` submissions walk the dataset's
+//! rendezvous order past unreachable workers and 404s, so a fresh router
+//! finds a session wherever an earlier one placed it.
 //!
 //! The router forwards every exchange, streams included, through one
 //! pooled keep-alive [`Client`] per worker, so steady traffic opens no
@@ -28,10 +27,11 @@
 //! Failure model: a worker that cannot be reached is skipped — new
 //! submissions fall through to the next worker in rendezvous order
 //! (idempotency keys make a retried submission safe wherever it lands),
-//! while requests about state the dead worker held (its in-flight jobs,
-//! its dataset sessions) answer **503 + `Retry-After`**, because that
-//! state is not portable. `GET /healthz` aggregates every worker's
-//! health and reports `ok` / `degraded` / `down`.
+//! while requests about state an unreachable worker may hold (its jobs,
+//! a dataset no reachable worker has, the `PUT` of a dataset whose first
+//! worker it is) answer **503 + `Retry-After`**, because that state is
+//! not portable. `GET /healthz` aggregates every
+//! worker's health and reports `ok` / `degraded` / `down`.
 
 use crate::client::{Client, ClientError};
 use crate::http::{self, ChunkedWriter, Conn, Request, Served};
@@ -40,11 +40,9 @@ use crate::proto;
 use rank_core::telemetry::{
     add_label, merge_families, parse_exposition, render_families, MetricsRegistry,
 };
-use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// How the router asks clients to wait when the worker holding their
@@ -57,9 +55,9 @@ const UNREACHABLE_RETRY_AFTER_SECS: u64 = 2;
 pub struct RouterConfig {
     /// Worker addresses (`host:port`, `http://` prefix tolerated).
     /// Placement is by rendezvous hash, but the order is part of the id
-    /// scheme: worker `k` of `N` answers for the router ids `≡ k (mod N)`,
-    /// so a router restarted over the same list in the same order
-    /// resolves every earlier id, and a reordered list re-points them.
+    /// scheme: worker `k` of `N` mints the ids `≡ k (mod N)`, so a router
+    /// restarted over the same list in the same order resolves every
+    /// earlier id, and a reordered list re-points them.
     pub workers: Vec<String>,
     /// Bearer token: required from clients (except `GET /healthz`) and
     /// forwarded to workers on every proxied request. Never journaled —
@@ -73,8 +71,6 @@ struct RouterState {
     clients: Vec<Client>,
     token: Option<String>,
     shutting_down: AtomicBool,
-    /// Dataset id → the worker index holding that live session.
-    datasets: Mutex<HashMap<String, usize>>,
     /// The router's own telemetry (the router owns no engine, so it owns
     /// its own registry): per-worker proxied-request latencies, failover
     /// fall-throughs, and unreachable-worker 503s.
@@ -82,19 +78,12 @@ struct RouterState {
 }
 
 impl RouterState {
-    /// The id encoder for answers from worker `worker` (see [`encode_id`]).
-    fn encoder(&self, worker: usize) -> impl Fn(u64) -> Option<u64> {
-        let workers = self.workers.len();
-        move |id| encode_id(id, worker, workers)
-    }
-
-    /// One submission fell through a dead worker to the next rendezvous
-    /// choice.
+    /// One request walked past a dead worker to the next in its order.
     fn count_failover(&self, worker: usize) {
         self.metrics
             .counter(
                 "rawt_router_failovers_total",
-                "Submissions that fell through an unreachable worker to the next.",
+                "Requests that walked past an unreachable worker to the next.",
                 &[("worker", &self.workers[worker])],
             )
             .inc();
@@ -138,12 +127,17 @@ impl RouterShutdown {
 impl Router {
     /// Bind the router to `addr`. Fails fast on an empty worker list —
     /// a router with nowhere to route is a misconfiguration, not a
-    /// degraded state.
+    /// degraded state — and on one longer than [`proto::MAX_SHARDS`],
+    /// which no worker would mint ids for.
     pub fn bind(addr: impl ToSocketAddrs, config: RouterConfig) -> std::io::Result<Router> {
-        if config.workers.is_empty() {
+        if config.workers.is_empty() || config.workers.len() as u64 > proto::MAX_SHARDS {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
-                "router needs at least one worker address",
+                format!(
+                    "router needs 1 to {} worker addresses, got {}",
+                    proto::MAX_SHARDS,
+                    config.workers.len()
+                ),
             ));
         }
         let listener = TcpListener::bind(addr)?;
@@ -162,7 +156,6 @@ impl Router {
                 clients,
                 token: config.token,
                 shutting_down: AtomicBool::new(false),
-                datasets: Mutex::new(HashMap::new()),
                 metrics: Arc::new(MetricsRegistry::new()),
             }),
         })
@@ -181,28 +174,23 @@ impl Router {
         })
     }
 
-    /// Accept loop: thread per connection, keep-alive inside, exactly
-    /// like the worker server's.
+    /// Accept loop: the worker server's own (`http::serve`), without
+    /// its fault hook.
     pub fn serve(self) -> std::io::Result<()> {
         let connections = self.state.metrics.counter(
             "rawt_http_connections_total",
             "TCP connections accepted.",
             &[],
         );
-        for connection in self.listener.incoming() {
-            if self.state.shutting_down.load(Ordering::SeqCst) {
-                break;
-            }
-            let Ok(stream) = connection else { continue };
-            connections.inc();
-            let state = Arc::clone(&self.state);
-            let _ = std::thread::Builder::new()
-                .name("rank-route".to_owned())
-                .spawn(move || {
-                    let _ = catch_unwind(AssertUnwindSafe(|| handle_connection(stream, &state)));
-                });
-        }
-        Ok(())
+        http::serve(
+            self.listener,
+            self.state,
+            |state| &state.shutting_down,
+            &connections,
+            "rank-route",
+            || false,
+            route,
+        )
     }
 }
 
@@ -260,17 +248,18 @@ fn routing_key(body: &[u8]) -> String {
 /// A worker's sized answer: `(status, retry_after, body)`.
 type Answer = (u16, Option<String>, String);
 
-/// One sized exchange with a worker over its pooled connection; only an
-/// unreachable worker is an error.
+/// One sized exchange with a worker over its pooled connection, with
+/// `headers` added; only an unreachable worker is an error.
 fn forward_sized(
     state: &RouterState,
     worker: usize,
     method: &str,
     path: &str,
+    headers: &[(&str, String)],
     body: Option<&[u8]>,
 ) -> Result<Answer, ClientError> {
     let proxy_start = Instant::now();
-    let answer = state.clients[worker].raw_exchange(method, path, body)?;
+    let answer = state.clients[worker].raw_exchange(method, path, headers, body)?;
     state
         .metrics
         .histogram(
@@ -280,71 +269,6 @@ fn forward_sized(
         )
         .record(proxy_start.elapsed());
     Ok(answer)
-}
-
-/// The router id of `worker_id` as minted by worker `worker` of
-/// `workers`: `worker_id × workers + worker`. Every router id therefore
-/// names its worker (`id % workers`) and that worker's own id
-/// (`id / workers`) — see [`decode_id`] — so the router keeps no id
-/// tables and a restarted router over the same worker list resolves every
-/// id an earlier one handed out. With one worker this is the identity.
-/// `None` when the product overflows a `u64`.
-fn encode_id(worker_id: u64, worker: usize, workers: usize) -> Option<u64> {
-    worker_id
-        .checked_mul(workers as u64)?
-        .checked_add(worker as u64)
-}
-
-/// `(worker, worker_id)` of a router id: the inverse of [`encode_id`].
-fn decode_id(router_id: u64, workers: usize) -> (usize, u64) {
-    let n = workers as u64;
-    ((router_id % n) as usize, router_id / n)
-}
-
-/// Rewrite the worker ids in a response body to router ids with
-/// `encode`, leaving every other byte untouched. Ids appear only as the
-/// digits after the keys `"id":` and `"job":` and inside the `"events"`
-/// and `"status"` URLs. Every token holds a quote that follows a letter
-/// and precedes `:`, i.e. an unescaped quote closing a key, which cannot
-/// occur inside a JSON string, where every quote is escaped. So report
-/// payloads and the user's labels pass through byte-identically, even
-/// labels spelled like ids or URLs. `None` when `encode` does (an id that
-/// does not fit).
-fn splice_ids(body: &str, encode: impl Fn(u64) -> Option<u64>) -> Option<String> {
-    const TOKENS: [&str; 6] = [
-        "\"id\":",
-        "\"job\":",
-        "\"events\":\"/v1/jobs/",
-        "\"status\":\"/v1/jobs/",
-        "\"events\":\"/v1/batches/",
-        "\"status\":\"/v1/batches/",
-    ];
-    let bytes = body.as_bytes();
-    let mut out = String::with_capacity(body.len());
-    let mut copied = 0;
-    let mut i = 0;
-    while let Some(offset) = bytes[i..].iter().position(|&b| b == b'"') {
-        i += offset;
-        let Some(token) = TOKENS.iter().find(|t| bytes[i..].starts_with(t.as_bytes())) else {
-            i += 1;
-            continue;
-        };
-        let start = i + token.len();
-        let end = start
-            + bytes[start..]
-                .iter()
-                .take_while(|b| b.is_ascii_digit())
-                .count();
-        if end > start {
-            let id = encode(body[start..end].parse().ok()?)?;
-            out.push_str(&body[copied..start]);
-            out.push_str(&id.to_string());
-            copied = end;
-        }
-        i = end;
-    }
-    out.push_str(&body[copied..]);
-    Some(out)
 }
 
 fn respond_error(
@@ -393,12 +317,6 @@ fn unreachable_worker(stream: &mut Conn, state: &RouterState, worker: usize, kee
     );
 }
 
-fn handle_connection(stream: TcpStream, state: &Arc<RouterState>) {
-    http::serve_connection(stream, &state.shutting_down, |stream, request, keep| {
-        route(stream, request, state, keep)
-    });
-}
-
 fn route(stream: &mut Conn, request: &Request, state: &Arc<RouterState>, keep: bool) -> Served {
     let path = request.path.trim_end_matches('/');
     if !http::authorized(request, state.token.as_deref(), path) {
@@ -411,29 +329,33 @@ fn route(stream: &mut Conn, request: &Request, state: &Arc<RouterState>, keep: b
         );
         return Served::KeepAlive;
     }
-    match (request.method.as_str(), path) {
-        ("GET", "/healthz") => healthz(stream, state, keep),
-        ("GET", "/metrics") => metrics_exposition(stream, state, keep),
-        ("GET", "/v1/algorithms") => forward_any(stream, state, "GET", "/v1/algorithms", keep),
-        ("POST", "/v1/jobs") => submit(stream, request, state, "/v1/jobs", keep),
-        ("POST", "/v1/batches") => submit(stream, request, state, "/v1/batches", keep),
-        (_, p) if p.starts_with("/v1/jobs/") => {
-            return id_route(stream, request, state, "job", &p["/v1/jobs/".len()..], keep);
+    let owned = path
+        .strip_prefix("/v1/jobs/")
+        .or_else(|| path.strip_prefix("/v1/batches/"));
+    match (request.method.as_str(), path, owned) {
+        ("GET", "/healthz", _) => healthz(stream, state, keep),
+        ("GET", "/metrics", _) => metrics_exposition(stream, state, keep),
+        ("POST", "/v1/jobs" | "/v1/batches", _) => {
+            let order = rendezvous_order(&state.workers, &routing_key(&request.body));
+            walk(stream, request, state, &order, Walk::Submit, keep);
         }
-        (_, p) if p.starts_with("/v1/batches/") => {
-            return id_route(
-                stream,
-                request,
-                state,
-                "batch",
-                &p["/v1/batches/".len()..],
-                keep,
-            );
+        (_, _, Some(rest)) => return owner(stream, request, state, rest, keep),
+        (_, p, _) if p.starts_with("/v1/datasets/") => {
+            let id = &p["/v1/datasets/".len()..];
+            match proto::check_dataset_id(id) {
+                Ok(()) => {
+                    let order = rendezvous_order(&state.workers, &format!("ds:{id}"));
+                    walk(stream, request, state, &order, Walk::Dataset, keep);
+                }
+                Err(message) => respond_error(stream, 400, &message, None, keep),
+            }
         }
-        (_, p) if p.starts_with("/v1/datasets/") => {
-            dataset_route(stream, request, state, &p["/v1/datasets/".len()..], keep)
+        // Everything else (`/v1/algorithms`, unknown paths and methods)
+        // is the same on every worker: the first reachable one answers.
+        _ => {
+            let order: Vec<usize> = (0..state.workers.len()).collect();
+            walk(stream, request, state, &order, Walk::Any, keep);
         }
-        _ => respond_error(stream, 404, &format!("no route for {path:?}"), None, keep),
     }
     Served::KeepAlive
 }
@@ -447,7 +369,7 @@ fn healthz(stream: &mut Conn, state: &Arc<RouterState>, keep: bool) {
         .iter()
         .enumerate()
         .map(
-            |(index, addr)| match forward_sized(state, index, "GET", "/healthz", None) {
+            |(index, addr)| match forward_sized(state, index, "GET", "/healthz", &[], None) {
                 Ok((200, _, body)) => {
                     alive += 1;
                     format!(
@@ -487,7 +409,7 @@ fn healthz(stream: &mut Conn, state: &Arc<RouterState>, keep: bool) {
 fn metrics_exposition(stream: &mut Conn, state: &Arc<RouterState>, keep: bool) {
     let mut parts = vec![parse_exposition(&state.metrics.render_prometheus())];
     for (index, addr) in state.workers.iter().enumerate() {
-        if let Ok((200, _, body)) = forward_sized(state, index, "GET", "/metrics", None) {
+        if let Ok((200, _, body)) = forward_sized(state, index, "GET", "/metrics", &[], None) {
             let mut families = parse_exposition(&body);
             add_label(&mut families, "worker", addr);
             parts.push(families);
@@ -497,185 +419,121 @@ fn metrics_exposition(stream: &mut Conn, state: &Arc<RouterState>, keep: bool) {
     let _ = stream.respond(200, "text/plain; version=0.0.4", &[], body.as_bytes(), keep);
 }
 
-/// Forward a read-only request to the first reachable worker (used for
-/// `/v1/algorithms`, which is identical on every worker).
-fn forward_any(stream: &mut Conn, state: &Arc<RouterState>, method: &str, path: &str, keep: bool) {
-    for index in 0..state.workers.len() {
-        if let Ok((status, retry_after, body)) = forward_sized(state, index, method, path, None) {
-            respond_passthrough(stream, status, retry_after, &body, keep);
-            return;
-        }
-        state.count_failover(index);
-    }
-    respond_error(
-        stream,
-        503,
-        "no reachable worker",
-        Some(UNREACHABLE_RETRY_AFTER_SECS),
-        keep,
-    );
+/// What a [`walk`] is for.
+#[derive(Clone, Copy, PartialEq)]
+enum Walk {
+    /// A job or batch submission: worker `k` of `N` gets it with
+    /// `Rawt-Shard: k/N`, so the ids it mints name it, and a 404 (a
+    /// `dataset_id` it does not hold) moves on.
+    Submit,
+    /// A dataset route: a 404 moves on, and a `PUT` stops at the first
+    /// unreachable worker, which may hold the dataset already.
+    Dataset,
+    /// A route every worker answers alike: the first reachable answer,
+    /// 404 included.
+    Any,
 }
 
-/// The worker order a submission should try: sticky to the session
-/// worker when the body names a live dataset the router has seen,
-/// rendezvous order with dead-worker fall-through otherwise.
-fn submission_targets(state: &RouterState, body: &[u8]) -> (Vec<usize>, bool) {
-    let key = routing_key(body);
-    if let Some(id) = key.strip_prefix("ds:") {
-        if let Some(&worker) = state
-            .datasets
-            .lock()
-            .expect("dataset routes poisoned")
-            .get(id)
-        {
-            // Session state lives on exactly one worker; no fallback.
-            return (vec![worker], true);
-        }
-    }
-    (rendezvous_order(&state.workers, &key), false)
-}
-
-/// Forward a submission down its target order, skipping dead workers
-/// unless it is sticky. Returns the first 2xx answer and its worker;
-/// anything else has already been answered.
-fn forward_submission(
+/// Forward `request` down `order`: skip unreachable workers and, unless
+/// `mode` is [`Walk::Any`], move on past a 404; the first other answer
+/// is the reply. A 404 is the reply only when every worker was
+/// reachable and said 404; when one was not, it may hold what was asked
+/// for, and the reply is 503 + `Retry-After`.
+///
+/// A dataset's order is its rendezvous order, so the walk finds a
+/// session wherever an earlier router placed it. A `PUT` creates on the
+/// first worker in that order, and answers 503 instead while that
+/// worker is down, so no second copy is made further down the order.
+fn walk(
     stream: &mut Conn,
     request: &Request,
     state: &RouterState,
-    path: &str,
-    keep: bool,
-) -> Option<(usize, Answer)> {
-    let (targets, sticky) = submission_targets(state, &request.body);
-    for &worker in &targets {
-        match forward_sized(state, worker, "POST", path, Some(&request.body)) {
-            Ok(answer) if (200..300).contains(&answer.0) => return Some((worker, answer)),
-            Ok((status, retry_after, body)) => {
-                respond_passthrough(stream, status, retry_after, &body, keep);
-                return None;
-            }
-            Err(_) if !sticky => state.count_failover(worker),
-            Err(_) => {
-                unreachable_worker(stream, state, worker, keep);
-                return None;
-            }
-        }
-    }
-    respond_error(
-        stream,
-        503,
-        "no reachable worker for this submission",
-        Some(UNREACHABLE_RETRY_AFTER_SECS),
-        keep,
-    );
-    None
-}
-
-/// Answer with a worker's sized response, its ids encoded as router ids
-/// (502 if one does not fit).
-fn respond_encoded(
-    stream: &mut Conn,
-    state: &RouterState,
-    worker: usize,
-    (status, retry_after, body): Answer,
+    order: &[usize],
+    mode: Walk,
     keep: bool,
 ) {
-    match splice_ids(&body, state.encoder(worker)) {
-        Some(body) => respond_passthrough(stream, status, retry_after, &body, keep),
-        None => respond_error(
-            stream,
-            502,
-            "worker id does not fit the router's id space",
-            None,
-            keep,
-        ),
+    let body = (!request.body.is_empty()).then_some(request.body.as_slice());
+    let mut not_found = None;
+    let mut unreachable = None;
+    for &worker in order {
+        let headers = if mode == Walk::Submit {
+            vec![("Rawt-Shard", format!("{worker}/{}", state.workers.len()))]
+        } else {
+            Vec::new()
+        };
+        match forward_sized(
+            state,
+            worker,
+            &request.method,
+            &request.path,
+            &headers,
+            body,
+        ) {
+            Ok((404, retry_after, text)) if mode != Walk::Any => {
+                not_found.get_or_insert((retry_after, text));
+            }
+            Ok((status, retry_after, text)) => {
+                return respond_passthrough(stream, status, retry_after, &text, keep);
+            }
+            Err(_) => {
+                unreachable.get_or_insert(worker);
+                if mode == Walk::Dataset && request.method == "PUT" {
+                    break;
+                }
+                state.count_failover(worker);
+            }
+        }
+    }
+    match (unreachable, not_found) {
+        (Some(worker), _) => unreachable_worker(stream, state, worker, keep),
+        (None, not_found) => {
+            let (retry_after, text) = not_found.expect("a walk visits at least one worker");
+            respond_passthrough(stream, 404, retry_after, &text, keep);
+        }
     }
 }
 
-/// `POST /v1/jobs` and `POST /v1/batches`: forward down the target order
-/// and encode the ids of the accepting worker. An idempotent retry that
-/// the same worker deduplicates gets the same router id by construction.
-fn submit(stream: &mut Conn, request: &Request, state: &RouterState, path: &str, keep: bool) {
-    if let Some((worker, answer)) = forward_submission(stream, request, state, path, keep) {
-        respond_encoded(stream, state, worker, answer, keep);
-    }
-}
-
-/// `/v1/jobs/{id}` and `/v1/batches/{id}`, each with its `/events`
-/// stream (`kind` is `job` or `batch`): the id names its worker, so the request goes straight there
-/// with the worker's own id, and a worker 404 answers with the router id.
-fn id_route(
+/// `/v1/jobs/{id}…` and `/v1/batches/{id}…` (`rest` is what follows the
+/// collection): the id names its worker, `id % N`, and the request goes
+/// there as it came; an id that is no number goes to worker 0, whose 400
+/// says so. A dead owner answers 503 + `Retry-After`.
+fn owner(
     stream: &mut Conn,
     request: &Request,
     state: &RouterState,
-    kind: &str,
     rest: &str,
     keep: bool,
 ) -> Served {
-    let (id_part, tail) = rest
-        .split_once('/')
-        .map_or((rest, None), |(id, t)| (id, Some(t)));
-    let Ok(router_id) = id_part.parse::<u64>() else {
-        respond_error(
-            stream,
-            400,
-            &format!("{kind} id must be an integer"),
-            None,
-            keep,
-        );
-        return Served::KeepAlive;
-    };
-    let (worker, worker_id) = decode_id(router_id, state.workers.len());
-    let collection = if kind == "job" { "jobs" } else { "batches" };
-    let path = format!("/v1/{collection}/{worker_id}");
-    let not_found = format!("no {kind} {router_id}");
-    match (request.method.as_str(), tail) {
-        ("GET", Some("events")) => {
-            return proxy_stream(
-                stream,
-                state,
-                worker,
-                &format!("{path}/events"),
-                &not_found,
-                keep,
-            );
+    let (id, tail) = rest.split_once('/').unwrap_or((rest, ""));
+    let n = state.workers.len() as u64;
+    let worker = id.parse::<u64>().map_or(0, |id| (id % n) as usize);
+    if request.method == "GET" && tail == "events" {
+        return proxy_stream(stream, state, worker, &request.path, keep);
+    }
+    let body = (!request.body.is_empty()).then_some(request.body.as_slice());
+    match forward_sized(state, worker, &request.method, &request.path, &[], body) {
+        Ok((status, retry_after, text)) => {
+            respond_passthrough(stream, status, retry_after, &text, keep);
         }
-        (method, None) if method == "GET" || (method == "DELETE" && kind == "job") => {
-            match forward_sized(state, worker, &request.method, &path, None) {
-                Ok((404, ..)) => respond_error(stream, 404, &not_found, None, keep),
-                Ok(answer) => respond_encoded(stream, state, worker, answer, keep),
-                Err(_) => unreachable_worker(stream, state, worker, keep),
-            }
-        }
-        _ => respond_error(
-            stream,
-            405,
-            &format!("method not allowed on this {kind} route"),
-            None,
-            keep,
-        ),
+        Err(_) => unreachable_worker(stream, state, worker, keep),
     }
     Served::KeepAlive
 }
 
 /// Proxy a worker's NDJSON stream line by line through a chunked
-/// response, encoding the ids in each line (heartbeats included — they
-/// pass through, keeping the client's liveness view honest). A worker
-/// stream cut short, or a line whose id does not fit, closes the client
-/// connection unterminated, so the client sees the truncation too.
+/// response, byte for byte (heartbeats included — they keep the
+/// client's liveness view honest). A worker stream cut short closes the
+/// client connection unterminated, so the client sees the truncation
+/// too.
 fn proxy_stream(
     stream: &mut Conn,
     state: &RouterState,
     worker: usize,
     path: &str,
-    not_found: &str,
     keep: bool,
 ) -> Served {
     let lines = match state.clients[worker].stream_lines(path) {
         Ok(lines) => lines,
-        Err(ClientError::Status { status: 404, .. }) => {
-            respond_error(stream, 404, not_found, None, keep);
-            return Served::KeepAlive;
-        }
         Err(ClientError::Status { status, body, .. }) => {
             respond_passthrough(stream, status, None, &body, keep);
             return Served::KeepAlive;
@@ -688,9 +546,8 @@ fn proxy_stream(
     let Ok(mut writer) = ChunkedWriter::begin(stream, "application/x-ndjson", keep) else {
         return Served::Close;
     };
-    let encode = state.encoder(worker);
     for line in lines {
-        let Some(line) = line.ok().and_then(|line| splice_ids(&line, &encode)) else {
+        let Ok(line) = line else {
             return Served::Close;
         };
         if writer.write_line(&line).is_err() {
@@ -700,191 +557,9 @@ fn proxy_stream(
     writer.finish()
 }
 
-/// `/v1/datasets/{id}`: transparent proxy with sticky placement. The
-/// first request that creates the session pins its worker; every later
-/// request follows the pin (the patched matrix is there and nowhere
-/// else). A dead pinned worker means 503 until it returns.
-fn dataset_route(
-    stream: &mut Conn,
-    request: &Request,
-    state: &Arc<RouterState>,
-    id: &str,
-    keep: bool,
-) {
-    if !proto::valid_dataset_id(id) {
-        respond_error(
-            stream,
-            400,
-            "dataset id must be 1-64 chars of [A-Za-z0-9_-]",
-            None,
-            keep,
-        );
-        return;
-    }
-    let pinned = state
-        .datasets
-        .lock()
-        .expect("dataset routes poisoned")
-        .get(id)
-        .copied();
-    let targets = match pinned {
-        Some(worker) => vec![worker],
-        None => rendezvous_order(&state.workers, &format!("ds:{id}")),
-    };
-    let path = format!("/v1/datasets/{id}");
-    let body = (!request.body.is_empty()).then_some(request.body.as_slice());
-    for &worker in &targets {
-        let (status, retry_after, text) =
-            match forward_sized(state, worker, &request.method, &path, body) {
-                Ok(answer) => answer,
-                Err(_) if pinned.is_none() => {
-                    state.count_failover(worker);
-                    continue;
-                }
-                Err(_) => {
-                    unreachable_worker(stream, state, worker, keep);
-                    return;
-                }
-            };
-        if (200..300).contains(&status) {
-            let mut datasets = state.datasets.lock().expect("dataset routes poisoned");
-            if request.method == "DELETE" {
-                datasets.remove(id);
-            } else {
-                datasets.insert(id.to_owned(), worker);
-            }
-        }
-        respond_passthrough(stream, status, retry_after, &text, keep);
-        return;
-    }
-    respond_error(
-        stream,
-        503,
-        "no reachable worker for this dataset",
-        Some(UNREACHABLE_RETRY_AFTER_SECS),
-        keep,
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn workers(n: usize) -> Vec<String> {
-        (0..n).map(|i| format!("10.0.0.{i}:8080")).collect()
-    }
-
-    #[test]
-    fn rendezvous_is_deterministic_and_covers_all_workers() {
-        let pool = workers(4);
-        for key in ["ds:alpha", "tx:0011223344556677", "ds:beta"] {
-            let a = rendezvous_order(&pool, key);
-            let b = rendezvous_order(&pool, key);
-            assert_eq!(a, b, "order must be deterministic for {key}");
-            let mut sorted = a.clone();
-            sorted.sort_unstable();
-            assert_eq!(sorted, vec![0, 1, 2, 3], "order must be a permutation");
-        }
-        // Different keys should not all pile onto one worker.
-        let firsts: std::collections::HashSet<usize> = (0..64)
-            .map(|i| rendezvous_order(&pool, &format!("ds:set-{i}"))[0])
-            .collect();
-        assert!(firsts.len() > 1, "64 keys routed to a single worker");
-    }
-
-    #[test]
-    fn rendezvous_is_stable_when_a_worker_leaves() {
-        // The HRW property the sticky router depends on: dropping one
-        // worker only moves the keys that mapped to it; every other
-        // key's first choice is unchanged.
-        let pool = workers(4);
-        for dropped in 0..pool.len() {
-            let remaining: Vec<String> = pool
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != dropped)
-                .map(|(_, w)| w.clone())
-                .collect();
-            for i in 0..128 {
-                let key = format!("ds:stability-{i}");
-                let full_first = rendezvous_order(&pool, &key)[0];
-                if full_first == dropped {
-                    continue;
-                }
-                let reduced_first = &remaining[rendezvous_order(&remaining, &key)[0]];
-                assert_eq!(
-                    reduced_first, &pool[full_first],
-                    "key {key} moved although its worker survived"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn ids_round_trip_through_every_worker() {
-        for workers in 1..=5 {
-            for worker in 0..workers {
-                for worker_id in [0, 1, 2, 7, 1 << 40] {
-                    let router_id = encode_id(worker_id, worker, workers).expect("fits");
-                    assert_eq!(decode_id(router_id, workers), (worker, worker_id));
-                }
-            }
-        }
-        // Distinct (worker, id) pairs never share a router id.
-        let ids: std::collections::HashSet<u64> = (0..3)
-            .flat_map(|worker| (0..50).map(move |id| encode_id(id, worker, 3).expect("fits")))
-            .collect();
-        assert_eq!(ids.len(), 150);
-    }
-
-    #[test]
-    fn one_worker_is_the_identity() {
-        for id in [0, 1, 41, u64::MAX] {
-            assert_eq!(encode_id(id, 0, 1), Some(id));
-            assert_eq!(decode_id(id, 1), (0, id));
-        }
-    }
-
-    #[test]
-    fn encoding_refuses_ids_that_overflow() {
-        let top = u64::MAX / 3; // 3·top = u64::MAX, so only worker 0 fits
-        assert_eq!(encode_id(top, 0, 3), Some(top * 3));
-        assert_eq!(encode_id(top, 1, 3), None);
-        assert_eq!(encode_id(top + 1, 0, 3), None);
-        assert_eq!(decode_id(u64::MAX, 3), (0, top));
-        assert_eq!(
-            splice_ids("{\"id\":6148914691236517206}", |id| encode_id(id, 0, 3)),
-            None,
-            "an id past the encodable range must not be truncated or wrapped"
-        );
-    }
-
-    #[test]
-    fn splice_encodes_protocol_ids_and_leaves_strings_alone() {
-        let encode = |id: u64| encode_id(id, 1, 2);
-        let submit = concat!(
-            "{\"id\":3,\"seed\":7,\"jobs\":[{\"spec\":\"Borda\",\"id\":4,",
-            "\"events\":\"/v1/jobs/4/events\",\"status\":\"/v1/jobs/4\"}],",
-            "\"events\":\"/v1/batches/3/events\",\"status\":\"/v1/batches/3\"}"
-        );
-        assert_eq!(
-            splice_ids(submit, encode).expect("fits"),
-            concat!(
-                "{\"id\":7,\"seed\":7,\"jobs\":[{\"spec\":\"Borda\",\"id\":9,",
-                "\"events\":\"/v1/jobs/9/events\",\"status\":\"/v1/jobs/9\"}],",
-                "\"events\":\"/v1/batches/7/events\",\"status\":\"/v1/batches/7\"}"
-            )
-        );
-        // Labels spelled like ids or URLs, escaped quotes included, are
-        // report bytes and must not move.
-        let labels = concat!(
-            "{\"event\":\"finished\",\"ranking\":[[\"/v1/jobs/0\",\"/v1/batches/0\"],",
-            "[\"\\\"id\\\":5\",\"\\\"job\\\":5\",\"\\\"status\\\":\\\"/v1/jobs/5\"]],",
-            "\"spec\":\"Exact\",\"job\":2}"
-        );
-        let out = splice_ids(labels, encode).expect("fits");
-        assert_eq!(out, labels.replace("\"job\":2}", "\"job\":5}"));
-    }
 
     #[test]
     fn routing_key_prefers_session_id_over_text() {

@@ -37,11 +37,18 @@
 //! (outcome `cancelled`). Every such change happens under the dataset's
 //! lock, so no edit is missed and no round runs twice (DESIGN.md §13.4).
 //!
+//! Job and batch ids are minted in the residue class a router names in
+//! the `Rawt-Shard: k/N` header of a submission: every id it mints is
+//! ≡ k (mod N), so the router finds the owner of an id by `id % N` and
+//! forwards this server's bytes untouched (DESIGN.md §14.2). A
+//! submission without the header mints sequentially.
+//!
 //! Connection handling is thread-per-connection with HTTP/1.1
-//! keep-alive: every exchange, event streams included, loops on one
-//! connection (`http::serve_connection`, shared with the router, also
-//! holds the 30 s idle timeout and the rule for draining). The
-//! per-connection thread is the only one this module spawns.
+//! keep-alive: the accept loop (`http::serve`, shared with the router)
+//! spawns one thread per connection, and every exchange on it, event
+//! streams included, loops there under the 30 s idle timeout and the
+//! rule for draining. The per-connection thread is the only one this
+//! module spawns.
 
 use crate::fault::FaultPlan;
 use crate::http::{self, ChunkedWriter, Conn, Request, Served};
@@ -56,8 +63,9 @@ use rank_core::session::{DatasetSession, Snapshot};
 use rank_core::telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
 use rank_core::{Element, Universe};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::iter::StepBy;
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -635,13 +643,61 @@ type DoneIds = Mutex<BTreeSet<u64>>;
 
 /// A batch sub-job's tie to its batch: the spec its merged-stream lines
 /// are tagged with, the signal that wakes that stream, and the batch's id
-/// and sub-job id range, so eviction can drop the batch with its last
-/// sub-job.
+/// and sub-job ids, so eviction can drop the batch with its last sub-job.
 struct BatchLink {
     spec: String,
     signal: Arc<Signal>,
     batch: u64,
-    jobs: std::ops::Range<u64>,
+    jobs: StepBy<Range<u64>>,
+}
+
+/// The residue class a submission's ids are minted in: ids ≡ `index`
+/// (mod `count`). A router sends `Rawt-Shard: k/N` to its worker `k` of
+/// `N`, so every id the worker hands it names the worker by `id % N`; a
+/// submission without the header mints sequentially (`0/1`). `N` is at
+/// most [`proto::MAX_SHARDS`], so no header can leap the table's next id
+/// to the end of the id space.
+#[derive(Clone, Copy)]
+struct Shard {
+    index: u64,
+    count: u64,
+}
+
+impl Shard {
+    /// The class `request` asks for; `Err` is the 400 message.
+    fn of(request: &Request) -> Result<Shard, String> {
+        let Some(value) = request.header("rawt-shard") else {
+            return Ok(Shard { index: 0, count: 1 });
+        };
+        value
+            .split_once('/')
+            .and_then(|(k, n)| Some((k.parse().ok()?, n.parse().ok()?)))
+            .filter(|&(index, count)| index < count && count <= proto::MAX_SHARDS)
+            .map(|(index, count)| Shard { index, count })
+            .ok_or_else(|| {
+                format!(
+                    "bad Rawt-Shard header {value:?} (want k/N with k < N <= {})",
+                    proto::MAX_SHARDS
+                )
+            })
+    }
+
+    /// `len` ascending ids of this class, the first at or past `next`:
+    /// the range `first..after` stepped by `count`, where `after` is the
+    /// table's next `next`. `None` when they do not fit a `u64`. Shared
+    /// by the job and the batch table.
+    fn mint(self, next: u64, len: usize) -> Option<Range<u64>> {
+        let residue = next % self.count;
+        let offset = if self.index >= residue {
+            self.index - residue
+        } else {
+            self.count - residue + self.index
+        };
+        let first = next.checked_add(offset)?;
+        let span = self.count.checked_mul(len.checked_sub(1)? as u64)?;
+        let after = first.checked_add(span)?.checked_add(1)?;
+        Some(first..after)
+    }
 }
 
 /// A wake-up for a batch's merged stream: every sub-job publication moves
@@ -856,44 +912,35 @@ impl Server {
     /// Each connection is served on its own thread; a handler panic kills
     /// only that connection (and is answered with a 500 when possible).
     pub fn serve(self) -> std::io::Result<()> {
-        for connection in self.listener.incoming() {
-            if self.state.shutting_down.load(Ordering::SeqCst) {
-                break;
-            }
-            let stream = match connection {
-                Ok(stream) => stream,
-                Err(_) => continue,
-            };
-            self.state.metrics.connections.inc();
-            if self.state.config.faults.should_drop_accept() {
-                // Fault hook: simulate flaky networking by closing the
-                // connection unanswered (drives the client's retry and
-                // reconnect paths in the recovery tests).
-                drop(stream);
-                continue;
-            }
-            let state = Arc::clone(&self.state);
-            let _ = std::thread::Builder::new()
-                .name("rank-conn".to_owned())
-                .spawn(move || {
-                    // Belt and braces: handlers map bad input to 4xx
-                    // themselves; catch_unwind turns an unexpected panic
-                    // into a dropped connection instead of a dead server.
-                    let _ = catch_unwind(AssertUnwindSafe(|| handle_connection(stream, &state)));
-                });
-        }
-        Ok(())
+        let faults = Arc::clone(&self.state.config.faults);
+        let connections = Arc::clone(&self.state.metrics.connections);
+        http::serve(
+            self.listener,
+            self.state,
+            |state| &state.shutting_down,
+            &connections,
+            "rank-conn",
+            // Fault hook: simulate flaky networking by closing the
+            // connection unanswered (drives the client's retry and
+            // reconnect paths in the recovery tests).
+            || faults.should_drop_accept(),
+            handle_request,
+        )
     }
 }
 
-fn handle_connection(stream: TcpStream, state: &Arc<ServerState>) {
-    http::serve_connection(stream, &state.shutting_down, |stream, request, keep| {
-        let endpoint = endpoint_label(&request.method, request.path.trim_end_matches('/'));
-        let handle_start = Instant::now();
-        let served = route(stream, request, state, keep);
-        observe_request(state, endpoint, handle_start.elapsed());
-        served
-    });
+/// Route one request, timed and counted under its endpoint label.
+fn handle_request(
+    stream: &mut Conn,
+    request: &Request,
+    state: &Arc<ServerState>,
+    keep: bool,
+) -> Served {
+    let endpoint = endpoint_label(&request.method, request.path.trim_end_matches('/'));
+    let handle_start = Instant::now();
+    let served = route(stream, request, state, keep);
+    observe_request(state, endpoint, handle_start.elapsed());
+    served
 }
 
 /// The stable per-endpoint label for the HTTP request metrics — path
@@ -1019,14 +1066,8 @@ fn route(stream: &mut Conn, request: &Request, state: &Arc<ServerState>, keep: b
         }
         (method, path) if path.starts_with("/v1/datasets/") => {
             let id = &path["/v1/datasets/".len()..];
-            if !proto::valid_dataset_id(id) {
-                return respond_error(
-                    stream,
-                    400,
-                    &format!("bad dataset id {id:?} (1-64 characters from [A-Za-z0-9_-])"),
-                    None,
-                    keep,
-                );
+            if let Err(message) = proto::check_dataset_id(id) {
+                return respond_error(stream, 400, &message, None, keep);
             }
             match method {
                 "PUT" => create_dataset(stream, request, state, id, keep),
@@ -1627,6 +1668,12 @@ fn respond_refused(stream: &mut Conn, err: AdmissionError, what: &str, keep: boo
     }
 }
 
+/// Answer a submission whose ids no longer fit the shard's id space.
+fn ids_exhausted(stream: &mut Conn, shard: Shard, keep: bool) -> Served {
+    let message = format!("ids exhausted in shard {}/{}", shard.index, shard.count);
+    respond_error(stream, 500, &message, None, keep)
+}
+
 /// `POST /v1/jobs`: parse, validate, dedupe, admit, journal, record.
 fn submit_job(
     stream: &mut Conn,
@@ -1645,6 +1692,10 @@ fn submit_job(
         Err(e) => {
             return respond_error(stream, 400, &e.message, e.suggestion.as_deref(), keep);
         }
+    };
+    let shard = match Shard::of(request) {
+        Ok(shard) => shard,
+        Err(message) => return respond_error(stream, 400, &message, None, keep),
     };
     // Idempotent retry? Answer with the existing job (recovered ones
     // included — the key map is rebuilt from the journal on restart)
@@ -1676,15 +1727,17 @@ fn submit_job(
         match existing {
             Some(existing) => Ok((Arc::clone(existing), true)),
             None => {
+                let Some(ids) = shard.mint(table.next_id, 1) else {
+                    return ids_exhausted(stream, shard, keep);
+                };
                 // Evict before admitting: the new job may finish at once,
                 // and must not count among the done it was submitted past.
                 evicted_batches = evict_done(&mut table, state);
-                let id = table.next_id;
-                admit_job(state, id, &submission, pj, Admission::Fresh).map(|record| {
-                    table.next_id += 1;
-                    table.records.insert(id, Arc::clone(&record));
+                admit_job(state, ids.start, &submission, pj, Admission::Fresh).map(|record| {
+                    table.next_id = ids.end;
+                    table.records.insert(record.id, Arc::clone(&record));
                     if let Some(key) = &submission.idempotency_key {
-                        table.keys.insert(key.clone(), id);
+                        table.keys.insert(key.clone(), record.id);
                     }
                     state.metrics.jobs_accepted.inc();
                     (record, false)
@@ -1772,6 +1825,10 @@ fn submit_batch(
             return respond_error(stream, 400, &e.message, e.suggestion.as_deref(), keep);
         }
     };
+    let shard = match Shard::of(request) {
+        Ok(shard) => shard,
+        Err(message) => return respond_error(stream, 400, &message, None, keep),
+    };
     if let Some(key) = &submission.idempotency_key {
         let table = state.batches.lock().expect("batch table poisoned");
         if let Some(batch) = table.keys.get(key).and_then(|id| table.records.get(id)) {
@@ -1816,13 +1873,19 @@ fn submit_batch(
             Some(existing) => Ok((Arc::clone(existing), true)),
             None => {
                 let mut table = state.jobs.lock().expect("job table poisoned");
+                let minted = shard
+                    .mint(table.next_id, prepared.len())
+                    .zip(shard.mint(batches.next_id, 1));
+                let Some((job_ids, batch_ids)) = minted else {
+                    return ids_exhausted(stream, shard, keep);
+                };
+                let (next_job, batch_id, next_batch) =
+                    (job_ids.end, batch_ids.start, batch_ids.end);
+                let job_ids = job_ids.step_by(shard.count as usize);
                 let signal = Arc::new(Signal::default());
-                let first_id = table.next_id;
-                let batch_id = batches.next_id;
-                let job_ids = first_id..first_id + prepared.len() as u64;
                 let (records, jobs): (Vec<_>, Vec<_>) = prepared
                     .into_iter()
-                    .zip(first_id..)
+                    .zip(job_ids.clone())
                     .map(|(prep, id)| {
                         let request = seeded(
                             AggregationRequest::new(Arc::clone(&data), prep.spec.clone()),
@@ -1849,12 +1912,12 @@ fn submit_batch(
                     })
                     .unzip();
                 state.engine.try_submit_batch_with(jobs).map(|()| {
-                    table.next_id += records.len() as u64;
+                    table.next_id = next_job;
                     for record in &records {
                         table.records.insert(record.id, Arc::clone(record));
                         state.metrics.jobs_accepted.inc();
                     }
-                    batches.next_id += 1;
+                    batches.next_id = next_batch;
                     let batch = Arc::new(BatchRecord {
                         id: batch_id,
                         idempotency: submission.idempotency_key.clone(),

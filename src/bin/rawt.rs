@@ -1071,6 +1071,7 @@ impl Backend {
                     .unwrap_or_else(|e| die(&format!("GET dataset {id:?} on {addr}: {e}"))),
                 format!(" (exists; {path} not loaded)"),
             ),
+            Err(ClientError::Invalid(message)) => die(&message),
             Err(e) => die(&format!("PUT dataset {id:?} on {addr}: {e}")),
         };
         let (version, n, m) = reply_shape(&doc);

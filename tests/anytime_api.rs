@@ -239,7 +239,7 @@ fn report_traces_carry_monotone_lower_bounds_below_their_scores() {
 
 #[test]
 fn blocking_run_records_bounds_without_a_subscriber() {
-    // `Engine::run` attaches a subscriber-less sink: the lower bound must
+    // `Engine::run` attaches a listenerless sink: the lower bound must
     // still land in the report (the satellite audit: nothing about the
     // channel may depend on someone streaming).
     let data = big_uniform(12, 5, 7);
@@ -383,6 +383,44 @@ proptest! {
             prop_assert_eq!(submitted.outcome, ran.outcome);
             prop_assert_eq!(submitted.seed, ran.seed);
         }
+    }
+}
+
+/// The paper's §2.2 example (A..D as 0..3); Exact decomposes it.
+fn paper_example() -> Dataset {
+    Dataset::new(vec![
+        parse_ranking("[{0},{3},{1,2}]").unwrap(),
+        parse_ranking("[{0},{1,2},{3}]").unwrap(),
+        parse_ranking("[{3},{0,2},{1}]").unwrap(),
+    ])
+    .unwrap()
+}
+
+/// The kernels publish the same incumbents whoever listens, so `run`
+/// and `submit` + `wait` record equal traces, not just equal endpoints:
+/// Exact's pre-decomposition heuristic and Ailon's best-input scan land
+/// in both.
+#[test]
+fn run_and_submit_record_equal_traces() {
+    let engine = Engine::new();
+    for (data, spec) in [
+        (paper_example(), AlgoSpec::Exact),
+        (wider_dataset(), AlgoSpec::Ailon),
+    ] {
+        let request = AggregationRequest::new(data, spec.clone())
+            .with_seed(4)
+            .with_policy(ExecPolicy::sequential());
+        let points = |report: &ConsensusReport| -> Vec<(u64, Option<u64>)> {
+            report
+                .trace
+                .iter()
+                .map(|p| (p.score, p.lower_bound))
+                .collect()
+        };
+        let ran = engine.run(&request);
+        let submitted = engine.submit(request).wait();
+        assert!(!ran.trace.is_empty(), "{spec}: empty trace");
+        assert_eq!(points(&ran), points(&submitted), "{spec}");
     }
 }
 

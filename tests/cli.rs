@@ -598,3 +598,39 @@ fn aggregate_json_envelopes_are_byte_identical_local_and_remote() {
     assert!(local.contains("\"elapsed_secs\":"), "{local}");
     assert_eq!(mask_secs(&remote), mask_secs(&local));
 }
+
+/// A dataset id the server would refuse is refused by the client, with
+/// the server's message, before anything is sent: the id can never
+/// split the request line and come back as some other error.
+#[test]
+fn a_bad_session_id_is_refused_before_anything_is_sent() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    // Whatever dials in is noted and hung up on.
+    let dialled = std::sync::Arc::new(AtomicBool::new(false));
+    let noted = std::sync::Arc::clone(&dialled);
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            noted.store(true, Ordering::SeqCst);
+            drop(stream);
+        }
+    });
+    let path = write_paper_example();
+    let out = Command::new(env!("CARGO_BIN_EXE_rawt"))
+        .args(["session", path.to_str().unwrap(), "--remote", &addr])
+        .args(["--id", "bad id"])
+        .stdin(std::process::Stdio::null())
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert_eq!(
+        stderr,
+        "rawt: bad dataset id \"bad id\" (1-64 characters from [A-Za-z0-9_-])\n"
+    );
+    assert!(
+        !dialled.load(Ordering::SeqCst),
+        "the client dialled the server"
+    );
+}

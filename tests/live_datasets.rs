@@ -137,10 +137,27 @@ fn dataset_crud_versions_and_errors() {
         Err(ClientError::Status { status, .. }) => assert_eq!(status, 404),
         other => panic!("expected 404, got {other:?}"),
     }
-    // Bad ids are rejected before touching the table.
+    // Bad ids are rejected before touching the table: by the server with
+    // a 400, and by the client, unsent, with the server's message.
+    let message = "bad dataset id \"no%20good\" (1-64 characters from [A-Za-z0-9_-])";
+    let mut stream = std::net::TcpStream::connect(client.addr()).expect("connect");
+    let body = b"{\"dataset\":\"[{A}]\"}";
+    service::http::write_request(
+        &mut stream,
+        "PUT",
+        "/v1/datasets/no%20good",
+        client.addr(),
+        Some(("application/json", body)),
+        false,
+    )
+    .expect("send");
+    let response = service::http::ClientResponse::read(stream).expect("response head");
+    assert_eq!(response.status, 400);
+    let reply = Json::parse(&response.body_string().expect("body")).expect("JSON");
+    assert_eq!(reply.get("error").and_then(Json::as_str), Some(message));
     match client.create_dataset("no%20good", PAPER_EXAMPLE) {
-        Err(ClientError::Status { status, .. }) => assert_eq!(status, 400),
-        other => panic!("expected 400, got {other:?}"),
+        Err(ClientError::Invalid(refused)) => assert_eq!(refused, message),
+        other => panic!("expected a refusal, got {other:?}"),
     }
     shutdown.shutdown();
 }

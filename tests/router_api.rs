@@ -6,17 +6,20 @@
 //! with no reachable worker answers 503, idempotent resubmission through
 //! the router reuses router-side ids, the bearer token guards the
 //! router exactly as it guards a worker, and steady routed traffic opens
-//! no TCP connections on either hop.
+//! no TCP connections on either hop. Routed answers are the owning
+//! worker's bytes: workers mint ids in the residue class the router's
+//! `Rawt-Shard` header names, and a fresh router finds a session by
+//! walking its rendezvous order.
 
 use rank_aggregation_with_ties::prelude::*;
 use rank_aggregation_with_ties::rank_core::parse::parse_dataset_lines;
 use rank_aggregation_with_ties::rank_core::telemetry::parse_exposition;
 use rank_aggregation_with_ties::rank_core::Universe;
 use service::client::{Client, ClientError};
-use service::http::{write_request, ClientResponse};
+use service::http::{write_request, write_request_with_headers, ClientResponse};
 use service::json::Json;
-use service::proto::{BatchSubmission, JobSubmission};
-use service::router::{Router, RouterConfig, RouterShutdown};
+use service::proto::{BatchSubmission, JobSubmission, MAX_SHARDS};
+use service::router::{rendezvous_order, Router, RouterConfig, RouterShutdown};
 use service::server::{Server, ServerConfig, ShutdownHandle};
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
@@ -511,29 +514,11 @@ fn raw_get(addr: &str, path: &str) -> (u16, String) {
     (status, response.body_string().expect("response body"))
 }
 
-/// `doc` with the digits after every `"id":` and `"job":` key replaced by
-/// `#`: what must stay byte-identical when only ids are re-encoded.
-fn mask_ids(doc: &str) -> String {
-    let mut out = String::with_capacity(doc.len());
-    let mut rest = doc;
-    while let Some((at, len)) = ["\"id\":", "\"job\":"]
-        .iter()
-        .filter_map(|token| rest.find(token).map(|at| (at, token.len())))
-        .min()
-    {
-        out.push_str(&rest[..at + len]);
-        out.push('#');
-        rest = rest[at + len..].trim_start_matches(|c: char| c.is_ascii_digit());
-    }
-    out.push_str(rest);
-    out
-}
-
 /// Labels are the user's bytes, even when they are spelled like the
 /// protocol's URLs: through the router, a job's status, its batch's
 /// status and the merged batch stream are byte-identical to the owning
-/// worker's own documents except for the id fields, which carry router
-/// ids. (A router that spliced ids by pattern rewrote these labels.)
+/// worker's own documents, ids included. (A router that spliced ids by
+/// pattern rewrote these labels.)
 #[test]
 fn labels_spelled_like_urls_pass_through_the_router_untouched() {
     let (worker_a, down_a) = start_worker(ServerConfig::default());
@@ -553,8 +538,8 @@ fn labels_spelled_like_urls_pass_through_the_router_untouched() {
         .expect("submit via router");
     client.wait_batch(batch.id).expect("batch finishes");
 
-    // Worker k of N answers for the router ids ≡ k (mod N), under its
-    // own id id / N.
+    // Worker k of N mints the ids ≡ k (mod N): a routed id is the
+    // owner's own id.
     let n = workers.len() as u64;
     let owner = &workers[(batch.id % n) as usize];
     let through = |path: &str| raw_get(&router_addr, path);
@@ -562,9 +547,9 @@ fn labels_spelled_like_urls_pass_through_the_router_untouched() {
 
     let (status, routed) = through(&format!("/v1/batches/{}", batch.id));
     assert_eq!(status, 200, "{routed}");
-    let (_, own) = direct(&format!("/v1/batches/{}", batch.id / n));
+    let (_, own) = direct(&format!("/v1/batches/{}", batch.id));
     assert!(routed.contains("/v1/batches/0") && routed.contains("/v1/jobs/0"));
-    assert_eq!(mask_ids(&routed), mask_ids(&own), "batch status");
+    assert_eq!(routed, own, "batch status");
     let doc = Json::parse(&routed).expect("batch status JSON");
     assert_eq!(doc.get("id").and_then(Json::as_u64), Some(batch.id));
     let routed_ids: Vec<u64> = doc
@@ -586,17 +571,17 @@ fn labels_spelled_like_urls_pass_through_the_router_untouched() {
             routed,
             "the client's raw status is the routed document"
         );
-        let (_, own) = direct(&format!("/v1/jobs/{}", id / n));
+        let (_, own) = direct(&format!("/v1/jobs/{id}"));
         assert!(routed.contains("/v1/jobs/0"), "{routed}");
-        assert_eq!(mask_ids(&routed), mask_ids(&own), "job {id} status");
+        assert_eq!(routed, own, "job {id} status");
         let doc = Json::parse(&routed).expect("job status JSON");
         assert_eq!(doc.get("id").and_then(Json::as_u64), Some(*id));
     }
 
     let (status, routed) = through(&format!("/v1/batches/{}/events", batch.id));
     assert_eq!(status, 200, "{routed}");
-    let (_, own) = direct(&format!("/v1/batches/{}/events", batch.id / n));
-    assert_eq!(mask_ids(&routed), mask_ids(&own), "merged batch events");
+    let (_, own) = direct(&format!("/v1/batches/{}/events", batch.id));
+    assert_eq!(routed, own, "merged batch events");
     for line in routed.lines() {
         let event = Json::parse(line).expect("event line");
         let job = event.get("job").and_then(Json::as_u64).expect("tagged");
@@ -654,4 +639,319 @@ fn ids_survive_a_router_restart() {
     down_second.shutdown();
     down_a.shutdown();
     down_b.shutdown();
+}
+
+/// A client cannot tell a router from a worker: a submit reply, a job's
+/// status and its event stream through the router are the owning
+/// worker's own bytes. (The submit reply is compared on an idempotent
+/// resubmit, which both tiers answer with the same job.)
+#[test]
+fn routed_replies_are_the_owners_bytes() {
+    let (worker_a, down_a) = start_worker(ServerConfig::default());
+    let (worker_b, down_b) = start_worker(ServerConfig::default());
+    let workers = vec![worker_a, worker_b];
+    let (client, down_router, router_addr) = start_router(workers.clone(), None);
+    for i in 0..4 {
+        let body = JobSubmission {
+            algo: Some("Exact".into()),
+            idempotency_key: Some(format!("owner-bytes-{i}")),
+            ..JobSubmission::new(format!("# variant {i}\n{PAPER_EXAMPLE}"))
+        }
+        .to_json();
+        let (status, first) = post_shard(&router_addr, "/v1/jobs", None, &body);
+        assert_eq!(status, 202, "{first}");
+        let id = id_of(&first);
+        client.wait(id).expect("job finishes");
+        let owner = &workers[(id % 2) as usize];
+        let raw_post = |addr: &str| {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            write_request(
+                &mut stream,
+                "POST",
+                "/v1/jobs",
+                addr,
+                Some(("application/json", body.as_bytes())),
+                false,
+            )
+            .expect("send");
+            let response = ClientResponse::read(stream).expect("response head");
+            (response.status, response.body_string().expect("body"))
+        };
+        let routed = raw_post(&router_addr);
+        assert_eq!(routed.0, 200, "{}", routed.1);
+        assert_eq!(routed, raw_post(owner), "submit reply of job {id}");
+        for path in [format!("/v1/jobs/{id}"), format!("/v1/jobs/{id}/events")] {
+            let routed = raw_get(&router_addr, &path);
+            assert_eq!(routed.0, 200, "{path}: {}", routed.1);
+            assert_eq!(routed, raw_get(owner, &path), "{path}");
+        }
+    }
+    // A job no worker has is the owner's own 404.
+    let missing = raw_get(&router_addr, "/v1/jobs/1000001");
+    assert_eq!(missing.0, 404);
+    assert_eq!(missing, raw_get(&workers[1], "/v1/jobs/1000001"));
+    down_router.shutdown();
+    down_a.shutdown();
+    down_b.shutdown();
+}
+
+/// A session the walk must find off its rendezvous-first worker: PUT
+/// directly on the worker second in its rendezvous order (a failover
+/// placed it there, or a router since replaced did), it is read,
+/// PATCHed and solved by `dataset_id` through a fresh router, which
+/// walks past the first worker's 404.
+#[test]
+fn a_fresh_router_finds_a_session_off_its_first_choice() {
+    let (worker_a, down_a) = start_worker(ServerConfig::default());
+    let (worker_b, down_b) = start_worker(ServerConfig::default());
+    let workers = vec![worker_a, worker_b];
+    let second = &workers[rendezvous_order(&workers, "ds:elsewhere")[1]];
+    Client::new(second)
+        .create_dataset("elsewhere", PAPER_EXAMPLE)
+        .expect("PUT directly on the second choice");
+
+    let (client, down_router, _) = start_router(workers.clone(), None);
+    let doc = client.get_dataset("elsewhere").expect("GET via router");
+    assert_eq!(doc.get("version").and_then(Json::as_u64), Some(1));
+    let patched = client
+        .patch_dataset(
+            "elsewhere",
+            "{\"ops\":[{\"op\":\"add\",\"ranking\":\"[{A},{B},{C},{D}]\"}]}",
+        )
+        .expect("PATCH via router");
+    assert_eq!(patched.get("version").and_then(Json::as_u64), Some(2));
+    let job = client
+        .submit(&JobSubmission {
+            algo: Some("Exact".into()),
+            ..JobSubmission::for_dataset("elsewhere")
+        })
+        .expect("job by dataset_id via router");
+    let done = client.wait(job.id).expect("wait via router");
+    assert_eq!(
+        done.get("m").and_then(Json::as_u64),
+        Some(4),
+        "the job solved the patched session: {done}"
+    );
+    assert!(done.get("report").is_some_and(|r| !r.is_null()), "{done}");
+    assert_eq!(
+        &workers[(job.id % 2) as usize],
+        second,
+        "the job runs where the session lives"
+    );
+    // A dataset no worker holds is the workers' own 404.
+    match client.get_dataset("nowhere") {
+        Err(ClientError::Status { status: 404, .. }) => {}
+        other => panic!("an unknown dataset must 404, got {other:?}"),
+    }
+    down_router.shutdown();
+    down_a.shutdown();
+    down_b.shutdown();
+}
+
+/// A new session whose rendezvous-first worker is down: the `PUT`
+/// answers 503 + `Retry-After` instead of creating a copy on the next
+/// worker, which the first worker's own copy (if it has one) would hide
+/// once it is back.
+#[test]
+fn a_put_whose_first_worker_is_down_gets_503() {
+    let (live, down_live) = start_worker(ServerConfig::default());
+    let dead = dead_addr();
+    let workers = vec![live.clone(), dead.clone()];
+    let id = (0..)
+        .map(|i| format!("put-{i}"))
+        .find(|id| workers[rendezvous_order(&workers, &format!("ds:{id}"))[0]] == dead)
+        .expect("some id prefers the dead worker");
+    let (client, down_router, _) = start_router(workers, None);
+    match client.create_dataset(&id, PAPER_EXAMPLE) {
+        Err(ClientError::Status {
+            status: 503,
+            retry_after_secs,
+            ..
+        }) => assert_eq!(retry_after_secs, Some(2), "503 must carry Retry-After"),
+        other => panic!("PUT past a dead first choice must 503, got {other:?}"),
+    }
+    let health = Client::new(&live).healthz().expect("worker healthz");
+    assert_eq!(
+        health.get("datasets").and_then(Json::as_u64),
+        Some(0),
+        "no copy was made on the live worker: {health}"
+    );
+    down_router.shutdown();
+    down_live.shutdown();
+}
+
+/// A path no worker serves is the first reachable worker's own 404,
+/// even with a worker down: every worker answers it alike, so there is
+/// nothing to search for.
+#[test]
+fn an_unknown_path_is_the_first_reachable_workers_404() {
+    let (live, down_live) = start_worker(ServerConfig::default());
+    let (_, down_router, router) = start_router(vec![dead_addr(), live.clone()], None);
+    let routed = raw_get(&router, "/v1/nope");
+    assert_eq!(routed.0, 404, "{routed:?}");
+    assert_eq!(routed, raw_get(&live, "/v1/nope"));
+    down_router.shutdown();
+    down_live.shutdown();
+}
+
+fn workers(n: usize) -> Vec<String> {
+    (0..n).map(|i| format!("10.0.0.{i}:8080")).collect()
+}
+
+#[test]
+fn rendezvous_is_deterministic_and_covers_all_workers() {
+    let pool = workers(4);
+    for key in ["ds:alpha", "tx:0011223344556677", "ds:beta"] {
+        let a = rendezvous_order(&pool, key);
+        let b = rendezvous_order(&pool, key);
+        assert_eq!(a, b, "order must be deterministic for {key}");
+        let mut sorted = a.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, vec![0, 1, 2, 3], "order must be a permutation");
+    }
+    // Different keys should not all pile onto one worker.
+    let firsts: std::collections::HashSet<usize> = (0..64)
+        .map(|i| rendezvous_order(&pool, &format!("ds:set-{i}"))[0])
+        .collect();
+    assert!(firsts.len() > 1, "64 keys routed to a single worker");
+}
+
+#[test]
+fn rendezvous_is_stable_when_a_worker_leaves() {
+    // The HRW property the sticky router depends on: dropping one
+    // worker only moves the keys that mapped to it; every other
+    // key's first choice is unchanged.
+    let pool = workers(4);
+    for dropped in 0..pool.len() {
+        let remaining: Vec<String> = pool
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| *i != dropped)
+            .map(|(_, w)| w.clone())
+            .collect();
+        for i in 0..128 {
+            let key = format!("ds:stability-{i}");
+            let full_first = rendezvous_order(&pool, &key)[0];
+            if full_first == dropped {
+                continue;
+            }
+            let reduced_first = &remaining[rendezvous_order(&remaining, &key)[0]];
+            assert_eq!(
+                reduced_first, &pool[full_first],
+                "key {key} moved although its worker survived"
+            );
+        }
+    }
+}
+
+/// One `POST` straight to a worker, with `Rawt-Shard: {shard}` when
+/// given: the status and the parsed reply.
+fn post_shard(addr: &str, path: &str, shard: Option<&str>, body: &str) -> (u16, Json) {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let headers: Vec<(&str, String)> = shard
+        .map(|shard| vec![("Rawt-Shard", shard.to_owned())])
+        .unwrap_or_default();
+    write_request_with_headers(
+        &mut stream,
+        "POST",
+        path,
+        addr,
+        &headers,
+        Some(("application/json", body.as_bytes())),
+        false,
+    )
+    .expect("send");
+    let response = ClientResponse::read(stream).expect("response head");
+    let status = response.status;
+    let body = response.body_string().expect("response body");
+    (status, Json::parse(&body).expect("JSON reply"))
+}
+
+fn job_body() -> String {
+    JobSubmission {
+        algo: Some("Borda".into()),
+        ..JobSubmission::new(PAPER_EXAMPLE)
+    }
+    .to_json()
+}
+
+fn id_of(doc: &Json) -> u64 {
+    doc.get("id").and_then(Json::as_u64).expect("an id")
+}
+
+#[test]
+fn a_submission_without_a_shard_gets_the_next_sequential_id() {
+    let (worker, down) = start_worker(ServerConfig::default());
+    for expected in 0..3 {
+        let (status, doc) = post_shard(&worker, "/v1/jobs", None, &job_body());
+        assert_eq!(status, 202, "{doc}");
+        assert_eq!(id_of(&doc), expected);
+    }
+    down.shutdown();
+}
+
+#[test]
+fn a_shard_header_mints_ascending_ids_in_its_residue_class() {
+    let (worker, down) = start_worker(ServerConfig::default());
+    let mut ids = Vec::new();
+    for _ in 0..2 {
+        let (status, doc) = post_shard(&worker, "/v1/jobs", Some("1/3"), &job_body());
+        assert_eq!(status, 202, "{doc}");
+        ids.push(id_of(&doc));
+    }
+    for _ in 0..2 {
+        let body =
+            BatchSubmission::new(PAPER_EXAMPLE, PANEL.iter().map(|s| s.to_string()).collect())
+                .to_json();
+        let (status, doc) = post_shard(&worker, "/v1/batches", Some("1/3"), &body);
+        assert_eq!(status, 202, "{doc}");
+        assert_eq!(id_of(&doc) % 3, 1, "batch id: {doc}");
+        let jobs = doc.get("jobs").and_then(Json::as_array).expect("jobs");
+        assert_eq!(jobs.len(), PANEL.len());
+        ids.extend(jobs.iter().map(id_of));
+    }
+    let (_, doc) = post_shard(&worker, "/v1/jobs", Some("1/3"), &job_body());
+    ids.push(id_of(&doc));
+    assert!(ids.iter().all(|id| id % 3 == 1), "{ids:?}");
+    assert!(ids.windows(2).all(|w| w[0] < w[1]), "{ids:?}");
+    down.shutdown();
+}
+
+#[test]
+fn a_malformed_shard_header_is_a_400_and_admits_nothing() {
+    let (worker, down) = start_worker(ServerConfig::default());
+    let batch = BatchSubmission::new(PAPER_EXAMPLE, vec!["Borda".into()]).to_json();
+    for shard in ["3/3", "1/0", "x"] {
+        for (path, body) in [("/v1/jobs", job_body()), ("/v1/batches", batch.clone())] {
+            let (status, doc) = post_shard(&worker, path, Some(shard), &body);
+            assert_eq!(status, 400, "{shard} on {path}: {doc}");
+        }
+    }
+    let health = Client::new(&worker).healthz().expect("healthz");
+    assert_eq!(
+        health.get("jobs_accepted").and_then(Json::as_u64),
+        Some(0),
+        "{health}"
+    );
+    let (_, doc) = post_shard(&worker, "/v1/jobs", None, &job_body());
+    assert_eq!(id_of(&doc), 0, "no id was spent");
+    down.shutdown();
+}
+
+/// A header `N` past the cap would leap the worker's next id to the end
+/// of the id space; it is a 400, and the ids after it stay small.
+#[test]
+fn an_oversized_shard_count_is_a_400_and_spends_no_ids() {
+    let (worker, down) = start_worker(ServerConfig::default());
+    let huge = format!("{}/{}", u64::MAX - 1, u64::MAX);
+    let (status, doc) = post_shard(&worker, "/v1/jobs", Some(&huge), &job_body());
+    assert_eq!(status, 400, "{doc}");
+    let top = format!("{}/{}", MAX_SHARDS - 1, MAX_SHARDS);
+    let (status, doc) = post_shard(&worker, "/v1/jobs", Some(&top), &job_body());
+    assert_eq!(status, 202, "{doc}");
+    assert_eq!(id_of(&doc), MAX_SHARDS - 1);
+    let (status, doc) = post_shard(&worker, "/v1/jobs", None, &job_body());
+    assert_eq!(status, 202, "{doc}");
+    assert_eq!(id_of(&doc), MAX_SHARDS);
+    down.shutdown();
 }
