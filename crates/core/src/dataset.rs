@@ -126,7 +126,7 @@ impl Dataset {
     pub(crate) fn grow(&mut self, n_new: usize) {
         let fresh: Vec<Element> = (self.n..n_new).map(|i| Element(i as u32)).collect();
         for r in &mut self.rankings {
-            *r = r.with_bucket_appended(fresh.clone());
+            r.append_bucket(fresh.clone());
         }
         self.n = n_new;
     }

@@ -9,7 +9,7 @@
 use super::spec::{AlgoSpec, ExecPolicy, KernelLane, LanePolicy};
 use crate::algorithms::WarmStart;
 use crate::dataset::Dataset;
-use crate::normalize::{projection, unification, Normalized};
+use crate::normalize::{projection, unification, unify, Normalized};
 use crate::pairs::CostMatrix;
 use crate::ranking::Ranking;
 use std::fmt;
@@ -36,6 +36,15 @@ impl Normalization {
         match self {
             Normalization::Unification => unification(raw),
             Normalization::Projection => projection(raw),
+        }
+    }
+
+    /// [`Normalization::apply`] to owned rankings, which unification
+    /// reuses instead of copying.
+    pub fn apply_owned(&self, raw: Vec<Ranking>) -> Option<Normalized> {
+        match self {
+            Normalization::Unification => unify(raw),
+            Normalization::Projection => projection(&raw),
         }
     }
 }

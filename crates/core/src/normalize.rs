@@ -39,10 +39,15 @@ impl Normalized {
 
 /// Sorted union of the supports.
 fn union(raw: &[Ranking]) -> Vec<Element> {
-    let mut all: Vec<Element> = raw.iter().flat_map(|r| r.elements()).collect();
-    all.sort_unstable();
-    all.dedup();
-    all
+    let len = raw.iter().map(|r| r.positions().len()).max().unwrap_or(0);
+    let mut seen = vec![false; len];
+    for e in raw.iter().flat_map(Ranking::elements) {
+        seen[e.index()] = true;
+    }
+    (0..len as u32)
+        .filter(|&id| seen[id as usize])
+        .map(Element)
+        .collect()
 }
 
 /// Elements present in every ranking, sorted.
@@ -102,41 +107,35 @@ pub fn projection(raw: &[Ranking]) -> Option<Normalized> {
 }
 
 /// Core of unification: append each ranking's missing elements as one final
-/// bucket, or as singletons when `broken`.
-fn unify_impl(raw: &[Ranking], broken: bool) -> Option<Normalized> {
-    let kept = union(raw);
-    if kept.is_empty() {
-        return None;
-    }
+/// bucket, or as singletons when `broken`. The rankings are taken by value:
+/// when the union of supports is already dense (`0..n`, as for a universe
+/// freshly interned from text) the mapping is the identity, so complete
+/// rankings move through untouched and only partial ones gain a bucket.
+fn unify_impl(raw: Vec<Ranking>, broken: bool) -> Option<Normalized> {
+    let kept = union(&raw);
+    let n = kept.len();
+    let dense = kept.last()?.index() + 1 == n;
     let rankings: Vec<Ranking> = raw
-        .iter()
+        .into_iter()
         .map(|r| {
-            let to_dense = dense_index(&kept);
-            let mut buckets: Vec<Vec<Element>> = r
-                .buckets()
-                .map(|b| b.iter().map(|&e| to_dense(e)).collect())
-                .collect();
-            let missing: Vec<Element> = kept
-                .iter()
-                .filter(|&&e| !r.contains(e))
-                .map(|&e| to_dense(e))
-                .collect();
-            if !missing.is_empty() {
-                buckets.push(missing);
+            let mut r = if dense {
+                r
+            } else {
+                r.map_elements(dense_index(&kept))
+                    .expect("the dense index is injective")
+            };
+            if r.n_elements() < n {
+                let missing = (0..n as u32).map(Element).filter(|&e| !r.contains(e));
+                r.append_bucket(missing.collect());
             }
-            if broken {
+            if broken && !r.is_permutation() {
                 // Table 3's d_b is made of permutations only: *every*
                 // bucket (pre-existing ties included) is broken,
                 // "arbitrarily" = ascending id.
-                buckets = buckets
-                    .into_iter()
-                    .flat_map(|mut b| {
-                        b.sort_unstable();
-                        b.into_iter().map(|e| vec![e]).collect::<Vec<_>>()
-                    })
-                    .collect();
+                let order: Vec<Element> = r.elements().collect();
+                r = Ranking::permutation(&order).expect("unification preserves validity");
             }
-            Ranking::from_buckets(buckets).expect("unification preserves validity")
+            r
         })
         .collect();
     Some(Normalized {
@@ -147,7 +146,14 @@ fn unify_impl(raw: &[Ranking], broken: bool) -> Option<Normalized> {
 
 /// **Unification** (§5.1): each ranking gets a final *unification bucket*
 /// with the elements it is missing. Returns `None` for an empty input.
+/// Borrowing form of [`unify`].
 pub fn unification(raw: &[Ranking]) -> Option<Normalized> {
+    unify_impl(raw.to_vec(), false)
+}
+
+/// [`unification`] of owned rankings, which it reuses: the form for
+/// callers that parsed the rankings only to normalize them.
+pub fn unify(raw: Vec<Ranking>) -> Option<Normalized> {
     unify_impl(raw, false)
 }
 
@@ -155,7 +161,7 @@ pub fn unification(raw: &[Ranking]) -> Option<Normalized> {
 /// bucket is broken into singletons, so permutation inputs stay
 /// permutations (used by [Ali & Meilă 2012]).
 pub fn unification_broken(raw: &[Ranking]) -> Option<Normalized> {
-    unify_impl(raw, true)
+    unify_impl(raw.to_vec(), true)
 }
 
 /// Top-k retention (§6.1.3, Figure 1): keep whole buckets until at least

@@ -55,75 +55,107 @@ impl From<RankingError> for ParseError {
     }
 }
 
-/// Split `[{a,b},{c}]` into label buckets without interpreting labels.
-fn tokenize(input: &str) -> Result<Vec<Vec<&str>>, ParseError> {
-    let s = input.trim();
-    let err = |offset: usize, message: &str| ParseError::Syntax {
-        offset,
-        message: message.to_owned(),
-    };
-    let inner = s
-        .strip_prefix('[')
-        .ok_or_else(|| err(0, "expected '['"))?
-        .strip_suffix(']')
-        .ok_or_else(|| err(s.len(), "expected ']'"))?
-        .trim();
-    let mut buckets = Vec::new();
-    if inner.is_empty() {
-        return Ok(buckets);
+/// One line's tokens, as flat scratch reused across the lines of a
+/// dataset: every label in order, and the end offset (into `labels`) of
+/// each bucket. Tokenizing checks the whole `[{a,b},{c}]` grammar before
+/// any label is interpreted, so a line refused for syntax interns nothing.
+#[derive(Default)]
+struct Tokens<'a> {
+    labels: Vec<&'a str>,
+    ends: Vec<usize>,
+}
+
+impl<'a> Tokens<'a> {
+    /// Tokenize `input`, replacing what the scratch held.
+    fn tokenize(&mut self, input: &'a str) -> Result<(), ParseError> {
+        self.labels.clear();
+        self.ends.clear();
+        let s = input.trim();
+        let err = |offset: usize, message: &str| ParseError::Syntax {
+            offset,
+            message: message.to_owned(),
+        };
+        let inner = s
+            .strip_prefix('[')
+            .ok_or_else(|| err(0, "expected '['"))?
+            .strip_suffix(']')
+            .ok_or_else(|| err(s.len(), "expected ']'"))?
+            .trim();
+        if inner.is_empty() {
+            return Ok(());
+        }
+        let mut rest = inner;
+        loop {
+            let offset = input.len() - rest.len();
+            rest = rest
+                .trim_start()
+                .strip_prefix('{')
+                .ok_or_else(|| err(offset, "expected '{'"))?;
+            let close = rest
+                .find('}')
+                .ok_or_else(|| err(input.len() - rest.len(), "expected '}'"))?;
+            for label in rest[..close].split(',').map(str::trim) {
+                if label.is_empty() {
+                    return Err(err(input.len() - rest.len(), "empty label"));
+                }
+                self.labels.push(label);
+            }
+            self.ends.push(self.labels.len());
+            rest = rest[close + 1..].trim_start();
+            if rest.is_empty() {
+                return Ok(());
+            }
+            rest = rest
+                .strip_prefix(',')
+                .ok_or_else(|| err(input.len() - rest.len(), "expected ',' between buckets"))?;
+        }
     }
-    let mut rest = inner;
-    loop {
-        let offset = input.len() - rest.len();
-        rest = rest
-            .trim_start()
-            .strip_prefix('{')
-            .ok_or_else(|| err(offset, "expected '{'"))?;
-        let close = rest
-            .find('}')
-            .ok_or_else(|| err(input.len() - rest.len(), "expected '}'"))?;
-        let body = &rest[..close];
-        let labels: Vec<&str> = body.split(',').map(str::trim).collect();
-        if labels.iter().any(|l| l.is_empty()) {
-            return Err(err(input.len() - rest.len(), "empty label"));
+
+    /// The tokenized ranking, each label resolved by `element` in order.
+    fn ranking(
+        &self,
+        mut element: impl FnMut(&'a str) -> Result<Element, ParseError>,
+    ) -> Result<Ranking, ParseError> {
+        let mut buckets = Vec::with_capacity(self.ends.len());
+        let mut start = 0;
+        for &end in &self.ends {
+            let mut bucket = Vec::with_capacity(end - start);
+            for &label in &self.labels[start..end] {
+                bucket.push(element(label)?);
+            }
+            buckets.push(bucket);
+            start = end;
         }
-        buckets.push(labels);
-        rest = rest[close + 1..].trim_start();
-        if rest.is_empty() {
-            return Ok(buckets);
-        }
-        rest = rest
-            .strip_prefix(',')
-            .ok_or_else(|| err(input.len() - rest.len(), "expected ',' between buckets"))?;
+        Ok(Ranking::from_buckets(buckets)?)
+    }
+
+    /// Tokenize `input` and intern its labels into `universe`.
+    fn parse_labeled(
+        &mut self,
+        input: &'a str,
+        universe: &mut Universe,
+    ) -> Result<Ranking, ParseError> {
+        self.tokenize(input)?;
+        self.ranking(|label| Ok(universe.intern(label)))
     }
 }
 
 /// Parse a ranking with numeric element ids, e.g. `[{0},{1,2}]`.
 pub fn parse_ranking(input: &str) -> Result<Ranking, ParseError> {
-    let buckets = tokenize(input)?;
-    let mut out: Vec<Vec<Element>> = Vec::with_capacity(buckets.len());
-    for b in buckets {
-        let mut bucket = Vec::with_capacity(b.len());
-        for label in b {
-            let id: u32 = label.parse().map_err(|_| ParseError::BadNumber {
-                token: label.to_owned(),
-            })?;
-            bucket.push(Element(id));
-        }
-        out.push(bucket);
-    }
-    Ok(Ranking::from_buckets(out)?)
+    let mut tokens = Tokens::default();
+    tokens.tokenize(input)?;
+    tokens.ranking(|label| {
+        let id: u32 = label.parse().map_err(|_| ParseError::BadNumber {
+            token: label.to_owned(),
+        })?;
+        Ok(Element(id))
+    })
 }
 
 /// Parse a ranking with arbitrary string labels, interning them into
 /// `universe`, e.g. `[{A},{B,C}]`.
 pub fn parse_ranking_labeled(input: &str, universe: &mut Universe) -> Result<Ranking, ParseError> {
-    let buckets = tokenize(input)?;
-    let out: Vec<Vec<Element>> = buckets
-        .into_iter()
-        .map(|b| b.into_iter().map(|l| universe.intern(l)).collect())
-        .collect();
-    Ok(Ranking::from_buckets(out)?)
+    Tokens::default().parse_labeled(input, universe)
 }
 
 /// Parse a labeled ranking against `universe` without changing it. Labels
@@ -135,24 +167,20 @@ pub fn parse_ranking_against(
     input: &str,
     universe: &Universe,
 ) -> Result<(Ranking, Vec<String>), ParseError> {
-    let buckets = tokenize(input)?;
+    let mut tokens = Tokens::default();
+    tokens.tokenize(input)?;
     let mut fresh: HashMap<&str, Element> = HashMap::new();
     let mut order: Vec<String> = Vec::new();
-    let out: Vec<Vec<Element>> = buckets
-        .into_iter()
-        .map(|b| {
-            b.into_iter()
-                .map(|l| match universe.get(l) {
-                    Some(e) => e,
-                    None => *fresh.entry(l).or_insert_with(|| {
-                        order.push(l.to_owned());
-                        Element((universe.len() + order.len() - 1) as u32)
-                    }),
-                })
-                .collect()
+    let ranking = tokens.ranking(|label| {
+        Ok(match universe.get(label) {
+            Some(e) => e,
+            None => *fresh.entry(label).or_insert_with(|| {
+                order.push(label.to_owned());
+                Element((universe.len() + order.len() - 1) as u32)
+            }),
         })
-        .collect();
-    Ok((Ranking::from_buckets(out)?, order))
+    })?;
+    Ok((ranking, order))
 }
 
 /// Parse a multi-line dataset file: one labeled ranking per line; blank
@@ -162,114 +190,14 @@ pub fn parse_dataset_lines(
     input: &str,
     universe: &mut Universe,
 ) -> Result<Vec<Ranking>, ParseError> {
+    let mut tokens = Tokens::default();
     let mut out = Vec::new();
     for line in input.lines() {
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        out.push(parse_ranking_labeled(line, universe)?);
+        out.push(tokens.parse_labeled(line, universe)?);
     }
     Ok(out)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn roundtrip_numeric() {
-        for text in ["[{0}]", "[{0},{1,2}]", "[{3},{0,2},{1}]"] {
-            let r = parse_ranking(text).unwrap();
-            assert_eq!(r.to_string(), text);
-        }
-    }
-
-    #[test]
-    fn whitespace_tolerated() {
-        let r = parse_ranking("  [ {0} , { 2 , 1 } ]  ").unwrap();
-        assert_eq!(r.to_string(), "[{0},{1,2}]");
-    }
-
-    #[test]
-    fn labeled_parse_interns() {
-        let mut u = Universe::new();
-        let r = parse_ranking_labeled("[{A},{B,C}]", &mut u).unwrap();
-        assert_eq!(u.len(), 3);
-        assert_eq!(r.display_with(&u), "[{A},{B,C}]");
-    }
-
-    #[test]
-    fn parsing_against_a_universe_leaves_it_unchanged() {
-        let mut u = Universe::new();
-        parse_ranking_labeled("[{A},{B}]", &mut u).unwrap();
-        let text = "[{C},{B,D},{A,C}]";
-        // A duplicate label is refused without touching the universe.
-        assert!(parse_ranking_against(text, &u).is_err());
-        let text = "[{C},{B,D},{A}]";
-        let (r, fresh) = parse_ranking_against(text, &u).unwrap();
-        assert_eq!(u.len(), 2);
-        assert_eq!(fresh, ["C", "D"]);
-        let mut interned = u.clone();
-        assert_eq!(parse_ranking_labeled(text, &mut interned).unwrap(), r);
-        for label in &fresh {
-            u.intern(label);
-        }
-        assert_eq!(r.display_with(&u), text);
-    }
-
-    #[test]
-    fn paper_table3_raw_dataset_parses() {
-        // Table 3's raw dataset d_r.
-        let mut u = Universe::new();
-        let rankings = parse_dataset_lines(
-            "# raw dataset dr\n\
-             [{A},{D},{B}]\n\
-             \n\
-             [{B},{E,A}]\n\
-             [{D},{A,B},{C}]\n",
-            &mut u,
-        )
-        .unwrap();
-        assert_eq!(rankings.len(), 3);
-        assert_eq!(u.len(), 5);
-        assert_eq!(rankings[1].n_elements(), 3);
-    }
-
-    #[test]
-    fn syntax_errors_reported() {
-        assert!(matches!(
-            parse_ranking("{0}"),
-            Err(ParseError::Syntax { .. })
-        ));
-        assert!(matches!(
-            parse_ranking("[{0}"),
-            Err(ParseError::Syntax { .. })
-        ));
-        assert!(matches!(
-            parse_ranking("[{}]"),
-            Err(ParseError::Syntax { .. })
-        ));
-        assert!(matches!(
-            parse_ranking("[{0}{1}]"),
-            Err(ParseError::Syntax { .. })
-        ));
-        assert!(matches!(
-            parse_ranking("[{x}]"),
-            Err(ParseError::BadNumber { .. })
-        ));
-        assert!(matches!(
-            parse_ranking("[{0},{0}]"),
-            Err(ParseError::Invalid(_))
-        ));
-    }
-
-    #[test]
-    fn duplicate_label_rejected() {
-        let mut u = Universe::new();
-        assert!(matches!(
-            parse_ranking_labeled("[{A},{A}]", &mut u),
-            Err(ParseError::Invalid(_))
-        ));
-    }
 }

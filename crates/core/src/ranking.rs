@@ -204,12 +204,25 @@ impl Ranking {
         Ranking::from_buckets(buckets).expect("reversal preserves validity")
     }
 
-    /// The ranking with `bucket` (elements it does not rank) appended as
-    /// a final tied bucket.
-    pub(crate) fn with_bucket_appended(&self, bucket: Vec<Element>) -> Ranking {
-        let mut buckets = self.buckets.clone();
-        buckets.push(bucket);
-        Ranking::from_buckets(buckets).expect("appending unseen elements preserves validity")
+    /// Append `bucket` (elements this ranking does not rank) as a final
+    /// tied bucket, in place: only the new elements' positions are written.
+    ///
+    /// # Panics
+    /// Panics if `bucket` is empty or repeats an element.
+    pub(crate) fn append_bucket(&mut self, mut bucket: Vec<Element>) {
+        assert!(!bucket.is_empty(), "appended bucket is empty");
+        bucket.sort_unstable();
+        let last = bucket[bucket.len() - 1].index();
+        if self.pos.len() <= last {
+            self.pos.resize(last + 1, ABSENT);
+        }
+        let index = self.buckets.len() as u32;
+        for &e in &bucket {
+            assert_eq!(self.pos[e.index()], ABSENT, "{e} is already ranked");
+            self.pos[e.index()] = index;
+        }
+        self.n_elements += bucket.len();
+        self.buckets.push(bucket);
     }
 
     /// Apply `f` to every element id (e.g. to remap into a dense universe).

@@ -332,9 +332,8 @@ impl DatasetSession {
         }
         self.matrix_mut().grow(n_new);
         self.dataset_mut().grow(n_new);
-        if let Some(w) = &self.warm {
-            let fresh = (n..n_new).map(|i| Element(i as u32)).collect();
-            self.warm = Some(w.with_bucket_appended(fresh));
+        if let Some(w) = &mut self.warm {
+            w.append_bucket((n..n_new).map(|i| Element(i as u32)).collect());
         }
     }
 
@@ -389,10 +388,11 @@ fn unify_to(r: &Ranking, n: usize) -> Ranking {
         .map(Element)
         .filter(|&e| !r.contains(e))
         .collect();
-    if missing.is_empty() {
-        return r.clone();
+    let mut r = r.clone();
+    if !missing.is_empty() {
+        r.append_bucket(missing);
     }
-    r.with_bucket_appended(missing)
+    r
 }
 
 #[cfg(test)]

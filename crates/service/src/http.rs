@@ -390,51 +390,79 @@ pub fn write_response(
     stream.flush()
 }
 
-/// A chunked-transfer response writer for NDJSON event streams: one
-/// chunk per line, flushed immediately so subscribers see incumbents as
-/// they land, ended with the zero-length terminator.
+/// Queued stream bytes past which [`ChunkedWriter::write_line`] flushes on
+/// its own, so a stream whose lines are always ready still goes out in
+/// bounded pieces.
+const STREAM_FLUSH_BYTES: usize = 16 << 10;
+
+/// A chunked-transfer response writer for NDJSON event streams: one chunk
+/// per line, ended with the zero-length terminator. The response head and
+/// the lines queue up and go out in one `write` per
+/// [`ChunkedWriter::flush`], so a batch of ready lines costs one write, not
+/// one each. A stream must flush before every wait (and with every
+/// heartbeat) so subscribers see incumbents as they land;
+/// [`ChunkedWriter::finish`] sends what is queued with the terminator.
 pub struct ChunkedWriter<'a> {
     stream: &'a mut TcpStream,
     draining: &'a AtomicBool,
     drained_at_write: &'a mut Option<bool>,
+    queued: Vec<u8>,
 }
 
 impl<'a> ChunkedWriter<'a> {
-    /// Write the response head (status 200, `Transfer-Encoding: chunked`)
+    /// Queue the response head (status 200, `Transfer-Encoding: chunked`)
     /// and return the chunk writer. `keep_alive` chooses the `Connection`
     /// header, as in [`write_response`].
-    pub fn begin(conn: &'a mut Conn<'_>, content_type: &str, keep_alive: bool) -> io::Result<Self> {
+    pub fn begin(conn: &'a mut Conn<'_>, content_type: &str, keep_alive: bool) -> Self {
         let connection = if keep_alive { "keep-alive" } else { "close" };
         let head = format!(
             "HTTP/1.1 200 OK\r\nContent-Type: {content_type}\r\nTransfer-Encoding: chunked\r\nConnection: {connection}\r\nCache-Control: no-store\r\n\r\n"
         );
-        conn.stream.write_all(head.as_bytes())?;
-        conn.stream.flush()?;
-        Ok(ChunkedWriter {
+        ChunkedWriter {
             stream: &mut conn.stream,
             draining: conn.draining,
             drained_at_write: &mut conn.drained_at_write,
-        })
+            queued: head.into_bytes(),
+        }
     }
 
-    /// Write one NDJSON line (the newline is appended here) as a chunk.
+    /// Queue one NDJSON line (the newline is appended here) as a chunk.
+    /// Writes only once the queue passes [`STREAM_FLUSH_BYTES`].
     pub fn write_line(&mut self, line: &str) -> io::Result<()> {
-        // One write per chunk: under TCP_NODELAY each write is a segment.
-        let frame = format!("{:x}\r\n{line}\n\r\n", line.len() + 1);
-        self.stream.write_all(frame.as_bytes())?;
-        self.stream.flush()
+        // Writing into a `Vec` cannot fail.
+        let _ = write!(self.queued, "{:x}\r\n", line.len() + 1);
+        self.queued.extend_from_slice(line.as_bytes());
+        self.queued.extend_from_slice(b"\n\r\n");
+        if self.queued.len() >= STREAM_FLUSH_BYTES {
+            return self.flush();
+        }
+        Ok(())
+    }
+
+    /// Write everything queued, in one `write` (under `TCP_NODELAY`, one
+    /// segment train). A no-op when nothing is queued.
+    pub fn flush(&mut self) -> io::Result<()> {
+        if self.queued.is_empty() {
+            return Ok(());
+        }
+        self.stream.write_all(&self.queued)?;
+        self.queued.clear();
+        Ok(())
+    }
+
+    /// Whether bytes are queued that no `write` has sent yet.
+    pub fn has_queued(&self) -> bool {
+        !self.queued.is_empty()
     }
 
     /// Terminate the chunk stream, taking the drain sample first (see
-    /// [`Conn`]). The connection is usable again only if the whole stream
-    /// reached the peer.
-    pub fn finish(self) -> Served {
+    /// [`Conn`]); the queue and the terminator go out in one `write`. The
+    /// connection is usable again only if the whole stream reached the
+    /// peer.
+    pub fn finish(mut self) -> Served {
         *self.drained_at_write = Some(self.draining.load(Ordering::SeqCst));
-        match self
-            .stream
-            .write_all(b"0\r\n\r\n")
-            .and_then(|()| self.stream.flush())
-        {
+        self.queued.extend_from_slice(b"0\r\n\r\n");
+        match self.flush() {
             Ok(()) => Served::KeepAlive,
             Err(_) => Served::Close,
         }
@@ -659,6 +687,39 @@ pub struct NdjsonLines {
     buffer: Vec<u8>,
     /// Where a cleanly terminated keep-alive connection goes.
     reuse: Option<Box<dyn FnOnce(BufReader<TcpStream>) + Send>>,
+}
+
+impl NdjsonLines {
+    /// Whether the next line (or the stream's end) is already complete in
+    /// the read buffer, so [`Iterator::next`] returns it without waiting on
+    /// the socket. A proxy flushes what it has queued whenever this is
+    /// `false`, before it waits.
+    pub fn next_is_buffered(&self) -> bool {
+        if self.buffer.contains(&b'\n') {
+            return true;
+        }
+        match &self.reader {
+            Some(reader) => chunk_with_line_buffered(reader.buffer()),
+            None => true,
+        }
+    }
+}
+
+/// Whether `buf` starts with a whole chunk whose data ends a line, or with
+/// the whole zero-length terminator.
+fn chunk_with_line_buffered(buf: &[u8]) -> bool {
+    let Some(eol) = buf.windows(2).position(|w| w == b"\r\n") else {
+        return false;
+    };
+    let size = std::str::from_utf8(&buf[..eol])
+        .ok()
+        .and_then(|s| usize::from_str_radix(s.trim(), 16).ok());
+    let data = eol + 2;
+    match size {
+        Some(0) => buf.len() >= data + 2,
+        Some(size) => buf.len() >= data + size + 2 && buf[data..data + size].contains(&b'\n'),
+        None => false,
+    }
 }
 
 impl Iterator for NdjsonLines {

@@ -845,8 +845,7 @@ pub fn build_session(text: &str) -> Result<(Arc<Universe>, DatasetSession), Stri
     if raw.is_empty() {
         return Err("dataset contains no rankings".to_owned());
     }
-    let norm =
-        rank_core::normalize::unification(&raw).expect("non-empty raw rankings always unify");
+    let norm = rank_core::normalize::unify(raw).expect("non-empty raw rankings always unify");
     Ok((Arc::new(universe), DatasetSession::new(norm.dataset)))
 }
 
@@ -904,7 +903,7 @@ pub fn prepare_submission(submission: &JobSubmission) -> Result<Prepared, Submis
     }
     let norm = submission
         .normalize
-        .apply(&raw)
+        .apply_owned(raw)
         .ok_or_else(|| SubmissionError::new("normalization produced an empty dataset"))?;
     let data = Arc::new(norm.dataset);
     let spec = resolve_spec(submission, &data)?;

@@ -522,7 +522,8 @@ fn owner(
 
 /// Proxy a worker's NDJSON stream line by line through a chunked
 /// response, byte for byte (heartbeats included — they keep the
-/// client's liveness view honest). A worker stream cut short closes the
+/// client's liveness view honest), one `write` per run of lines already
+/// in the read buffer. A worker stream cut short closes the
 /// client connection unterminated, so the client sees the truncation
 /// too.
 fn proxy_stream(
@@ -532,7 +533,7 @@ fn proxy_stream(
     path: &str,
     keep: bool,
 ) -> Served {
-    let lines = match state.clients[worker].stream_lines(path) {
+    let mut lines = match state.clients[worker].stream_lines(path) {
         Ok(lines) => lines,
         Err(ClientError::Status { status, body, .. }) => {
             respond_passthrough(stream, status, None, &body, keep);
@@ -543,18 +544,26 @@ fn proxy_stream(
             return Served::KeepAlive;
         }
     };
-    let Ok(mut writer) = ChunkedWriter::begin(stream, "application/x-ndjson", keep) else {
-        return Served::Close;
-    };
-    for line in lines {
-        let Ok(line) = line else {
-            return Served::Close;
-        };
-        if writer.write_line(&line).is_err() {
+    let mut writer = ChunkedWriter::begin(stream, "application/x-ndjson", keep);
+    loop {
+        // Lines the worker sent together go out together; whatever is
+        // queued is flushed before the read that would wait on the worker.
+        if !lines.next_is_buffered() && writer.flush().is_err() {
             return Served::Close;
         }
+        match lines.next() {
+            Some(Ok(line)) => {
+                if writer.write_line(&line).is_err() {
+                    return Served::Close;
+                }
+            }
+            Some(Err(_)) => {
+                let _ = writer.flush();
+                return Served::Close;
+            }
+            None => return writer.finish(),
+        }
     }
-    writer.finish()
 }
 
 #[cfg(test)]

@@ -1608,7 +1608,6 @@ fn admit_job(
     admission: Admission,
 ) -> Result<Arc<JobRecord>, AdmissionError> {
     let request = build_request(&pj, submission);
-    let journaled = journaled_submission_json(submission, &pj.prepared.spec);
     let round = match (&pj.live, submission.follow) {
         (Some((_, snapshot)), true) => Some(snapshot.version),
         _ => None,
@@ -1632,10 +1631,15 @@ fn admit_job(
         Admission::Fresh => state.engine.try_submit_with(request, hooks)?,
         Admission::Recovered { .. } => state.engine.submit_recovered_with(request, hooks),
     }
-    *writer = state
-        .journal
-        .as_ref()
-        .and_then(|journal| journal.begin_job(id, segment, &journaled));
+    // The record re-encodes the whole submission, so it is built only
+    // when there is a journal to take it.
+    *writer = state.journal.as_ref().and_then(|journal| {
+        journal.begin_job(
+            id,
+            segment,
+            &journaled_submission_json(submission, &record.spec),
+        )
+    });
     drop(writer);
     Ok(record)
 }
@@ -2008,9 +2012,7 @@ fn stream_batch_events(
     batch: &Arc<BatchRecord>,
     keep: bool,
 ) -> Served {
-    let Ok(mut writer) = ChunkedWriter::begin(stream, "application/x-ndjson", keep) else {
-        return Served::Close;
-    };
+    let mut writer = ChunkedWriter::begin(stream, "application/x-ndjson", keep);
     let _subscriber = GaugeGuard::enter(&state.metrics.stream_subscribers);
     let heartbeat = Duration::from_secs(u64::from(state.config.heartbeat_secs));
     let mut cursors = vec![0usize; batch.jobs.len()];
@@ -2042,13 +2044,18 @@ fn stream_batch_events(
             quiet_since = Instant::now();
             continue;
         }
+        // Nothing new: what the last scans queued goes out before the wait.
         let quiet = quiet_since.elapsed();
         if quiet >= heartbeat {
+            quiet_since = Instant::now();
             if writer.write_line("{\"event\":\"heartbeat\"}").is_err() {
                 return Served::Close;
             }
-            quiet_since = Instant::now();
-        } else {
+        }
+        if writer.flush().is_err() {
+            return Served::Close;
+        }
+        if quiet < heartbeat {
             batch.signal.wait_past(seen, heartbeat - quiet);
         }
     }
@@ -2281,9 +2288,7 @@ fn stream_events(
     record: &Arc<JobRecord>,
     keep: bool,
 ) -> Served {
-    let Ok(mut writer) = ChunkedWriter::begin(stream, "application/x-ndjson", keep) else {
-        return Served::Close;
-    };
+    let mut writer = ChunkedWriter::begin(stream, "application/x-ndjson", keep);
     let _subscriber = GaugeGuard::enter(&state.metrics.stream_subscribers);
     let heartbeat_secs = state.config.heartbeat_secs;
     let mut cursor = 0usize;
@@ -2292,6 +2297,16 @@ fn stream_events(
             let mut progress = record.state.lock().expect("job state poisoned");
             let mut quiet = 0u32;
             while progress.events.len() == cursor && !progress.done && quiet < heartbeat_secs {
+                if writer.has_queued() {
+                    // Nothing more is ready: send what is queued before
+                    // waiting, outside the lock the job publishes under.
+                    drop(progress);
+                    if writer.flush().is_err() {
+                        return Served::Close;
+                    }
+                    progress = record.state.lock().expect("job state poisoned");
+                    continue;
+                }
                 let (next, timeout) = record
                     .advanced
                     .wait_timeout(progress, Duration::from_secs(1))
@@ -2307,11 +2322,17 @@ fn stream_events(
             // A long-quiet solver (e.g. an unbudgeted exact proof): send
             // a keepalive so the subscriber's read timeout does not
             // mistake the silence for a dead server.
-            if writer.write_line("{\"event\":\"heartbeat\"}").is_err() {
+            if writer
+                .write_line("{\"event\":\"heartbeat\"}")
+                .and_then(|()| writer.flush())
+                .is_err()
+            {
                 return Served::Close;
             }
             continue;
         }
+        // The batch is queued, not written: the next look either finds
+        // more lines to send with it or flushes before it waits.
         for line in &batch {
             if writer.write_line(line).is_err() {
                 return Served::Close; // subscriber went away; the job keeps running

@@ -324,7 +324,7 @@ fn load(path: &str, how: Normalization) -> (Normalized, Universe) {
         die("the file contains no rankings");
     }
     let normalized = how
-        .apply(&raw)
+        .apply_owned(raw)
         .unwrap_or_else(|| die("normalization produced an empty dataset"));
     (normalized, universe)
 }

@@ -1,12 +1,15 @@
 //! End-to-end normalization invariants on the real-world facsimiles:
-//! raw → projection/unification/threshold-k → aggregation → denormalize.
+//! raw → projection/unification/threshold-k → aggregation → denormalize;
+//! unification checked against its definition on generated rankings, and
+//! dataset parsing against line-by-line parsing.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rank_aggregation_with_ties::datasets::realworld;
 use rank_aggregation_with_ties::prelude::*;
-use rank_aggregation_with_ties::rank_core::normalize::{threshold_k, unification_broken};
+use rank_aggregation_with_ties::rank_core::normalize::{threshold_k, unification_broken, unify};
+use rank_aggregation_with_ties::rank_core::parse::{parse_dataset_lines, parse_ranking_labeled};
 
 fn raw_f1(seed: u64) -> Vec<Ranking> {
     realworld::f1::generate(
@@ -135,5 +138,124 @@ proptest! {
                 (0..t.n_buckets() - 1).map(|i| t.bucket(i).len()).sum();
             prop_assert!(without_last < k);
         }
+    }
+}
+
+/// Raw rankings over the ids `stride·i + offset` (`i < n`). Each ranking
+/// gives every element a slot in `0..n + 2`; tied slots share a bucket.
+/// A complete ranking places every element, a partial one leaves out the
+/// elements of slot 0 (possibly all of them). Stride 1 and offset 0 give
+/// dense supports, whose union still has gaps when some element is
+/// absent everywhere.
+fn raw_rankings() -> impl Strategy<Value = Vec<Ranking>> {
+    (1usize..=9, 1usize..=5, 1u32..=3, 0u32..=2).prop_flat_map(|(n, m, stride, offset)| {
+        prop::collection::vec((prop::collection::vec(0..n as u32 + 2, n), 0u32..2), m).prop_map(
+            move |rows| {
+                rows.into_iter()
+                    .map(|(slots, complete)| {
+                        let mut keys: Vec<u32> = slots.clone();
+                        keys.sort_unstable();
+                        keys.dedup();
+                        let mut buckets = vec![Vec::new(); keys.len()];
+                        for (i, &slot) in slots.iter().enumerate() {
+                            if complete == 1 || slot != 0 {
+                                let b = keys.binary_search(&slot).unwrap();
+                                buckets[b].push(Element(stride * i as u32 + offset));
+                            }
+                        }
+                        buckets.retain(|b| !b.is_empty());
+                        Ranking::from_buckets(buckets).expect("distinct ids")
+                    })
+                    .collect()
+            },
+        )
+    })
+}
+
+/// Unification from its definition (§5.1): the sorted union of the
+/// supports, every ranking remapped to its index there, then the missing
+/// elements appended as one tied bucket.
+fn unification_by_definition(raw: &[Ranking]) -> (Vec<Ranking>, Vec<Element>) {
+    let mut union: Vec<Element> = raw.iter().flat_map(|r| r.elements()).collect();
+    union.sort_unstable();
+    union.dedup();
+    let dense = |e: Element| Element(union.binary_search(&e).unwrap() as u32);
+    let rankings = raw
+        .iter()
+        .map(|r| {
+            let mut buckets: Vec<Vec<Element>> = r
+                .buckets()
+                .map(|b| b.iter().map(|&e| dense(e)).collect())
+                .collect();
+            let missing: Vec<Element> = union
+                .iter()
+                .filter(|&&e| !r.contains(e))
+                .map(|&e| dense(e))
+                .collect();
+            if !missing.is_empty() {
+                buckets.push(missing);
+            }
+            Ranking::from_buckets(buckets).unwrap()
+        })
+        .collect();
+    (rankings, union)
+}
+
+fn label_text(raw: &[Ranking]) -> String {
+    let mut text = String::from("# generated\n\n");
+    for r in raw {
+        let buckets: Vec<String> = r
+            .buckets()
+            .map(|b| {
+                let labels: Vec<String> = b.iter().map(|e| format!("e{e}")).collect();
+                format!("{{{}}}", labels.join(", "))
+            })
+            .collect();
+        text.push_str(&format!("[{}]\n", buckets.join(",")));
+    }
+    text
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn unification_matches_its_definition(raw in raw_rankings()) {
+        let (want, union) = unification_by_definition(&raw);
+        let owned = unify(raw.clone());
+        let borrowed = unification(&raw);
+        prop_assert_eq!(owned.is_none(), union.is_empty());
+        prop_assert_eq!(borrowed.is_none(), union.is_empty());
+        let applied = Normalization::Unification.apply_owned(raw.clone());
+        for norm in [owned, borrowed, applied].into_iter().flatten() {
+            prop_assert_eq!(&norm.mapping, &union);
+            prop_assert_eq!(norm.dataset.rankings(), &want[..]);
+            for (got, want) in norm.dataset.rankings().iter().zip(&want) {
+                prop_assert_eq!(got.positions(), want.positions());
+            }
+        }
+        if let Some(broken) = unification_broken(&raw) {
+            for (got, want) in broken.dataset.rankings().iter().zip(&want) {
+                let order: Vec<Element> = want.elements().collect();
+                prop_assert_eq!(got, &Ranking::permutation(&order).unwrap());
+            }
+        }
+    }
+
+    #[test]
+    fn dataset_parse_equals_line_by_line_parse(raw in raw_rankings()) {
+        let text = label_text(&raw);
+        let mut whole = Universe::new();
+        let parsed = parse_dataset_lines(&text, &mut whole).unwrap();
+        let mut by_line = Universe::new();
+        let lines: Vec<Ranking> = text
+            .lines()
+            .filter(|l| !l.trim().is_empty() && !l.trim().starts_with('#'))
+            .map(|l| parse_ranking_labeled(l, &mut by_line).unwrap())
+            .collect();
+        prop_assert_eq!(&parsed, &lines);
+        prop_assert_eq!(parsed.len(), raw.len());
+        let labels = |u: &Universe| u.iter().map(|(e, l)| (e, l.to_owned())).collect::<Vec<_>>();
+        prop_assert_eq!(labels(&whole), labels(&by_line));
     }
 }

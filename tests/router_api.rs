@@ -9,9 +9,13 @@
 //! no TCP connections on either hop. Routed answers are the owning
 //! worker's bytes: workers mint ids in the residue class the router's
 //! `Rawt-Shard` header names, and a fresh router finds a session by
-//! walking its rendezvous order.
+//! walking its rendezvous order. A routed event stream delivers each
+//! line while the job still runs.
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use rank_aggregation_with_ties::prelude::*;
+use rank_aggregation_with_ties::ragen::UniformSampler;
 use rank_aggregation_with_ties::rank_core::parse::parse_dataset_lines;
 use rank_aggregation_with_ties::rank_core::telemetry::parse_exposition;
 use rank_aggregation_with_ties::rank_core::Universe;
@@ -693,6 +697,43 @@ fn routed_replies_are_the_owners_bytes() {
     down_router.shutdown();
     down_a.shutdown();
     down_b.shutdown();
+}
+
+/// Routed liveness: a budgeted job that keeps searching long after its
+/// first improvement must have that incumbent reach a subscriber through
+/// the router while the job still reports `running`. A worker or router
+/// that held a ready line while it waited for the next would deliver it
+/// only with the job's terminal lines (the budget is far below the
+/// heartbeat interval, and the stream stays far below a flush's worth of
+/// bytes).
+#[test]
+fn a_routed_incumbent_arrives_while_the_job_runs() {
+    let (worker, down_worker) = start_worker(ServerConfig::default());
+    let (client, down_router, _) = start_router(vec![worker], None);
+    let mut rng = StdRng::seed_from_u64(11);
+    let data = UniformSampler::new(40).sample_dataset(40, 10, &mut rng);
+    let text: String = data.rankings().iter().map(|r| format!("{r}\n")).collect();
+    let job = client
+        .submit(&JobSubmission {
+            algo: Some("BestOf(BioConsert,100000)".into()),
+            budget: Some(Duration::from_secs(3)),
+            ..JobSubmission::new(text)
+        })
+        .expect("submit via router");
+    let first = client
+        .events(job.id)
+        .expect("routed stream")
+        .map(|event| event.expect("well-formed event"))
+        .find(|event| event.get("event").and_then(Json::as_str) == Some("incumbent"));
+    assert!(first.is_some(), "the job improves at least once");
+    let status = client.status(job.id).expect("status via router");
+    assert_eq!(
+        status.get("state").and_then(Json::as_str),
+        Some("running"),
+        "the first incumbent must arrive while the job runs"
+    );
+    down_router.shutdown();
+    down_worker.shutdown();
 }
 
 /// A session the walk must find off its rendezvous-first worker: PUT
